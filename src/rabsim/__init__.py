@@ -29,6 +29,7 @@ from .dynamics import (
     propagate_density,
     propagate_process,
     propagate_state,
+    stroboscopic_grid,
 )
 from .models import (
     DegenerateFrequencyError,
@@ -93,6 +94,7 @@ __all__ = [
     "rotating_frame_harmonics",
     "rri_condition",
     "single_atom_oracle",
+    "stroboscopic_grid",
     "sweep_heatmap",
     "target_unitary",
 ]

@@ -14,8 +14,9 @@ boundary in cyclic units (MHz / kHz) to match how they are usually quoted;
 all internal math is angular, and the conversion happens in exactly one
 place (:func:`cyclic_to_angular`).
 
-Exit codes: 0 success, 2 validation/usage error, 3 integrator or quadrature
-health error, 4 I/O error.
+Exit codes: 0 success, 2 validation/usage error (including non-finite
+input), 3 integrator or quadrature health error or another arithmetic
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -34,7 +36,7 @@ import numpy as np
 from . import analysis, dynamics, hilbert, models
 from .analysis import QuadratureResolutionError
 from .dynamics import IntegratorHealthError, TimeGrid
-from .models import DriveParams, GateKind
+from .models import DriveParams, GateKind, PerturbativeRegimeWarning
 
 SCENARIOS = ("rab-populations", "heatmap", "gate-fidelity", "fidelity-vs-gamma")
 
@@ -44,9 +46,10 @@ EXIT_INTEGRATOR = 3
 EXIT_IO = 4
 
 #: Steps per fastest period used by the scenarios.  The hard ceiling is 50;
-#: the default is finer because over a full gate window (~5600 fast periods)
-#: the ceiling leaves ~1e-4 norm damping on the fastest eigencomponent,
-#: while 400 keeps norm drift and eigenvalue negativity below 1e-8.
+#: the default is finer because over a full CZ gate window (about 112.5
+#: periods of 2*omega) the ceiling leaves ~1e-4 norm damping on the fastest
+#: eigencomponent, while 400 keeps norm drift and eigenvalue negativity
+#: below 1e-8.
 DEFAULT_DT_DIVISOR = 400
 
 _TIME_FMT = "{:.12g}"
@@ -212,7 +215,12 @@ def _parse_gate(value) -> GateKind:
 
 
 def _validate(config: ScenarioConfig) -> None:
-    problems = []
+    problems = [
+        f"{name} must be finite (got {getattr(config, name)})"
+        for name, caster in _CONFIG_FILE_KEYS.items()
+        if caster is float and getattr(config, name) is not None
+        and not math.isfinite(getattr(config, name))
+    ]
     if not config.omega_m_mhz > 0:
         problems.append(f"omega_m_mhz must be > 0 (got {config.omega_m_mhz})")
     if not config.omega_ratio > 0:
@@ -240,6 +248,15 @@ def _validate(config: ScenarioConfig) -> None:
         problems.append(f"gamma_points must be >= 2 (got {config.gamma_points})")
     if not config.out:
         problems.append("out path must not be empty")
+    if not problems:
+        # Finite fields can still combine into unusable angular parameters
+        # (an overflowing omega, or a matched V below zero).
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+                config.drive_params()
+        except (ValueError, ArithmeticError) as exc:
+            problems.append(f"parameters do not resolve: {exc}")
     if problems:
         raise ValidationError("invalid configuration: " + "; ".join(problems))
 
@@ -282,11 +299,12 @@ def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid | 
         "gate": params.gate.value,
     }
     if grid is not None:
+        used = dynamics.stroboscopic_grid(params, grid)
         payload["grid"] = {
-            "dt_s": grid.dt,
-            "n_steps": grid.n_steps,
-            "t_end_s": grid.t_end,
-            "sample_stride": grid.sample_stride,
+            "dt_s": used.dt,
+            "n_steps": used.n_steps,
+            "t_end_s": used.t_end,
+            "sample_stride": used.sample_stride,
         }
     return payload
 
@@ -354,6 +372,9 @@ def _run_gate_fidelity(config: ScenarioConfig, out: Path) -> dict:
 
 def _run_fidelity_vs_gamma(config: ScenarioConfig, out: Path) -> dict:
     params = config.drive_params().with_gamma(0.0)
+    # The grid every gamma point runs on; fidelities belong to its t_end_s.
+    grid = TimeGrid.build(params, models.pulse_end_time(params),
+                          dt_divisor=config.dt_divisor, sample_stride=10**9)
     gamma_khz_values = np.linspace(0.0, config.gamma_khz, config.gamma_points)
     gammas = [cyclic_to_angular(g, 1e3) for g in gamma_khz_values]
     points = analysis.fidelity_vs_gamma(
@@ -361,7 +382,8 @@ def _run_fidelity_vs_gamma(config: ScenarioConfig, out: Path) -> dict:
     )
     _write_csv(out, ["gamma_khz", "fbar_final"],
                zip(gamma_khz_values, [f for _, f in points]))
-    payload = _base_payload(config, params, None)
+    payload = _base_payload(config, params, grid)
+    payload["gate_time_s"] = models.gate_time(params)
     payload["fbar_final"] = {f"{g:.6g}": f for g, f in zip(gamma_khz_values, (f for _, f in points))}
     payload["convergence"] = {"quadrature_grid_n": config.grid_n}
     return payload
@@ -402,7 +424,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"rabsim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegratorHealthError, QuadratureResolutionError) as exc:
+    except (IntegratorHealthError, QuadratureResolutionError, ArithmeticError) as exc:
         print(f"rabsim: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except OSError as exc:

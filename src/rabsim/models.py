@@ -67,14 +67,14 @@ class DriveParams:
 
     def __post_init__(self) -> None:
         problems = []
-        if not self.omega_m > 0:
-            problems.append(f"omega_m must be > 0, got {self.omega_m}")
-        if not self.omega > 0:
-            problems.append(f"omega must be > 0, got {self.omega}")
-        if self.v < 0:
-            problems.append(f"v must be >= 0, got {self.v}")
-        if self.gamma < 0:
-            problems.append(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 < self.omega_m < math.inf:
+            problems.append(f"omega_m must be finite and > 0, got {self.omega_m}")
+        if not 0.0 < self.omega < math.inf:
+            problems.append(f"omega must be finite and > 0, got {self.omega}")
+        if not 0.0 <= self.v < math.inf:
+            problems.append(f"v must be finite and >= 0, got {self.v}")
+        if not 0.0 <= self.gamma < math.inf:
+            problems.append(f"gamma must be finite and >= 0, got {self.gamma}")
         if problems:
             raise ValueError("; ".join(problems))
         if self.omega < 5.0 * self.omega_m:
@@ -178,12 +178,14 @@ def rri_condition(omega_m: float, omega: float, gate: GateKind) -> float:
     The bare matching point is V = 2*omega; the drive Stark-shifts |rr> by
     2*Omega_m^2/(3*omega) (CZ) or Omega_m^2/omega (CNOT), and the returned
     value absorbs that shift so the effective coupling is purely off-diagonal.
+    Squares are products, so an overflow gives inf (which DriveParams then
+    rejects) instead of raising OverflowError.
     """
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if gate is GateKind.CZ:
-        return 2.0 * omega - 2.0 * omega_m**2 / (3.0 * omega)
-    return 2.0 * omega - omega_m**2 / omega
+        return 2.0 * omega - 2.0 * omega_m * omega_m / (3.0 * omega)
+    return 2.0 * omega - omega_m * omega_m / omega
 
 
 def collapse_operators(gamma: float) -> list[np.ndarray]:

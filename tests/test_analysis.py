@@ -123,6 +123,36 @@ class TestAverageGateFidelity:
             average_gate_fidelity(process, models.target_unitary(GateKind.CZ), 3)
 
 
+def fbar_full_block(images, u, grid_n):
+    """The quadrature on whole 9x9 images: the reference for the qubit block."""
+    amps = analysis._product_amplitudes(grid_n)
+    phi = amps.astype(complex) @ u[:, list(hilbert.QUBIT_INDICES)].T
+    rho_t = np.einsum("pi,pj,ijab->pab", amps, amps, images)
+    return np.einsum("pa,pab,pb->p", phi.conj(), rho_t, phi).real.mean()
+
+
+class TestQubitBlockContraction:
+    @pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
+    @pytest.mark.parametrize("grid_n", [8, 16])
+    @pytest.mark.parametrize("complex_target", [False, True])
+    def test_matches_full_images(self, rng, gate, grid_n, complex_target):
+        u = models.target_unitary(gate)
+        if complex_target:  # still maps the qubit subspace into itself
+            u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
+        images = rng.standard_normal((5, 4, 4, 9, 9)) + 1j * rng.standard_normal((5, 4, 4, 9, 9))
+        stacked = analysis._fbar_of_images(images, u, grid_n)
+        assert stacked.shape == (5,)
+        for image, value in zip(images, stacked):
+            assert abs(value - fbar_full_block(image, u, grid_n)) <= 1e-12
+            assert abs(analysis._fbar_of_images(image, u, grid_n) - value) <= 1e-12
+
+    def test_rejects_target_leaving_the_qubit_subspace(self):
+        u = np.eye(9, dtype=complex)
+        u[:, [4, 8]] = u[:, [8, 4]]  # sends |11> to |rr>
+        with pytest.raises(ValueError, match="qubit subspace"):
+            analysis._fbar_of_images(conjugation_images(np.eye(9, dtype=complex)), u, 8)
+
+
 @pytest.fixture(scope="module")
 def short_series(cz_decay_params):
     grid = TimeGrid.build(
@@ -138,7 +168,7 @@ def gamma_sweep():
     # unit-level check; the operating-point sweep runs in acceptance.
     params = DriveParams.from_ratio(OMEGA_M, 5.0, gate=GateKind.CNOT)
     gammas = [0.0, 2 * np.pi * 1e3, 2 * np.pi * 2e3]
-    return gammas, fidelity_vs_gamma(params, gammas, grid_n=8, dt_divisor=100, workers=1)
+    return gammas, fidelity_vs_gamma(params, gammas, grid_n=8, dt_divisor=100)
 
 
 class TestFidelityTimeSeries:
@@ -188,6 +218,25 @@ class TestSweepHeatmap:
         with pytest.raises(ValueError):
             sweep_heatmap(cz_params, resolution=1)
 
+    def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
+        propagate = dynamics._propagate_rho
+
+        def with_nan(*args, **kwargs):
+            times, states = propagate(*args, **kwargs)
+            states[-1, 1, 4, 8] = states[-1, 1, 8, 4] = np.nan  # one coherence only
+            return times, states
+
+        monkeypatch.setattr(dynamics, "_propagate_rho", with_nan)
+        grid = sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
+                             resolution=3, dt_divisor=50, workers=1)
+        assert np.all(np.isnan(grid.p_rr[1]))
+        assert np.all(np.isfinite(grid.p_rr[[0, 2]]))
+
+    def test_rejects_non_finite_ranges(self, cz_params):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sweep_heatmap(cz_params, v_range=(10.0, bad))
+
     def test_parallel_matches_serial(self, cz_params):
         kwargs = dict(
             v_range=(14.0, 15.0), w_range=(7.0, 8.0), resolution=3, dt_divisor=50
@@ -210,6 +259,11 @@ class TestFidelityVsGamma:
     def test_rejects_negative_rates(self, cz_params):
         with pytest.raises(ValueError):
             fidelity_vs_gamma(cz_params, [-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, cz_params, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_vs_gamma(cz_params, [0.0, bad])
 
 
 def test_workers_resolution_respects_env(monkeypatch):

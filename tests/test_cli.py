@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,49 @@ class TestExitCodes:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["fidelity-vs-gamma", "--gamma-khz", "nan"],
+        ["gate-fidelity", "--gamma-khz", "inf"],
+        ["rab-populations", "--omega-ratio", "inf"],
+        ["rab-populations", "--omega-m-mhz", "nan"],
+        ["gate-fidelity", "--v-over-om", "inf"],
+        # Finite, but omega_m^2 overflows while matching V.
+        ["rab-populations", "--omega-m-mhz", "1e300"],
+    ])
+    def test_non_finite_input_is_validation_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("key", ["v_max", "w_min"])
+    def test_non_finite_heatmap_extent_is_validation_error(self, key, tmp_path, capsys):
+        config_file = tmp_path / "heat.conf"
+        config_file.write_text(f"{key} = inf\n")
+        code = main(["heatmap", "--config", str(config_file), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
+    def test_nan_dynamics_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        generator = cli.dynamics._generator
+
+        def nan_generator(*args, **kwargs):
+            a0, a1 = generator(*args, **kwargs)
+            return a0 * np.nan, a1
+
+        monkeypatch.setattr(cli.dynamics, "_generator", nan_generator)
+        code = main(["rab-populations", *FAST, "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_INTEGRATOR
+        assert "drifted by nan" in capsys.readouterr().err
+
+    def test_arithmetic_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("numerical result out of range")
+
+        monkeypatch.setattr("rabsim.cli.dynamics.propagate_density", overflow)
+        code = main(["rab-populations", *FAST, "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_INTEGRATOR
+        assert "out of range" in capsys.readouterr().err
+
     def test_integrator_health_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         from rabsim.dynamics import IntegratorHealthError
 
@@ -195,6 +242,32 @@ class TestScenarios:
         np.testing.assert_allclose(rows[:, 0], [0.0, 1.0, 2.0])
         fbars = rows[:, 1]
         assert all(b <= a + 1e-6 for a, b in zip(fbars, fbars[1:]))
+
+    def test_fidelity_vs_gamma_sidecar_records_its_instants(self, tmp_path):
+        config_file = tmp_path / "sweep.conf"
+        config_file.write_text("gamma_points = 2\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["fidelity-vs-gamma", *FAST, "--grid-n", "8",
+                     "--config", str(config_file), "--out", str(out)])
+        assert code == EXIT_OK
+        # The fidelities belong to the pulse end, the envelope node after T.
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        omega = sidecar["resolved_angular"]["omega_rad_per_s"]
+        grid = sidecar["grid"]
+        assert sidecar["gate_time_s"] <= grid["t_end_s"] < sidecar["gate_time_s"] + np.pi / omega
+        assert grid["n_steps"] * grid["dt_s"] == pytest.approx(grid["t_end_s"], rel=1e-12)
+        assert grid["dt_s"] <= 2.0 * np.pi / (2.0 * omega) / 50.0 * (1.0 + 1e-12)
+
+
+def test_python_m_rabsim_runs_without_warning():
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    result = subprocess.run([sys.executable, "-m", "rabsim", "--help"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0
+    assert "usage: rabsim" in result.stdout
+    assert "RuntimeWarning" not in result.stderr
 
 
 def test_csv_round_trip(tmp_path):

@@ -282,3 +282,129 @@ def test_amplitude_never_reaches_rr_from_00(cz_params):
     grid = TimeGrid.build(cz_params, 1e-6, dt_divisor=100)
     traj = propagate_state(cz_params, hilbert.ket(G0, G0), grid)
     assert np.max(np.abs(traj.states[:, 8])) <= 1e-10
+
+
+def _stepwise_lindblad(params):
+    """Step-by-step Lindblad RHS built from the public operators, not from
+    the superoperator generator the stroboscopic propagation uses."""
+    collapse = models.collapse_operators(params.gamma)
+    return lambda t, rho: lindblad_rhs(rho, models.hamiltonian(params, t), collapse)
+
+
+def _qubit_units():
+    kets = [hilbert.ket(*divmod(q, 3)) for q in hilbert.QUBIT_INDICES]
+    return np.array([[np.outer(a, b.conj()) for b in kets] for a in kets])
+
+
+class TestStroboscopicMatchesStepwise:
+    """The period routine against _rk4_run on the same step, gamma = 2pi*1.5 kHz."""
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # Whole drive periods, and windows ending a quarter and 0.3 into a period.
+    @pytest.fixture(params=[3.0, 3.25, 3.3])
+    def grid(self, request, params):
+        period = 2.0 * np.pi / params.omega
+        grid = TimeGrid.build(params, request.param * period, dt_divisor=50, sample_stride=7)
+        assert dynamics.stroboscopic_grid(params, grid).dt == pytest.approx(grid.dt, rel=1e-12)
+        return grid
+
+    def test_process_images(self, params, grid):
+        process = propagate_process(params, grid)
+        times, reference = dynamics._rk4_run(
+            _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
+        )
+        np.testing.assert_allclose(process.times, times, rtol=1e-12)
+        assert np.max(np.abs(process.images - reference)) <= 1e-10
+
+    def test_density_matrices(self, params, grid):
+        psi = np.zeros(9, dtype=complex)
+        psi[list(hilbert.QUBIT_INDICES)] = [0.5, 0.5j, -0.5, 0.5]
+        rho0 = np.outer(psi, psi.conj())
+        traj = propagate_density(params, rho0, grid)
+        _, reference = dynamics._rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=True)
+        assert np.max(np.abs(traj.states - reference)) <= 1e-10
+
+    def test_states_on_a_reduced_subspace(self, params, grid):
+        # |11> without decay reaches only part of the space.
+        params = params.with_gamma(0.0)
+        traj = propagate_state(params, hilbert.ket(G1, G1), grid)
+        _, reference = dynamics._rk4_run(
+            dynamics._schrodinger_rhs_factory(params), hilbert.ket(G1, G1), grid, hermitize=False
+        )
+        assert np.max(np.abs(traj.states - reference)) <= 1e-10
+        rho = propagate_density(params, hilbert.projector(G1, G1), grid).states
+        _, reference = dynamics._rk4_run(
+            _stepwise_lindblad(params), hilbert.projector(G1, G1), grid, hermitize=True
+        )
+        assert np.max(np.abs(rho - reference)) <= 1e-10
+
+    def test_gate_fidelity_at_scenario_resolution(self, params):
+        target = {GateKind.CZ: 0.9911, GateKind.CNOT: 0.9935}[params.gate]
+        [(_, fbar)] = analysis.fidelity_vs_gamma(params, [params.gamma], dt_divisor=400)
+        assert abs(fbar - target) <= 1e-4
+
+
+class TestStroboscopicLattice:
+    def test_times_of_an_unaligned_window(self, cz_params):
+        # dt does not divide the drive period: the step shrinks to P/m and the
+        # last partial period gets its own equal steps.
+        t_end = 3.37123 * 2.0 * np.pi / cz_params.omega
+        grid = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=3)
+        used = dynamics.stroboscopic_grid(cz_params, grid)
+        assert used.dt < grid.dt
+        assert (2.0 * np.pi / cz_params.omega / used.dt) == pytest.approx(
+            round(2.0 * np.pi / cz_params.omega / used.dt), abs=1e-9
+        )
+        traj = propagate_state(cz_params, hilbert.ket(G0, G1), grid)
+        assert traj.times[0] == grid.t_start
+        assert traj.times[-1] == grid.t_end
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.dt == used.dt
+        # The single-driven-atom block is known in closed form at every sample.
+        for t, state in zip(traj.times, traj.states):
+            u = analysis.single_atom_oracle(cz_params, t)
+            assert abs(state[hilbert.index_of(G0, G1)] - u[0, 0]) <= 1e-6
+            assert abs(state[hilbert.index_of(G0, RYD)] - u[1, 0]) <= 1e-6
+
+    def test_window_shorter_than_a_period(self, cz_params):
+        grid = TimeGrid.build(cz_params, 0.4 * 2.0 * np.pi / cz_params.omega, dt_divisor=50)
+        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
+        _, reference = dynamics._rk4_run(
+            _stepwise_lindblad(cz_params), hilbert.projector(G1, G1), grid, hermitize=True
+        )
+        assert traj.times[-1] == grid.t_end
+        assert np.max(np.abs(traj.states - reference)) <= 1e-10
+
+
+class TestHealthGatesTripOnNan:
+    """A NaN anywhere in the dynamics must fail the gates, not pass them."""
+
+    @pytest.fixture
+    def nan_params(self):
+        return SimpleNamespace(omega_m=OMEGA_M, omega=7.5 * OMEGA_M, v=np.nan,
+                               gamma=0.0, gate=GateKind.CZ)
+
+    @pytest.fixture
+    def grid(self, cz_params):
+        return TimeGrid.build(cz_params, 2e-7, dt_divisor=50)
+
+    def test_state_norm_gate(self, nan_params, grid):
+        with pytest.raises(IntegratorHealthError, match="norm"):
+            propagate_state(nan_params, hilbert.ket(G1, G1), grid)
+
+    def test_density_gates(self, nan_params, grid):
+        with pytest.raises(IntegratorHealthError):
+            propagate_density(nan_params, hilbert.projector(G1, G1), grid)
+
+    def test_process_trace_gate(self, nan_params, grid):
+        with pytest.raises(IntegratorHealthError, match="trace"):
+            propagate_process(nan_params, grid)
+
+    def test_nan_initial_state_is_rejected(self, cz_params, grid):
+        psi = hilbert.ket(G1, G1)
+        psi[0] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            propagate_state(cz_params, psi, grid)
