@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +115,17 @@ def _product_amplitudes(grid_n: int) -> np.ndarray:
     )
 
 
+def _quadrature_moments(grid_n: int) -> np.ndarray:
+    """Grid averages of c_i c_j c_k c_l over the product amplitudes, (4, 4, 4, 4).
+
+    Taken as the Gram matrix of the pair products c_i c_j: one 16x16
+    product instead of a four-operand contraction.
+    """
+    amps = _product_amplitudes(grid_n)
+    pairs = (amps[:, :, None] * amps[:, None, :]).reshape(-1, 16)
+    return (pairs.T @ pairs).reshape(4, 4, 4, 4) / len(amps)
+
+
 def _fbar_of_images(images: np.ndarray, u: np.ndarray, grid_n: int):
     """Midpoint-rule average of <Psi| U^dag rho(t) U |Psi> over the (a, b) grid.
 
@@ -133,8 +143,7 @@ def _fbar_of_images(images: np.ndarray, u: np.ndarray, grid_n: int):
     u_qubit = u[np.ix_(q, q)]
     if not np.allclose(np.linalg.norm(u_qubit, axis=0), np.linalg.norm(u[:, q], axis=0)):
         raise ValueError("the target must map the qubit subspace into itself")
-    amps = _product_amplitudes(grid_n)
-    moments = np.einsum("pi,pj,pk,pl->ijkl", amps, amps, amps, amps) / len(amps)
+    moments = _quadrature_moments(grid_n)
     weight = np.einsum("ijkl,ak,bl->ijab", moments, u_qubit.conj(), u_qubit).reshape(256)
     stack = images.reshape((-1,) + images.shape[-4:])
     values = np.empty(len(stack))
@@ -216,6 +225,9 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
 def _map_ordered(fn, tasks, workers: int):
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # Imported here: only the pooled heatmap pays for loading the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -225,7 +237,7 @@ def _heatmap_column(task):
     gate = GateKind(gate_value)
     omega = w_ratio * omega_m
     v_values = np.asarray(v_ratios) * omega_m
-    t_end = math.pi * omega / omega_m**2
+    t_end = math.pi * omega / (omega_m * omega_m)
     # One grid per column, sized for the stiffest cell it contains.
     stiffest = DriveParams(omega_m=omega_m, omega=omega, v=float(v_values.max()), gate=gate)
     grid = TimeGrid.build(stiffest, t_end, dt_divisor=resolution_dt, sample_stride=10**9)

@@ -249,14 +249,20 @@ def _validate(config: ScenarioConfig) -> None:
     if not config.out:
         problems.append("out path must not be empty")
     if not problems:
-        # Finite fields can still combine into unusable angular parameters
-        # (an overflowing omega, or a matched V below zero).
+        # Finite fields can still combine into unusable angular parameters:
+        # an overflowing omega, a matched V below zero, or a gate time that
+        # overflows or underflows.
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PerturbativeRegimeWarning)
-                config.drive_params()
+                t_end = models.pulse_end_time(config.drive_params())
+            if not 0.0 < t_end < math.inf:
+                raise ArithmeticError(f"gate time {t_end:g} s is not in (0, inf)")
         except (ValueError, ArithmeticError) as exc:
-            problems.append(f"parameters do not resolve: {exc}")
+            problems.append(
+                f"parameters do not resolve (omega_m_mhz = {config.omega_m_mhz:g}, "
+                f"omega_ratio = {config.omega_ratio:g}): {exc}"
+            )
     if problems:
         raise ValidationError("invalid configuration: " + "; ".join(problems))
 
@@ -344,7 +350,8 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
     _write_csv(out, ["v_over_om", "w_over_om", "p_rr"], rows)
     # Convergence probe at the configured operating point.
     ridge_grid = TimeGrid.build(
-        params, math.pi * params.omega / params.omega_m**2, dt_divisor=config.dt_divisor
+        params, math.pi * params.omega / (params.omega_m * params.omega_m),
+        dt_divisor=config.dt_divisor,
     )
     check = dynamics.convergence_check(
         params, hilbert.projector(hilbert.G1, hilbert.G1), ridge_grid,

@@ -231,7 +231,7 @@ def effective_hamiltonian(params: DriveParams) -> np.ndarray:
     All diagonal entries vanish: the |rr> Stark shift is absorbed into the
     matched V of :func:`rri_condition`.
     """
-    g = params.omega_m**2 / (2.0 * params.omega)
+    g = params.omega_m * params.omega_m / (2.0 * params.omega)
     h = np.zeros((DIM, DIM), dtype=complex)
     i10 = hilbert.index_of(G1, G0)
     i11 = hilbert.index_of(G1, G1)
@@ -250,7 +250,7 @@ def gate_time(params: DriveParams, n: int = 1) -> float:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    base = (2 * n - 1) * math.pi * params.omega / params.omega_m**2
+    base = (2 * n - 1) * math.pi * params.omega / (params.omega_m * params.omega_m)
     return 2.0 * base if params.gate is GateKind.CZ else math.sqrt(2.0) * base
 
 
@@ -288,13 +288,13 @@ def analytic_state(params: DriveParams, initial: int, t: float) -> np.ndarray:
     if params.gate is GateKind.CZ:
         if initial != i11:
             raise ValueError("CZ analytic evolution is defined for initial |11> only")
-        arg = params.omega_m**2 * t / (2.0 * params.omega)
+        arg = params.omega_m * params.omega_m * t / (2.0 * params.omega)
         psi[i11] = math.cos(arg)
         psi[irr] = -1j * math.sin(arg)
         return psi
     if initial not in (i10, i11):
         raise ValueError("CNOT analytic evolution is defined for initial |10> or |11>")
-    theta = params.omega_m**2 * t / (2.0 * math.sqrt(2.0) * params.omega)
+    theta = params.omega_m * params.omega_m * t / (2.0 * math.sqrt(2.0) * params.omega)
     stay, swap = (i11, i10) if initial == i11 else (i10, i11)
     rr_sign = -1.0 if initial == i11 else +1.0
     psi[stay] = math.cos(theta) ** 2

@@ -44,3 +44,36 @@ def cnot_decay_params() -> DriveParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240917)
+
+
+def reference_blocks(a0, a1, rows0) -> list[list[int]]:
+    """Invariant blocks by a breadth-first search over the coupling graph.
+
+    The coordinates reachable from the support of ``rows0`` (i is reached
+    from j when A0 or A1 has an entry (i, j), for any batch entry of A0),
+    split into connected components of the undirected graph, each sorted,
+    in order of their smallest index.
+    """
+    dim = a1.shape[-1]
+    coupled = np.any(np.asarray(a0).reshape(-1, dim, dim) != 0, axis=0) | (a1 != 0)
+    reached = {c for c in range(dim) if np.any(np.asarray(rows0)[..., c] != 0)}
+    front = list(reached)
+    while front:
+        j = front.pop()
+        for i in range(dim):
+            if coupled[i, j] and i not in reached:
+                reached.add(i)
+                front.append(i)
+    blocks, left = [], set(reached)
+    while left:
+        block = {min(left)}
+        front = list(block)
+        while front:
+            i = front.pop()
+            for k in left - block:
+                if coupled[i, k] or coupled[k, i]:
+                    block.add(k)
+                    front.append(k)
+        blocks.append(sorted(block))
+        left -= block
+    return blocks

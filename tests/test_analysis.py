@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,6 +156,24 @@ class TestQubitBlockContraction:
         u[:, [4, 8]] = u[:, [8, 4]]  # sends |11> to |rr>
         with pytest.raises(ValueError, match="qubit subspace"):
             analysis._fbar_of_images(conjugation_images(np.eye(9, dtype=complex)), u, 8)
+
+
+@pytest.mark.parametrize("grid_n", [4, 16, 32])
+def test_quadrature_moments_match_the_four_operand_contraction(grid_n):
+    amps = analysis._product_amplitudes(grid_n)
+    reference = np.einsum("pi,pj,pk,pl->ijkl", amps, amps, amps, amps) / len(amps)
+    assert np.max(np.abs(analysis._quadrature_moments(grid_n) - reference)) <= 1e-14
+
+
+def test_importing_rabsim_leaves_the_process_pool_unloaded():
+    src = Path(analysis.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    probe = "import sys, rabsim; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

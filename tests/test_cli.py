@@ -131,6 +131,19 @@ class TestExitCodes:
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        # omega_m^2 overflows: the gate time rounds to zero.
+        ["rab-populations", "--omega-m-mhz", "1e150", "--v-over-om", "15"],
+        # omega_m^2 underflows: the gate time divides by zero.
+        ["rab-populations", "--omega-m-mhz", "1e-300"],
+    ])
+    def test_gate_time_out_of_range_is_validation_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert "omega_m_mhz" in err and "omega_ratio" in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("key", ["v_max", "w_min"])
     def test_non_finite_heatmap_extent_is_validation_error(self, key, tmp_path, capsys):
         config_file = tmp_path / "heat.conf"

@@ -17,7 +17,7 @@ from rabsim.dynamics import (
 )
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
-from conftest import GAMMA_15KHZ, OMEGA_M
+from conftest import GAMMA_15KHZ, OMEGA_M, reference_blocks
 
 
 def random_hermitian(rng, scale=1.0):
@@ -407,4 +407,137 @@ class TestHealthGatesTripOnNan:
         psi = hilbert.ket(G1, G1)
         psi[0] = np.nan
         with pytest.raises(ValueError, match="norm"):
+            propagate_state(cz_params, psi, grid)
+
+
+def _qubit_rows():
+    """The 16 qubit matrix units as rows of vectorized 9x9 matrices."""
+    units = [9 * a + b for a in hilbert.QUBIT_INDICES for b in hilbert.QUBIT_INDICES]
+    return np.eye(81)[units]
+
+
+def _qubit_psi():
+    """A pure state with weight on every qubit basis state."""
+    psi = np.zeros(9, dtype=complex)
+    psi[list(hilbert.QUBIT_INDICES)] = [0.5, 0.5j, -0.5, 0.5]
+    return psi
+
+
+def _qubit_rho():
+    psi = _qubit_psi()
+    return np.outer(psi, psi.conj())
+
+
+class TestInvariantBlocks:
+    """The run splits exactly into the disconnected blocks of the generator."""
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # Process units, one density matrix, and one density matrix batched over
+    # V as in a heatmap column.
+    @pytest.fixture(params=["process", "density", "batched"])
+    def problem(self, request, params):
+        if request.param == "process":
+            return (*dynamics._generator(params, density=True), _qubit_rows())
+        v = None if request.param == "density" else np.linspace(10.0, 20.0, 3) * OMEGA_M
+        a0, a1 = dynamics._generator(params, density=True, v=v)
+        rows0 = np.broadcast_to(_qubit_rho().reshape(1, 81), a0.shape[:-2] + (1, 81))
+        return a0, a1, rows0
+
+    def test_blocks_partition_the_reachable_set(self, problem):
+        a0, a1, rows0 = problem
+        blocks = dynamics._blocks(a0, a1, rows0)
+        assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
+        reach = np.concatenate(blocks)
+        assert len(set(reach.tolist())) == len(reach)
+        outside = np.setdiff1d(np.arange(81), reach)
+        # Nothing leaves the reachable set, and no entry of A0 (any batch
+        # entry) or A1 joins two blocks.
+        for a in (a0, a1):
+            assert np.all(a[..., outside[:, np.newaxis], reach] == 0)
+            for i, left in enumerate(blocks):
+                for right in blocks[i + 1:]:
+                    assert np.all(a[..., left[:, np.newaxis], right] == 0)
+                    assert np.all(a[..., right[:, np.newaxis], left] == 0)
+
+    def test_block_sizes_under_decay(self, params):
+        sizes = sorted((len(b) for b in dynamics._blocks(
+            *dynamics._generator(params, density=True), _qubit_rows())), reverse=True)
+        expected = {GateKind.CZ: [25, 10, 10, 10, 10, 4, 4, 4, 4], GateKind.CNOT: [45, 18, 18]}
+        assert sizes == expected[params.gate]
+
+    def test_11_without_decay_reaches_one_block_of_16(self, cz_params):
+        rho0 = hilbert.projector(G1, G1).reshape(1, 81)
+        a0, a1 = dynamics._generator(cz_params, density=True)
+        assert [len(b) for b in dynamics._blocks(a0, a1, rho0)] == [16]
+        # The same for a heatmap column, batched over V.
+        a0, a1 = dynamics._generator(cz_params, density=True, v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
+        rows0 = np.broadcast_to(rho0, (4, 1, 81))
+        assert [len(b) for b in dynamics._blocks(a0, a1, rows0)] == [16]
+
+    # Whole drive periods, and a window ending 0.3 into a period.
+    @pytest.mark.parametrize("periods", [3.0, 3.3])
+    def test_blockwise_run_matches_the_unsplit_core(self, problem, params, periods):
+        a0, a1, rows0 = problem
+        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        times, out = dynamics._stroboscopic_run(a0, a1, params.omega, rows0, grid)
+        lattice = dynamics._sample_lattice(params.omega, grid)
+        reach = np.sort(np.concatenate(dynamics._blocks(a0, a1, rows0)))
+        unsplit = dynamics._stroboscopic_core(
+            a0[..., reach[:, np.newaxis], reach], a1[reach[:, np.newaxis], reach],
+            params.omega, rows0[..., reach], lattice,
+        )
+        assert np.array_equal(times, lattice.times)
+        assert np.max(np.abs(out[..., reach] - unsplit)) <= 1e-12
+        assert not np.any(np.delete(out, reach, axis=-1))
+
+    @staticmethod
+    def _nan_in_smallest_block(monkeypatch, rows0, **generator_kwargs):
+        """Make _generator put a NaN on the diagonal of the smallest block
+        that ``rows0`` reaches, and return that block."""
+        generator = dynamics._generator
+        a0, a1 = generator(**generator_kwargs)
+        block = min(dynamics._blocks(a0, a1, rows0), key=len)
+
+        def nan_generator(*args, **kwargs):
+            a0, a1 = generator(*args, **kwargs)
+            a0 = a0.copy()
+            a0[..., block[0], block[0]] = np.nan
+            return a0, a1
+
+        monkeypatch.setattr(dynamics, "_generator", nan_generator)
+        return block
+
+    def test_nan_in_one_block_trips_the_process_gate(self, params, monkeypatch):
+        block = self._nan_in_smallest_block(monkeypatch, _qubit_rows(), params=params,
+                                            density=True)
+        # A block of coherences only: the trace gate cannot see it.
+        assert not set(block.tolist()) & {10 * a for a in range(9)}
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
+        a0, a1 = dynamics._generator(params, density=True)
+        _, rows = dynamics._stroboscopic_run(a0, a1, params.omega, _qubit_rows(), grid)
+        assert 0 < np.isnan(rows).any(axis=(0, 1)).sum() <= len(block)
+        assert np.all(np.isfinite(np.delete(rows, block, axis=-1)))
+        with pytest.raises(IntegratorHealthError, match="non-finite"):
+            propagate_process(params, grid)
+
+    def test_nan_in_one_block_trips_the_density_gate(self, params, monkeypatch):
+        rho0 = _qubit_rho()
+        block = self._nan_in_smallest_block(monkeypatch, rho0.reshape(1, 81), params=params,
+                                            density=True)
+        assert not set(block.tolist()) & {10 * a for a in range(9)}
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
+        with pytest.raises(IntegratorHealthError, match="non-finite"):
+            propagate_density(params, rho0, grid)
+
+    def test_nan_in_one_block_trips_the_norm_gate(self, cz_params, monkeypatch):
+        psi = _qubit_psi()
+        block = self._nan_in_smallest_block(monkeypatch, psi[np.newaxis], params=cz_params,
+                                            density=False)
+        assert block.tolist() == [hilbert.index_of(G0, G0)]
+        grid = TimeGrid.build(cz_params, 2e-7, dt_divisor=50)
+        with pytest.raises(IntegratorHealthError, match="norm"):
             propagate_state(cz_params, psi, grid)

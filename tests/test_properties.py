@@ -1,22 +1,29 @@
-"""Property tests of the input boundary: any float either resolves or is rejected.
+"""Property tests of the input boundary and of the block-wise propagation.
 
 Every float a user can hand over -- NaN, +-inf, zero, subnormal, huge --
 must end in a resolved configuration with finite angular parameters, or in
 ``ValidationError`` (from ``parse_config``) or ``ValueError`` (from
 ``DriveParams``), never in another exception.
+
+Splitting a run into the invariant blocks of its generator must give the
+same samples as propagating every coordinate at once, for any sparse
+generator.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rabsim import cli  # noqa: E402
+from rabsim import cli, dynamics  # noqa: E402
+from rabsim.dynamics import TimeGrid  # noqa: E402
 from rabsim.cli import SCENARIOS, ScenarioConfig, ValidationError, parse_config  # noqa: E402
 from rabsim.models import DriveParams, GateKind, PerturbativeRegimeWarning  # noqa: E402
+from conftest import reference_blocks  # noqa: E402
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 # Mostly usable values, so that one bad field among good ones is drawn often.
@@ -92,3 +99,31 @@ def test_each_non_finite_field_is_rejected(name, bad):
     fields = {"omega_m": 1.0, "omega": 7.5, "v": 15.0, "gamma": 0.0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         DriveParams(**fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(4, 12), batch=st.sampled_from([(), (1,), (3,)]),
+       n_rows=st.integers(1, 4), fill=st.floats(0.05, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, seed):
+    rng = np.random.default_rng(seed)
+
+    def sparse(shape, fraction):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return 0.5 * values * (rng.random(shape) < fraction)
+
+    # Each batch entry of A0 has its own pattern; rows may be empty.
+    a0, a1 = sparse(batch + (dim, dim), fill), sparse((dim, dim), fill)
+    rows0 = sparse(batch + (n_rows, dim), 0.3)
+    omega = 2.0 * math.pi
+    grid = TimeGrid(0.0, 2.3, 0.05, 46, 5)
+    blocks = dynamics._blocks(a0, a1, rows0)
+    assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
+    covered = np.concatenate([np.zeros(0, dtype=int), *blocks])
+    assert len(set(covered.tolist())) == len(covered)
+
+    times, out = dynamics._stroboscopic_run(a0, a1, omega, rows0, grid)
+    lattice = dynamics._sample_lattice(omega, grid)
+    whole = dynamics._stroboscopic_core(a0, a1, omega, rows0, lattice)
+    assert np.array_equal(times, lattice.times)
+    assert np.max(np.abs(out - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
