@@ -11,7 +11,6 @@ from . import analysis, cli, dynamics, hilbert, models
 from .analysis import (
     FidelityReport,
     HeatmapGrid,
-    QuadratureResolutionError,
     average_gate_fidelity,
     fidelity_time_series,
     fidelity_vs_gamma,
@@ -71,7 +70,6 @@ __all__ = [
     "DegenerateFrequencyError",
     "IntegratorHealthError",
     "PerturbativeRegimeWarning",
-    "QuadratureResolutionError",
     "analytic_state",
     "average_gate_fidelity",
     "collapse_operators",

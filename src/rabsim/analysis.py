@@ -1,18 +1,19 @@
 """Observables and sweep-level quantities.
 
-Populations, the exact single-atom pulse-area oracle, average gate fidelity
-by quadrature over product input states, and the two parameter sweeps
+Populations, the exact single-atom pulse-area oracle, the average gate
+fidelity over product input states, and the two parameter sweeps
 (antiblockade heatmap, fidelity versus decay rate).
 
 The average fidelity integral runs over product states
-(cos a |0> + sin a |1>) (x) (cos b |0> + sin b |1>) with (a, b) on [0, 2pi)^2.
-Because the master equation is linear in the density matrix, one process-map
-propagation (16 basis matrices) serves every (a, b); the quadrature then
-costs nothing.  The target U keeps the qubit subspace, so only the 4x4 qubit
-block of each image enters, and all samples of a trajectory are evaluated
-together.  The integrand is a trigonometric polynomial of degree four, so
-the midpoint rule is exact once the grid passes eight points per axis -- the
-mandatory doubling check reports the residual.
+(cos a |0> + sin a |1>) (x) (cos b |0> + sin b |1>) with (a, b) uniform on
+[0, 2pi)^2.  Because the master equation is linear in the density matrix,
+one process-map propagation (16 basis matrices) serves every (a, b).  The
+target U keeps the qubit subspace, so only the 4x4 qubit block of each image
+enters, and all samples of a trajectory are evaluated together.  The
+integrand is quartic in the input amplitudes c, so the average needs only
+the moments E[c_i c_j c_k c_l], which factor into one average per angle:
+E[cos^4] = E[sin^4] = 3/8, E[cos^2 sin^2] = 1/8, and 0 for an odd power of
+either.  They are taken in closed form, so the average is exact.
 """
 
 from __future__ import annotations
@@ -34,22 +35,13 @@ from .models import DriveParams, GateKind
 _FIDELITY_CHUNK = 64
 
 
-class QuadratureResolutionError(RuntimeError):
-    """Doubling the fidelity quadrature grid moved the result too much."""
-
-
 @dataclass(frozen=True)
 class FidelityReport:
-    """Average gate fidelity, possibly time-resolved.
-
-    ``convergence_delta`` is |F(grid_n) - F(2 grid_n)| at the final time.
-    """
+    """Average gate fidelity, possibly time-resolved."""
 
     times: np.ndarray
     fbar: np.ndarray
     final_fbar: float
-    grid_n: int
-    convergence_delta: float
 
 
 @dataclass(frozen=True)
@@ -69,10 +61,10 @@ def population(rho: np.ndarray, phi: np.ndarray) -> float:
     """Population <phi| rho |phi> of the unit-norm state ``phi``."""
     phi = np.asarray(phi, dtype=complex)
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"phi must have unit norm, got {norm:.12f}")
     value = complex(phi.conj() @ np.asarray(rho) @ phi)
-    if abs(value.imag) > 1e-10:
+    if not abs(value.imag) <= 1e-10:
         raise ValueError(f"population has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -96,38 +88,24 @@ def single_atom_oracle(params: DriveParams, t: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def _product_amplitudes(grid_n: int) -> np.ndarray:
-    """Qubit amplitudes of the product states on the midpoint (a, b) grid.
+def _moment_tensor() -> np.ndarray:
+    """E[c_i c_j c_k c_l] over the product inputs, shape (4, 4, 4, 4).
 
-    Returns shape (grid_n^2, 4) ordered as (|00>, |01>, |10>, |11>).
+    The amplitudes c = (cos a cos b, cos a sin b, sin a cos b, sin a sin b)
+    carry a sine of a in bit 1 of their index and a sine of b in bit 0, so
+    each moment is the product of one per-angle average E[cos^(4-s) sin^s]
+    per angle, with s the number of sines of that angle among i, j, k, l.
     """
-    centers = (np.arange(grid_n) + 0.5) * (2.0 * np.pi / grid_n)
-    a, b = np.meshgrid(centers, centers, indexing="ij")
-    a, b = a.ravel(), b.ravel()
-    return np.stack(
-        [
-            np.cos(a) * np.cos(b),
-            np.cos(a) * np.sin(b),
-            np.sin(a) * np.cos(b),
-            np.sin(a) * np.sin(b),
-        ],
-        axis=1,
-    )
+    sines = np.indices((4, 4, 4, 4))
+    per_angle = np.array([3.0, 0.0, 1.0, 0.0, 3.0]) / 8.0
+    return per_angle[(sines >> 1).sum(axis=0)] * per_angle[(sines & 1).sum(axis=0)]
 
 
-def _quadrature_moments(grid_n: int) -> np.ndarray:
-    """Grid averages of c_i c_j c_k c_l over the product amplitudes, (4, 4, 4, 4).
-
-    Taken as the Gram matrix of the pair products c_i c_j: one 16x16
-    product instead of a four-operand contraction.
-    """
-    amps = _product_amplitudes(grid_n)
-    pairs = (amps[:, :, None] * amps[:, None, :]).reshape(-1, 16)
-    return (pairs.T @ pairs).reshape(4, 4, 4, 4) / len(amps)
+_MOMENTS = _moment_tensor()
 
 
-def _fbar_of_images(images: np.ndarray, u: np.ndarray, grid_n: int):
-    """Midpoint-rule average of <Psi| U^dag rho(t) U |Psi> over the (a, b) grid.
+def _fbar_of_images(images: np.ndarray, u: np.ndarray):
+    """Average of <Psi| U^dag rho(t) U |Psi> over the product inputs Psi.
 
     ``images`` holds the process images of the 16 qubit basis matrices,
     shape (..., 4, 4, 9, 9): one time, or several stacked on the leading
@@ -135,16 +113,15 @@ def _fbar_of_images(images: np.ndarray, u: np.ndarray, grid_n: int):
     qubit subspace into itself; U|Psi> then lies in it, so only the 4x4
     qubit block of each image enters.  With rho(t) = sum_ij c_i c_j
     image_ij for the input amplitudes c and U|Psi> = U c, the integrand is
-    linear in that block and quartic in c, so the grid average is taken
-    once, over the moments c_i c_j c_k c_l, into a 16x16 weight on (ij, ab);
+    linear in that block and quartic in c, so the average is taken once,
+    over the moments E[c_i c_j c_k c_l], into a 16x16 weight on (ij, ab);
     every image then costs one 256-term sum.
     """
     q = list(QUBIT_INDICES)
     u_qubit = u[np.ix_(q, q)]
     if not np.allclose(np.linalg.norm(u_qubit, axis=0), np.linalg.norm(u[:, q], axis=0)):
         raise ValueError("the target must map the qubit subspace into itself")
-    moments = _quadrature_moments(grid_n)
-    weight = np.einsum("ijkl,ak,bl->ijab", moments, u_qubit.conj(), u_qubit).reshape(256)
+    weight = np.einsum("ijkl,ak,bl->ijab", _MOMENTS, u_qubit.conj(), u_qubit).reshape(256)
     stack = images.reshape((-1,) + images.shape[-4:])
     values = np.empty(len(stack))
     for start in range(0, len(stack), _FIDELITY_CHUNK):
@@ -154,64 +131,22 @@ def _fbar_of_images(images: np.ndarray, u: np.ndarray, grid_n: int):
     return values[0] if images.ndim == 4 else values.reshape(images.shape[:-4])
 
 
-def average_gate_fidelity(
-    process: ProcessMap,
-    u: np.ndarray,
-    grid_n: int = 16,
-) -> FidelityReport:
-    """Average gate fidelity of the propagated process against the target ``u``.
-
-    Evaluates the product-state quadrature at the final time of the process
-    map, together with the mandatory doubling check; a doubling residual
-    above 1e-4 raises :class:`QuadratureResolutionError`.
-    """
-    if grid_n < 4:
-        raise ValueError(f"grid_n must be >= 4, got {grid_n}")
-    final = process.images[-1]
-    fbar = _fbar_of_images(final, u, grid_n)
-    delta = abs(fbar - _fbar_of_images(final, u, 2 * grid_n))
-    if not delta <= 1e-4:
-        raise QuadratureResolutionError(
-            f"fidelity quadrature moved by {delta:.3e} under grid doubling "
-            f"(grid_n = {grid_n}); increase grid_n"
-        )
-    return FidelityReport(
-        times=process.times[-1:],
-        fbar=np.array([fbar]),
-        final_fbar=fbar,
-        grid_n=grid_n,
-        convergence_delta=delta,
-    )
+def average_gate_fidelity(process: ProcessMap, u: np.ndarray) -> FidelityReport:
+    """Average gate fidelity of the propagated process against the target ``u``,
+    at the final time of the process map."""
+    fbar = _fbar_of_images(process.images[-1], u)
+    return FidelityReport(times=process.times[-1:], fbar=np.array([fbar]), final_fbar=fbar)
 
 
-def fidelity_time_series(
-    params: DriveParams,
-    grid: TimeGrid,
-    grid_n: int = 16,
-) -> FidelityReport:
+def fidelity_time_series(params: DriveParams, grid: TimeGrid) -> FidelityReport:
     """Average fidelity against the gate target at every sampled time.
 
     One process-map propagation supplies the images at all samples, and one
-    vectorized quadrature call evaluates them all.
+    vectorized call evaluates them all.
     """
-    if grid_n < 4:
-        raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     process = dynamics.propagate_process(params, grid)
-    u = models.target_unitary(params.gate)
-    fbar = _fbar_of_images(process.images, u, grid_n)
-    delta = abs(fbar[-1] - _fbar_of_images(process.images[-1], u, 2 * grid_n))
-    if not delta <= 1e-4:
-        raise QuadratureResolutionError(
-            f"fidelity quadrature moved by {delta:.3e} under grid doubling "
-            f"(grid_n = {grid_n}); increase grid_n"
-        )
-    return FidelityReport(
-        times=process.times,
-        fbar=fbar,
-        final_fbar=float(fbar[-1]),
-        grid_n=grid_n,
-        convergence_delta=delta,
-    )
+    fbar = _fbar_of_images(process.images, models.target_unitary(params.gate))
+    return FidelityReport(times=process.times, fbar=fbar, final_fbar=float(fbar[-1]))
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -287,19 +222,17 @@ def sweep_heatmap(
     return HeatmapGrid(v_axis=v_axis, w_axis=w_axis, p_rr=p_rr)
 
 
-def _gamma_point(params: DriveParams, grid_n: int, dt_divisor: int) -> float:
+def _gamma_point(params: DriveParams, dt_divisor: int) -> float:
     grid = TimeGrid.build(
         params, models.pulse_end_time(params), dt_divisor=dt_divisor, sample_stride=10**9
     )
     process = dynamics.propagate_process(params, grid)
-    report = average_gate_fidelity(process, models.target_unitary(params.gate), grid_n)
-    return report.final_fbar
+    return average_gate_fidelity(process, models.target_unitary(params.gate)).final_fbar
 
 
 def fidelity_vs_gamma(
     params: DriveParams,
     gammas,
-    grid_n: int = 16,
     *,
     dt_divisor: int = dynamics.MIN_STEPS_PER_PERIOD,
 ) -> list[tuple[float, float]]:
@@ -316,4 +249,4 @@ def fidelity_vs_gamma(
     gammas = [float(g) for g in gammas]
     if not all(0.0 <= g < math.inf for g in gammas):
         raise ValueError(f"decay rates must be finite and >= 0, got {gammas}")
-    return [(g, _gamma_point(params.with_gamma(g), grid_n, dt_divisor)) for g in gammas]
+    return [(g, _gamma_point(params.with_gamma(g), dt_divisor)) for g in gammas]

@@ -15,8 +15,8 @@ all internal math is angular, and the conversion happens in exactly one
 place (:func:`cyclic_to_angular`).
 
 Exit codes: 0 success, 2 validation/usage error (including non-finite
-input), 3 integrator or quadrature health error or another arithmetic
-failure, 4 I/O error.
+input), 3 integrator health error or another arithmetic failure, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, hilbert, models
-from .analysis import QuadratureResolutionError
 from .dynamics import IntegratorHealthError, TimeGrid
 from .models import DriveParams, GateKind, PerturbativeRegimeWarning
 
@@ -78,7 +77,6 @@ class ScenarioConfig:
     omega_ratio: float = 7.5
     gamma_khz: float = 0.0
     v_over_om: float | None = None
-    grid_n: int = 16
     dt_divisor: int = DEFAULT_DT_DIVISOR
     # heatmap extent (units of Omega_m) and cells per axis
     v_min: float = 10.0
@@ -118,7 +116,6 @@ _CONFIG_FILE_KEYS = {
     "omega_ratio": float,
     "gamma_khz": float,
     "v_over_om": float,
-    "grid_n": int,
     "dt_divisor": int,
     "v_min": float,
     "v_max": float,
@@ -170,8 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--v-over-om", type=float, default=None,
                        help="override the RRI strength, units of Omega_m "
                             "(default: matched condition for the gate)")
-        p.add_argument("--grid-n", type=int, default=None,
-                       help="fidelity quadrature points per axis (default 16)")
         p.add_argument("--dt-divisor", type=int, default=None,
                        help=f"integration steps per fastest period (default {DEFAULT_DT_DIVISOR})")
         p.add_argument("--out", type=str, default=None, help="output CSV path")
@@ -193,7 +188,7 @@ def parse_config(argv=None) -> ScenarioConfig:
                 value = _parse_gate(value)
             setattr(config, key, value)
     flag_fields = ("gate", "omega_m_mhz", "omega_ratio", "gamma_khz",
-                   "v_over_om", "grid_n", "dt_divisor", "out")
+                   "v_over_om", "dt_divisor", "out")
     for key in flag_fields:
         value = getattr(args, key)
         if value is not None:
@@ -229,8 +224,6 @@ def _validate(config: ScenarioConfig) -> None:
         problems.append(f"gamma_khz must be >= 0 (got {config.gamma_khz})")
     if config.v_over_om is not None and config.v_over_om < 0:
         problems.append(f"v_over_om must be >= 0 (got {config.v_over_om})")
-    if config.grid_n < 4:
-        problems.append(f"grid_n must be >= 4 (got {config.grid_n})")
     if config.dt_divisor < dynamics.MIN_STEPS_PER_PERIOD:
         problems.append(
             f"dt_divisor must be >= {dynamics.MIN_STEPS_PER_PERIOD} (got {config.dt_divisor})"
@@ -366,14 +359,12 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
 def _run_gate_fidelity(config: ScenarioConfig, out: Path) -> dict:
     params = config.drive_params()
     grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=config.dt_divisor)
-    report = analysis.fidelity_time_series(params, grid, config.grid_n)
+    report = analysis.fidelity_time_series(params, grid)
     _write_csv(out, ["t_us", "fbar"], zip(report.times * 1e6, report.fbar))
     payload = _base_payload(config, params, grid)
     # final_fbar belongs to the pulse end grid.t_end_s, not to gate_time_s.
     payload["gate_time_s"] = models.gate_time(params)
     payload["final_fbar"] = report.final_fbar
-    payload["convergence"] = {"quadrature_doubling_delta": report.convergence_delta}
-    payload["grid_n"] = report.grid_n
     return payload
 
 
@@ -384,15 +375,12 @@ def _run_fidelity_vs_gamma(config: ScenarioConfig, out: Path) -> dict:
                           dt_divisor=config.dt_divisor, sample_stride=10**9)
     gamma_khz_values = np.linspace(0.0, config.gamma_khz, config.gamma_points)
     gammas = [cyclic_to_angular(g, 1e3) for g in gamma_khz_values]
-    points = analysis.fidelity_vs_gamma(
-        params, gammas, grid_n=config.grid_n, dt_divisor=config.dt_divisor
-    )
+    points = analysis.fidelity_vs_gamma(params, gammas, dt_divisor=config.dt_divisor)
     _write_csv(out, ["gamma_khz", "fbar_final"],
                zip(gamma_khz_values, [f for _, f in points]))
     payload = _base_payload(config, params, grid)
     payload["gate_time_s"] = models.gate_time(params)
     payload["fbar_final"] = {f"{g:.6g}": f for g, f in zip(gamma_khz_values, (f for _, f in points))}
-    payload["convergence"] = {"quadrature_grid_n": config.grid_n}
     return payload
 
 
@@ -431,7 +419,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"rabsim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegratorHealthError, QuadratureResolutionError, ArithmeticError) as exc:
+    except (IntegratorHealthError, ArithmeticError) as exc:
         print(f"rabsim: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except OSError as exc:

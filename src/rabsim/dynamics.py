@@ -73,9 +73,13 @@ class TimeGrid:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
+            raise ValueError(
+                f"t_start, t_end and dt must be finite, got {self.t_start}, {self.t_end}, {self.dt}"
+            )
+        if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end <= self.t_start:
+        if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
         if self.n_steps < 1 or self.sample_stride < 1:
             raise ValueError("n_steps and sample_stride must be positive")
@@ -480,9 +484,13 @@ def _stroboscopic_core(a0, a1, omega: float, rows0: np.ndarray, lattice: _Sample
     """Samples (n_samples, ..., c, d) of one run on the lattice, all coordinates."""
     t0, m, n, h = lattice.t0, lattice.m, lattice.n, lattice.h
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
+    # The generator at the last stage time: RK4's two midpoint stages share it.
+    cached = [None, None]
 
     def rhs(t, rows):
-        return rows @ (b0 + math.cos(omega * t) * b1)
+        if t != cached[0]:
+            cached[:] = t, b0 + math.cos(omega * t) * b1
+        return rows @ cached[1]
 
     eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=complex), a0.shape)
     slot, j, in_period = lattice.slot, lattice.j, lattice.in_period

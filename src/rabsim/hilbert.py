@@ -98,19 +98,21 @@ def check_density_matrix(
 ) -> None:
     """Validate the density-matrix invariants, raising ValueError on failure.
 
-    Checks Hermiticity (max entry of rho - rho^dagger within ``herm_tol``),
-    unit trace within ``trace_tol`` and positive semidefiniteness (smallest
-    eigenvalue >= -``eig_tol``).
+    Checks finiteness, Hermiticity (max entry of rho - rho^dagger within
+    ``herm_tol``), unit trace within ``trace_tol`` and positive
+    semidefiniteness (smallest eigenvalue >= -``eig_tol``).
     """
     rho = np.asarray(rho)
     if rho.shape != (DIM, DIM):
         raise ValueError(f"density matrix must be 9x9, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has a non-finite entry")
     herm_err = float(np.max(np.abs(rho - dagger(rho))))
-    if herm_err > herm_tol:
+    if not herm_err <= herm_tol:
         raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
     trace_err = abs(np.trace(rho) - 1.0)
-    if trace_err > trace_tol:
+    if not trace_err <= trace_tol:
         raise ValueError(f"density matrix trace off unity by {trace_err:.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))[0])
-    if min_eig < -eig_tol:
+    if not min_eig >= -eig_tol:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")

@@ -46,6 +46,20 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240917)
 
 
+def product_amplitudes(grid_n):
+    """Qubit amplitudes of the product inputs on the midpoint (a, b) grid,
+    shape (grid_n^2, 4) ordered as (|00>, |01>, |10>, |11>).
+
+    The midpoint rule is the oracle for the closed-form moments: it averages
+    the degree-4 trigonometric integrand exactly from 5 points per axis.
+    """
+    centers = (np.arange(grid_n) + 0.5) * (2.0 * np.pi / grid_n)
+    a, b = np.meshgrid(centers, centers, indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    return np.stack([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b),
+                     np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=1)
+
+
 def reference_blocks(a0, a1, rows0) -> list[list[int]]:
     """Invariant blocks by a breadth-first search over the coupling graph.
 

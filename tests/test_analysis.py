@@ -8,7 +8,6 @@ import pytest
 
 from rabsim import analysis, dynamics, hilbert, models
 from rabsim.analysis import (
-    QuadratureResolutionError,
     average_gate_fidelity,
     fidelity_time_series,
     fidelity_vs_gamma,
@@ -19,11 +18,11 @@ from rabsim.analysis import (
 from rabsim.dynamics import ProcessMap, TimeGrid
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
-from conftest import OMEGA_M
+from conftest import OMEGA_M, product_amplitudes
 
 
 def stub_process(images_final, params, t_end=1.0):
-    """ProcessMap with prescribed final images (for quadrature-only tests)."""
+    """ProcessMap with prescribed final images (for fidelity-only tests)."""
     grid = TimeGrid(0.0, t_end, t_end, 1, 1)
     images = images_final[np.newaxis]
     return ProcessMap(times=np.array([t_end]), images=images, params=params, grid=grid)
@@ -58,9 +57,10 @@ class TestPopulation:
         np.testing.assert_allclose(population(rho, hilbert.ket(G1, G1)), 0.5)
         np.testing.assert_allclose(population(rho, hilbert.ket(RYD, RYD)), 0.5)
 
-    def test_rejects_unnormalized_probe(self):
+    @pytest.mark.parametrize("scale", [2.0, np.nan])
+    def test_rejects_unnormalized_probe(self, scale):
         with pytest.raises(ValueError, match="norm"):
-            population(np.eye(9) / 9.0, 2.0 * hilbert.ket(G0, G0))
+            population(np.eye(9) / 9.0, scale * hilbert.ket(G0, G0))
 
     def test_rejects_large_imaginary_part(self):
         rho = np.zeros((9, 9), dtype=complex)
@@ -103,34 +103,21 @@ class TestAverageGateFidelity:
     def test_perfect_gate_scores_unity(self, cz_params):
         u = models.target_unitary(GateKind.CZ)
         process = stub_process(conjugation_images(u), cz_params)
-        report = average_gate_fidelity(process, u, grid_n=16)
+        report = average_gate_fidelity(process, u)
         np.testing.assert_allclose(report.final_fbar, 1.0, atol=1e-12)
 
-    def test_identity_process_against_cz(self, cz_params):
+    @pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
+    def test_identity_process_against_gate(self, cz_params, gate):
         process = stub_process(conjugation_images(np.eye(9, dtype=complex)), cz_params)
-        report = average_gate_fidelity(process, models.target_unitary(GateKind.CZ), 16)
-        # (1 - 2 sin^2 a sin^2 b)^2 averages to 9/16 over the torus.
-        np.testing.assert_allclose(report.final_fbar, 9.0 / 16.0, atol=1e-12)
-
-    def test_quadrature_already_exact_at_minimum_grid(self, cz_params, rng):
-        u = models.target_unitary(GateKind.CZ)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
-        process = stub_process(conjugation_images(u * phases), cz_params)
-        coarse = average_gate_fidelity(process, u, grid_n=8)
-        fine = average_gate_fidelity(process, u, grid_n=32)
-        # Degree-4 trigonometric integrand: midpoint rule is exact beyond 8.
-        np.testing.assert_allclose(coarse.final_fbar, fine.final_fbar, atol=1e-13)
-        assert coarse.convergence_delta <= 1e-13
-
-    def test_rejects_small_grid(self, cz_params):
-        process = stub_process(conjugation_images(np.eye(9, dtype=complex)), cz_params)
-        with pytest.raises(ValueError, match="grid_n"):
-            average_gate_fidelity(process, models.target_unitary(GateKind.CZ), 3)
+        report = average_gate_fidelity(process, models.target_unitary(gate))
+        # CZ: (1 - 2 sin^2 a sin^2 b)^2 averages to 9/16 over the torus; CNOT
+        # gives the same, |<Psi|CNOT|Psi>|^2 = (1 - sin^2 a (1 - sin 2b))^2.
+        assert abs(report.final_fbar - 9.0 / 16.0) <= 1e-15
 
 
 def fbar_full_block(images, u, grid_n):
-    """The quadrature on whole 9x9 images: the reference for the qubit block."""
-    amps = analysis._product_amplitudes(grid_n)
+    """The midpoint rule on whole 9x9 images: the reference for the qubit block."""
+    amps = product_amplitudes(grid_n)
     phi = amps.astype(complex) @ u[:, list(hilbert.QUBIT_INDICES)].T
     rho_t = np.einsum("pi,pj,ijab->pab", amps, amps, images)
     return np.einsum("pa,pab,pb->p", phi.conj(), rho_t, phi).real.mean()
@@ -145,24 +132,26 @@ class TestQubitBlockContraction:
         if complex_target:  # still maps the qubit subspace into itself
             u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
         images = rng.standard_normal((5, 4, 4, 9, 9)) + 1j * rng.standard_normal((5, 4, 4, 9, 9))
-        stacked = analysis._fbar_of_images(images, u, grid_n)
+        stacked = analysis._fbar_of_images(images, u)
         assert stacked.shape == (5,)
         for image, value in zip(images, stacked):
             assert abs(value - fbar_full_block(image, u, grid_n)) <= 1e-12
-            assert abs(analysis._fbar_of_images(image, u, grid_n) - value) <= 1e-12
+            assert abs(analysis._fbar_of_images(image, u) - value) <= 1e-12
 
     def test_rejects_target_leaving_the_qubit_subspace(self):
         u = np.eye(9, dtype=complex)
         u[:, [4, 8]] = u[:, [8, 4]]  # sends |11> to |rr>
         with pytest.raises(ValueError, match="qubit subspace"):
-            analysis._fbar_of_images(conjugation_images(np.eye(9, dtype=complex)), u, 8)
+            analysis._fbar_of_images(conjugation_images(np.eye(9, dtype=complex)), u)
 
 
-@pytest.mark.parametrize("grid_n", [4, 16, 32])
-def test_quadrature_moments_match_the_four_operand_contraction(grid_n):
-    amps = analysis._product_amplitudes(grid_n)
-    reference = np.einsum("pi,pj,pk,pl->ijkl", amps, amps, amps, amps) / len(amps)
-    assert np.max(np.abs(analysis._quadrature_moments(grid_n) - reference)) <= 1e-14
+@pytest.mark.parametrize("grid_n, exact", [(4, False), (5, True), (8, True), (16, True), (32, True)])
+def test_moments_match_the_midpoint_rule(grid_n, exact):
+    amps = product_amplitudes(grid_n)
+    midpoint = np.einsum("pi,pj,pk,pl->ijkl", amps, amps, amps, amps) / len(amps)
+    deviation = np.max(np.abs(analysis._MOMENTS - midpoint))
+    # 4 points per axis alias the cos 4a term of the integrand.
+    assert bool(deviation <= 1e-15) == exact
 
 
 def test_importing_rabsim_leaves_the_process_pool_unloaded():
@@ -182,7 +171,7 @@ def short_series(cz_decay_params):
         cz_decay_params, models.gate_time(cz_decay_params) / 16.0,
         dt_divisor=100, max_samples=50,
     )
-    return grid, fidelity_time_series(cz_decay_params, grid, grid_n=8)
+    return grid, fidelity_time_series(cz_decay_params, grid)
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +180,7 @@ def gamma_sweep():
     # unit-level check; the operating-point sweep runs in acceptance.
     params = DriveParams.from_ratio(OMEGA_M, 5.0, gate=GateKind.CNOT)
     gammas = [0.0, 2 * np.pi * 1e3, 2 * np.pi * 2e3]
-    return gammas, fidelity_vs_gamma(params, gammas, grid_n=8, dt_divisor=100)
+    return gammas, fidelity_vs_gamma(params, gammas, dt_divisor=100)
 
 
 class TestFidelityTimeSeries:
@@ -200,13 +189,13 @@ class TestFidelityTimeSeries:
         process = stub_process(
             conjugation_images(np.eye(9, dtype=complex)), cz_decay_params
         )
-        at_zero = average_gate_fidelity(process, models.target_unitary(GateKind.CZ), 8)
+        at_zero = average_gate_fidelity(process, models.target_unitary(GateKind.CZ))
         np.testing.assert_allclose(report.fbar[0], at_zero.final_fbar, atol=1e-12)
 
     def test_final_value_matches_single_time_evaluation(self, short_series, cz_decay_params):
         grid, report = short_series
         process = dynamics.propagate_process(cz_decay_params, grid)
-        single = average_gate_fidelity(process, models.target_unitary(GateKind.CZ), 8)
+        single = average_gate_fidelity(process, models.target_unitary(GateKind.CZ))
         assert abs(report.final_fbar - single.final_fbar) <= 1e-12
 
     def test_values_stay_in_unit_interval(self, short_series):

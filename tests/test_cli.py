@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +38,6 @@ class TestParseConfig:
         assert config.omega_m_mhz == 2.0
         assert config.omega_ratio == 7.5
         assert config.gamma_khz == 1.5
-        assert config.grid_n == 16
         params = config.drive_params()
         np.testing.assert_allclose(params.v / params.omega_m, 14.9111, atol=5e-5)
 
@@ -54,17 +54,13 @@ class TestParseConfig:
         config = parse_config(["gate-fidelity", "--v-over-om", "15"])
         assert config.drive_params().v == 15.0 * config.drive_params().omega_m
 
-    def test_grid_n_below_minimum_rejected(self):
-        with pytest.raises(ValidationError, match="grid_n"):
-            parse_config(["gate-fidelity", "--grid-n", "2"])
-
     def test_all_offending_fields_reported(self):
         with pytest.raises(ValidationError) as err:
-            parse_config(["gate-fidelity", "--omega-m-mhz", "0", "--grid-n", "2",
+            parse_config(["gate-fidelity", "--omega-m-mhz", "0", "--dt-divisor", "2",
                           "--gamma-khz", "-1"])
         message = str(err.value)
         assert "omega_m_mhz" in message
-        assert "grid_n" in message
+        assert "dt_divisor" in message
         assert "gamma_khz" in message
 
     def test_config_file_and_flag_precedence(self, tmp_path):
@@ -72,32 +68,39 @@ class TestParseConfig:
         config_file.write_text(
             "# comment line\n"
             "omega_ratio = 6.0   # inline comment\n"
-            "grid_n = 8\n"
+            "dt_divisor = 100\n"
             "gate = cnot\n"
         )
         config = parse_config(
-            ["gate-fidelity", "--config", str(config_file), "--grid-n", "12"]
+            ["gate-fidelity", "--config", str(config_file), "--dt-divisor", "120"]
         )
         assert config.omega_ratio == 6.0
-        assert config.grid_n == 12  # flag wins over file
+        assert config.dt_divisor == 120  # flag wins over file
         assert config.gate is GateKind.CNOT
 
-    def test_config_file_unknown_key(self, tmp_path):
+    # grid_n was the fidelity quadrature size; the average is now exact.
+    @pytest.mark.parametrize("key", ["not_a_key", "grid_n"])
+    def test_config_file_unknown_key(self, key, tmp_path, capsys):
         config_file = tmp_path / "bad.conf"
-        config_file.write_text("not_a_key = 3\n")
-        with pytest.raises(ValidationError, match="unknown config key"):
-            parse_config(["gate-fidelity", "--config", str(config_file)])
+        config_file.write_text(f"{key} = 8\n")
+        assert main(["gate-fidelity", "--config", str(config_file)]) == EXIT_VALIDATION
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_config_file_bad_value(self, tmp_path):
         config_file = tmp_path / "bad.conf"
-        config_file.write_text("grid_n = many\n")
+        config_file.write_text("dt_divisor = many\n")
         with pytest.raises(ValidationError, match="bad value"):
             parse_config(["gate-fidelity", "--config", str(config_file)])
 
 
 class TestExitCodes:
-    def test_unknown_scenario_is_usage_error(self, capsys):
-        assert main(["no-such-scenario"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize("argv", [
+        ["no-such-scenario"],
+        # The retired quadrature size.
+        ["gate-fidelity", "--grid-n", "16"],
+    ])
+    def test_unknown_scenario_or_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_VALIDATION
         capsys.readouterr()
 
     def test_zero_drive_rejected(self, capsys):
@@ -210,7 +213,7 @@ class TestScenarios:
 
     def test_gate_fidelity_end_to_end(self, tmp_path):
         out = tmp_path / "fid.csv"
-        code = main(["gate-fidelity", *FAST, "--grid-n", "8", "--out", str(out)])
+        code = main(["gate-fidelity", *FAST, "--out", str(out)])
         assert code == EXIT_OK
         header, rows = read_csv(out)
         assert header == ["t_us", "fbar"]
@@ -222,7 +225,8 @@ class TestScenarios:
         t_end = sidecar["grid"]["t_end_s"]
         assert sidecar["gate_time_s"] <= t_end < sidecar["gate_time_s"] + np.pi / omega
         assert rows[-1, 0] == pytest.approx(t_end * 1e6)
-        assert sidecar["convergence"]["quadrature_doubling_delta"] <= 1e-4
+        # The average is exact: no quadrature size and no convergence record.
+        assert "grid_n" not in sidecar["config"] and "convergence" not in sidecar
         assert sidecar["resolved_angular"]["v_over_omega_m"] == pytest.approx(
             2 * 5 - 2 / (3 * 5)
         )
@@ -246,7 +250,7 @@ class TestScenarios:
         config_file = tmp_path / "sweep.conf"
         config_file.write_text("gamma_points = 3\n")
         out = tmp_path / "sweep.csv"
-        code = main(["fidelity-vs-gamma", *FAST, "--grid-n", "8",
+        code = main(["fidelity-vs-gamma", *FAST,
                      "--config", str(config_file), "--out", str(out)])
         assert code == EXIT_OK
         header, rows = read_csv(out)
@@ -260,7 +264,7 @@ class TestScenarios:
         config_file = tmp_path / "sweep.conf"
         config_file.write_text("gamma_points = 2\n")
         out = tmp_path / "sweep.csv"
-        code = main(["fidelity-vs-gamma", *FAST, "--grid-n", "8",
+        code = main(["fidelity-vs-gamma", *FAST,
                      "--config", str(config_file), "--out", str(out)])
         assert code == EXIT_OK
         # The fidelities belong to the pulse end, the envelope node after T.
@@ -270,6 +274,18 @@ class TestScenarios:
         assert sidecar["gate_time_s"] <= grid["t_end_s"] < sidecar["gate_time_s"] + np.pi / omega
         assert grid["n_steps"] * grid["dt_s"] == pytest.approx(grid["t_end_s"], rel=1e-12)
         assert grid["dt_s"] <= 2.0 * np.pi / (2.0 * omega) / 50.0 * (1.0 + 1e-12)
+
+
+def test_readme_lists_the_flags_and_file_only_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scenarios = next(a for a in cli._build_parser()._actions if a.choices and "heatmap" in a.choices)
+    options = scenarios.choices["gate-fidelity"]._actions
+    flags = {s for action in options for s in action.option_strings} - {"-h", "--help"}
+    sentence = re.search(r"Flags:(.*?)\.\n", readme, re.S).group(1)
+    assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == flags
+    file_only = re.search(r"\.\s([^.]*) are file-only keys", readme).group(1)
+    flag_fields = {action.dest for action in options if action.option_strings}
+    assert set(re.findall(r"`([a-z_]+)`", file_only)) == set(cli._CONFIG_FILE_KEYS) - flag_fields
 
 
 def test_python_m_rabsim_runs_without_warning():

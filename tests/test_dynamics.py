@@ -67,6 +67,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0.1, 10, 0)
 
+    @pytest.mark.parametrize("t_end, dt", [(np.nan, 1e-9), (1.0, np.nan), (np.inf, 0.1)])
+    def test_non_finite_window_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(0.0, t_end, dt, 10)
+
     def test_sample_steps_include_endpoint(self, cz_params):
         grid = TimeGrid(0.0, 1.0, 0.1, 10, 3)
         assert grid.sample_steps[0] == 0

@@ -101,6 +101,7 @@ def test_check_density_matrix_accepts_valid():
         (np.eye(9) / 8.0, "trace"),
         (np.diag([1.1, -0.1] + [0.0] * 7), "semidefinite"),
         (np.eye(3) / 3.0, "9x9"),
+        (np.diag([np.nan] + [0.125] * 8), "non-finite"),
     ],
 )
 def test_check_density_matrix_rejects(rho, message):
