@@ -24,7 +24,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     convergence_check,
-    lindblad_rhs,
     propagate_density,
     propagate_process,
     propagate_state,
@@ -43,8 +42,6 @@ from .models import (
     effective_hamiltonian,
     gate_time,
     hamiltonian,
-    hamiltonian_cnot,
-    hamiltonian_cz,
     pulse_end_time,
     rotating_frame_harmonics,
     rri_condition,
@@ -81,9 +78,6 @@ __all__ = [
     "fidelity_vs_gamma",
     "gate_time",
     "hamiltonian",
-    "hamiltonian_cnot",
-    "hamiltonian_cz",
-    "lindblad_rhs",
     "population",
     "propagate_density",
     "propagate_process",

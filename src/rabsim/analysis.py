@@ -63,7 +63,10 @@ def population(rho: np.ndarray, phi: np.ndarray) -> float:
     norm = np.linalg.norm(phi)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"phi must have unit norm, got {norm:.12f}")
-    value = complex(phi.conj() @ np.asarray(rho) @ phi)
+    rho = np.asarray(rho)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho has a non-finite entry")
+    value = complex(phi.conj() @ rho @ phi)
     if not abs(value.imag) <= 1e-10:
         raise ValueError(f"population has imaginary part {value.imag:.3e}")
     return float(value.real)
@@ -196,7 +199,7 @@ def sweep_heatmap(
     w_range: tuple[float, float] = (5.0, 10.0),
     resolution: int = 60,
     *,
-    dt_divisor: int = dynamics.MIN_STEPS_PER_PERIOD,
+    dt_divisor: int = dynamics.DEFAULT_DT_DIVISOR,
     workers: int | None = None,
 ) -> HeatmapGrid:
     """|rr> population at t = pi*omega/Omega_m^2 over a (V, omega) grid.
@@ -234,7 +237,7 @@ def fidelity_vs_gamma(
     params: DriveParams,
     gammas,
     *,
-    dt_divisor: int = dynamics.MIN_STEPS_PER_PERIOD,
+    dt_divisor: int = dynamics.DEFAULT_DT_DIVISOR,
 ) -> list[tuple[float, float]]:
     """Final average fidelity at the end of the gate pulse, per decay rate.
 

@@ -44,13 +44,6 @@ EXIT_VALIDATION = 2
 EXIT_INTEGRATOR = 3
 EXIT_IO = 4
 
-#: Steps per fastest period used by the scenarios.  The hard ceiling is 50;
-#: the default is finer because over a full CZ gate window (about 112.5
-#: periods of 2*omega) the ceiling leaves ~1e-4 norm damping on the fastest
-#: eigencomponent, while 400 keeps norm drift and eigenvalue negativity
-#: below 1e-8.
-DEFAULT_DT_DIVISOR = 400
-
 _TIME_FMT = "{:.12g}"
 
 
@@ -77,7 +70,7 @@ class ScenarioConfig:
     omega_ratio: float = 7.5
     gamma_khz: float = 0.0
     v_over_om: float | None = None
-    dt_divisor: int = DEFAULT_DT_DIVISOR
+    dt_divisor: int = dynamics.DEFAULT_DT_DIVISOR
     # heatmap extent (units of Omega_m) and cells per axis
     v_min: float = 10.0
     v_max: float = 20.0
@@ -168,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the RRI strength, units of Omega_m "
                             "(default: matched condition for the gate)")
         p.add_argument("--dt-divisor", type=int, default=None,
-                       help=f"integration steps per fastest period (default {DEFAULT_DT_DIVISOR})")
+                       help="integration steps per fastest period "
+                            f"(default {dynamics.DEFAULT_DT_DIVISOR})")
         p.add_argument("--out", type=str, default=None, help="output CSV path")
         p.add_argument("--config", type=str, default=None,
                        help="flat key = value config file; flags override it")
@@ -283,8 +277,9 @@ def _write_sidecar(csv_path: Path, payload: dict) -> Path:
     return sidecar
 
 
-def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid | None) -> dict:
-    payload = {
+def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -> dict:
+    used = dynamics.stroboscopic_grid(params, grid)
+    return {
         "scenario": config.scenario,
         "config": {k: (v.value if isinstance(v, GateKind) else v)
                    for k, v in asdict(config).items()},
@@ -296,16 +291,13 @@ def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid | 
             "gamma_rad_per_s": params.gamma,
         },
         "gate": params.gate.value,
-    }
-    if grid is not None:
-        used = dynamics.stroboscopic_grid(params, grid)
-        payload["grid"] = {
+        "grid": {
             "dt_s": used.dt,
             "n_steps": used.n_steps,
             "t_end_s": used.t_end,
             "sample_stride": used.sample_stride,
-        }
-    return payload
+        },
+    }
 
 
 def _run_rab_populations(config: ScenarioConfig, out: Path) -> dict:
@@ -341,7 +333,8 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         for j, w in enumerate(grid_result.w_axis):
             rows.append((v, w, grid_result.p_rr[i, j]))
     _write_csv(out, ["v_over_om", "w_over_om", "p_rr"], rows)
-    # Convergence probe at the configured operating point.
+    # Convergence probe at the configured operating point; the sidecar's
+    # grid block records its grid.
     ridge_grid = TimeGrid.build(
         params, math.pi * params.omega / (params.omega_m * params.omega_m),
         dt_divisor=config.dt_divisor,
@@ -350,7 +343,7 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         params, hilbert.projector(hilbert.G1, hilbert.G1), ridge_grid,
         lambda rho: float(np.real(rho[8, 8])),
     )
-    payload = _base_payload(config, params, None)
+    payload = _base_payload(config, params, ridge_grid)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
     payload["failed_cells"] = int(np.count_nonzero(~np.isfinite(grid_result.p_rr)))
     return payload

@@ -11,8 +11,8 @@ period propagator Phi(P), composes Phi(kP + s) = Phi(s) Phi(P)^k, and
 integrates the last partial period on its own so that every run ends exactly
 at t_end.  A gate window of 40 to 57 periods thus costs one or two periods
 of RK4 steps.  In exact arithmetic this is the same product of RK4 step maps
-as stepping through the whole window, which :func:`_rk4_run` still does as
-the reference.
+as stepping through the whole window, which the step-by-step reference in
+``tests/conftest.py`` does.
 
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
@@ -42,6 +42,13 @@ from .models import DriveParams
 #: Hard ceiling on the integration step: at least this many steps per period
 #: of the fastest angular frequency in the model.
 MIN_STEPS_PER_PERIOD = 50
+
+#: Steps per fastest period unless a caller asks otherwise, in the library
+#: and on the command line alike.  It is finer than the ceiling because over
+#: a full CZ gate window (about 112.5 periods of 2*omega) the ceiling leaves
+#: ~1e-4 norm damping on the fastest eigencomponent, while 400 keeps norm
+#: drift and eigenvalue negativity below 1e-8.
+DEFAULT_DT_DIVISOR = 400
 
 #: Default cap on stored samples per trajectory.
 MAX_SAMPLES_DEFAULT = 2000
@@ -90,40 +97,28 @@ class TimeGrid:
         params: DriveParams,
         t_end: float,
         *,
-        t_start: float = 0.0,
-        dt_divisor: int = MIN_STEPS_PER_PERIOD,
-        dt: float | None = None,
+        dt_divisor: int = DEFAULT_DT_DIVISOR,
         sample_stride: int | None = None,
         max_samples: int = MAX_SAMPLES_DEFAULT,
     ) -> "TimeGrid":
-        """Grid with dt = (fastest period)/dt_divisor, adjusted downward so an
-        integer number of steps lands exactly on ``t_end``.
+        """Grid from 0 to ``t_end`` with dt = (fastest period)/dt_divisor,
+        adjusted downward so an integer number of steps lands exactly on
+        ``t_end``.
 
-        An explicit ``dt`` or a ``dt_divisor`` below the ceiling of
-        :data:`MIN_STEPS_PER_PERIOD` steps per fastest period is rejected.
+        A non-finite or non-positive ``t_end``, and a ``dt_divisor`` below
+        the ceiling of :data:`MIN_STEPS_PER_PERIOD` steps per fastest period,
+        are rejected.
         """
-        period = 2.0 * math.pi / fastest_angular_frequency(params)
-        cap = period / MIN_STEPS_PER_PERIOD
-        if dt is None:
-            if dt_divisor < MIN_STEPS_PER_PERIOD:
-                raise ValueError(
-                    f"dt_divisor must be >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}"
-                )
-            dt = period / dt_divisor
-        elif dt > cap * (1.0 + 1e-12):
-            raise ValueError(f"dt {dt:.3e} exceeds the step ceiling {cap:.3e}")
-        span = t_end - t_start
-        n_steps = max(1, math.ceil(span / dt * (1.0 - 1e-12)))
-        dt_actual = span / n_steps
+        if not 0.0 < t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+        if dt_divisor < MIN_STEPS_PER_PERIOD:
+            raise ValueError(f"dt_divisor must be >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}")
+        dt = 2.0 * math.pi / fastest_angular_frequency(params) / dt_divisor
+        n_steps = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
         if sample_stride is None:
             sample_stride = max(1, math.ceil(n_steps / max_samples))
-        return cls(
-            t_start=t_start,
-            t_end=t_end,
-            dt=dt_actual,
-            n_steps=n_steps,
-            sample_stride=sample_stride,
-        )
+        return cls(t_start=0.0, t_end=t_end, dt=t_end / n_steps, n_steps=n_steps,
+                   sample_stride=sample_stride)
 
     def halved(self) -> "TimeGrid":
         """Same window with twice the steps (for convergence checks)."""
@@ -159,7 +154,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params: DriveParams
     dt: float
 
     @property
@@ -180,7 +174,6 @@ class ConvergenceReport:
     value: float
     value_halved: float
     delta: float
-    dt: float
     passed: bool
 
 
@@ -190,68 +183,11 @@ class ProcessMap:
 
     ``images[s, i, j]`` is the propagated state of the basis matrix
     |q_i><q_j| (q = 00, 01, 10, 11) at sample ``s``; the map applied to any
-    qubit-subspace initial matrix follows by linearity.  ``grid`` is the
-    grid the propagation stepped on (:func:`stroboscopic_grid`).
+    qubit-subspace initial matrix follows by linearity.
     """
 
     times: np.ndarray
     images: np.ndarray  # (n_samples, 4, 4, 9, 9)
-    params: DriveParams
-    grid: TimeGrid
-
-    @property
-    def basis_in(self) -> np.ndarray:
-        """The 16 matrix units |q_i><q_j| embedded in the 9x9 space."""
-        kets = [hilbert.ket(*divmod(q, 3)) for q in QUBIT_INDICES]
-        out = np.zeros((4, 4, DIM, DIM), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                out[i, j] = np.outer(kets[i], kets[j].conj())
-        return out
-
-    @property
-    def basis_out(self) -> np.ndarray:
-        """Images of the basis matrices at ``t_end``."""
-        return self.images[-1]
-
-    def apply(self, rho0: np.ndarray, sample: int = -1) -> np.ndarray:
-        """Image of a qubit-subspace initial matrix at the given sample.
-
-        ``rho0`` is a 9x9 matrix supported on the qubit subspace; its 4x4
-        qubit block supplies the expansion coefficients.
-        """
-        block = np.asarray(rho0)[np.ix_(QUBIT_INDICES, QUBIT_INDICES)]
-        return np.einsum("ij,ijab->ab", block, self.images[sample])
-
-
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, ls: list[np.ndarray]) -> np.ndarray:
-    """Right-hand side of the Lindblad master equation.
-
-    Computes ``i(rho h - h rho) + 1/2 sum_k {2 L_k rho L_k^dag
-    - [L_k^dag L_k rho + rho L_k^dag L_k]}``; the leading term equals the
-    standard -i[h, rho].  ``h`` must be Hermitian.
-    """
-    if not hilbert.is_hermitian(h, tol=1e-12 * max(1.0, float(np.max(np.abs(h))))):
-        raise ValueError("lindblad_rhs requires a Hermitian Hamiltonian")
-    out = 1j * (rho @ h - h @ rho)
-    for op in ls:
-        op_dag = op.conj().T
-        op2 = op_dag @ op
-        out += op @ rho @ op_dag - 0.5 * (op2 @ rho + rho @ op2)
-    return out
-
-
-def _schrodinger_rhs_factory(params: DriveParams):
-    x = models.drive_structure(params.gate)
-    v = params.v
-    omega_m, omega = params.omega_m, params.omega
-
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        out = (omega_m * math.cos(omega * t)) * (x @ psi)
-        out[..., 8] += v * psi[..., 8]
-        return -1j * out
-
-    return rhs
 
 
 def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermitize: bool = False):
@@ -283,23 +219,6 @@ def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermi
             y_next = 0.5 * (y_next + hilbert.dagger(y_next))
         y = y_next
         yield y
-
-
-def _rk4_run(rhs, y0: np.ndarray, grid: TimeGrid, *, hermitize: bool):
-    """Step-by-step RK4 over the grid, returning (sample_times, samples).
-
-    The reference the stroboscopic propagation is checked against.
-    """
-    sample_steps = grid.sample_steps
-    samples = np.empty((len(sample_steps),) + np.shape(y0), dtype=complex)
-    samples[0] = y0
-    sample_pos = 1
-    steps = _rk4_steps(rhs, y0, grid.t_start, grid.dt, grid.n_steps, hermitize=hermitize)
-    for step, y in enumerate(steps, start=1):
-        if sample_pos < len(sample_steps) and step == sample_steps[sample_pos]:
-            samples[sample_pos] = y
-            sample_pos += 1
-    return grid.sample_times, samples
 
 
 def _add_sandwich(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale: complex) -> None:
@@ -545,7 +464,7 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
             f"state norm drifted by {drift:.3e} (> 1e-6); reduce dt "
             f"(current dt = {dt:.3e} s)"
         )
-    return Trajectory(times=times, states=states, params=params, dt=dt)
+    return Trajectory(times=times, states=states, dt=dt)
 
 
 def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid, v=None):
@@ -582,8 +501,7 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
         raise IntegratorHealthError(
             f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"
         )
-    return Trajectory(times=times, states=states, params=params,
-                      dt=stroboscopic_grid(params, grid).dt)
+    return Trajectory(times=times, states=states, dt=stroboscopic_grid(params, grid).dt)
 
 
 def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
@@ -605,8 +523,7 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
         )
     if not np.all(np.isfinite(images)):
         raise IntegratorHealthError("process images became non-finite; reduce dt")
-    return ProcessMap(times=times, images=images, params=params,
-                      grid=stroboscopic_grid(params, grid))
+    return ProcessMap(times=times, images=images)
 
 
 def convergence_check(
@@ -633,6 +550,5 @@ def convergence_check(
         value=value,
         value_halved=value_halved,
         delta=delta,
-        dt=stroboscopic_grid(params, grid).dt,
         passed=delta <= 1e-6,
     )

@@ -21,13 +21,8 @@ G0, G1, RYD = 0, 1, 2
 N_LEVELS = 3
 DIM = N_LEVELS * N_LEVELS
 
-BASIS_LABELS = ("00", "01", "0r", "10", "11", "1r", "r0", "r1", "rr")
-
 # Linear indices of the qubit (computational) subspace |00>, |01>, |10>, |11>.
 QUBIT_INDICES = (0, 1, 3, 4)
-
-# Number of atoms in |r> for each basis state; fixes the total-decay diagonal.
-RYDBERG_COUNT = np.array([0, 0, 1, 0, 0, 1, 1, 1, 2], dtype=float)
 
 
 def index_of(m: int, n: int) -> int:
@@ -82,11 +77,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix commutator ``a @ b - b @ a``."""
     return a @ b - b @ a
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the max entry of ``a - a^dagger`` is within tol."""
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
 
 
 def check_density_matrix(

@@ -141,35 +141,15 @@ def drive_structure(gate: GateKind) -> np.ndarray:
     return down + hilbert.dagger(down)
 
 
-def hamiltonian_cz(params: DriveParams, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian for the single-drive (CZ) configuration.
-
-    Omega(t) * (|1>_1<r| + |1>_2<r| + h.c.) + V |rr><rr|, Hermitian for all t.
-    """
-    if params.gate is not GateKind.CZ:
-        raise ValueError("hamiltonian_cz requires params.gate == GateKind.CZ")
-    h = drive_envelope(params, t) * drive_structure(GateKind.CZ)
-    h[8, 8] += params.v
-    return h
-
-
-def hamiltonian_cnot(params: DriveParams, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian for the dual-drive (CNOT) configuration.
-
-    The CZ Hamiltonian minus [Omega(t) |0>_2<r| + h.c.]; Hermitian for all t.
-    """
-    if params.gate is not GateKind.CNOT:
-        raise ValueError("hamiltonian_cnot requires params.gate == GateKind.CNOT")
-    h = drive_envelope(params, t) * drive_structure(GateKind.CNOT)
-    h[8, 8] += params.v
-    return h
-
-
 def hamiltonian(params: DriveParams, t: float) -> np.ndarray:
-    """Dispatch to the Hamiltonian matching ``params.gate``."""
-    if params.gate is GateKind.CZ:
-        return hamiltonian_cz(params, t)
-    return hamiltonian_cnot(params, t)
+    """Interaction-picture Hamiltonian Omega(t) * X + V |rr><rr| of ``params.gate``.
+
+    X is :func:`drive_structure`: |1>_1<r| + |1>_2<r| + h.c. for CZ, minus
+    the counter-phased |0>_2<r| + h.c. for CNOT.  Hermitian for all t.
+    """
+    h = drive_envelope(params, t) * drive_structure(params.gate)
+    h[8, 8] += params.v
+    return h
 
 
 def rri_condition(omega_m: float, omega: float, gate: GateKind) -> float:

@@ -219,7 +219,8 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
         psi[list(hilbert.QUBIT_INDICES)] = amps
         rho0 = np.outer(psi, psi.conj())
         direct = dynamics.propagate_density(params, rho0, short).final_state
-        image_dev = max(image_dev, float(np.max(np.abs(process.apply(rho0) - direct))))
+        image_dev = max(image_dev, float(np.max(np.abs(
+            conftest.apply_process(process, rho0) - direct))))
         phi = u_cz @ psi
         total += float((phi.conj() @ direct @ phi).real)
     f_dev = abs(f_map - total / 64.0)
@@ -242,9 +243,8 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
     # (d) RK4 order under step halving against a dt/8 reference.
     def final_state(divisor):
         g = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=divisor, sample_stride=10**9)
-        return dynamics._rk4_run(
-            dynamics._schrodinger_rhs_factory(cz_params),
-            hilbert.ket(G1, G1), g, hermitize=False,
+        return conftest.rk4_run(
+            conftest.schrodinger_rhs(cz_params), hilbert.ket(G1, G1), g, hermitize=False,
         )[1][-1]
 
     reference = final_state(400)

@@ -21,11 +21,9 @@ from rabsim.models import DriveParams, GateKind
 from conftest import OMEGA_M, product_amplitudes
 
 
-def stub_process(images_final, params, t_end=1.0):
+def stub_process(images_final, t_end=1.0):
     """ProcessMap with prescribed final images (for fidelity-only tests)."""
-    grid = TimeGrid(0.0, t_end, t_end, 1, 1)
-    images = images_final[np.newaxis]
-    return ProcessMap(times=np.array([t_end]), images=images, params=params, grid=grid)
+    return ProcessMap(times=np.array([t_end]), images=images_final[np.newaxis])
 
 
 def conjugation_images(u):
@@ -68,6 +66,13 @@ class TestPopulation:
         with pytest.raises(ValueError, match="imaginary"):
             population(rho, hilbert.ket(G1, G1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rho(self, bad):
+        rho = hilbert.projector(G1, G1)
+        rho[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            population(rho, hilbert.ket(G1, G1))
+
 
 class TestSingleAtomOracle:
     def test_identity_at_envelope_nodes(self, cz_params):
@@ -100,15 +105,15 @@ class TestSingleAtomOracle:
 
 
 class TestAverageGateFidelity:
-    def test_perfect_gate_scores_unity(self, cz_params):
+    def test_perfect_gate_scores_unity(self):
         u = models.target_unitary(GateKind.CZ)
-        process = stub_process(conjugation_images(u), cz_params)
+        process = stub_process(conjugation_images(u))
         report = average_gate_fidelity(process, u)
         np.testing.assert_allclose(report.final_fbar, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
-    def test_identity_process_against_gate(self, cz_params, gate):
-        process = stub_process(conjugation_images(np.eye(9, dtype=complex)), cz_params)
+    def test_identity_process_against_gate(self, gate):
+        process = stub_process(conjugation_images(np.eye(9, dtype=complex)))
         report = average_gate_fidelity(process, models.target_unitary(gate))
         # CZ: (1 - 2 sin^2 a sin^2 b)^2 averages to 9/16 over the torus; CNOT
         # gives the same, |<Psi|CNOT|Psi>|^2 = (1 - sin^2 a (1 - sin 2b))^2.
@@ -184,11 +189,9 @@ def gamma_sweep():
 
 
 class TestFidelityTimeSeries:
-    def test_initial_value_matches_identity_process(self, short_series, cz_decay_params):
+    def test_initial_value_matches_identity_process(self, short_series):
         _, report = short_series
-        process = stub_process(
-            conjugation_images(np.eye(9, dtype=complex)), cz_decay_params
-        )
+        process = stub_process(conjugation_images(np.eye(9, dtype=complex)))
         at_zero = average_gate_fidelity(process, models.target_unitary(GateKind.CZ))
         np.testing.assert_allclose(report.fbar[0], at_zero.final_fbar, atol=1e-12)
 

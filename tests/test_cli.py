@@ -245,6 +245,12 @@ class TestScenarios:
         assert len(rows) == 9  # long form, one row per cell
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["failed_cells"] == 0
+        # The grid block is the convergence probe's: the ridge time at the
+        # configured operating point.
+        angular = sidecar["resolved_angular"]
+        assert sidecar["grid"]["t_end_s"] == pytest.approx(
+            np.pi * angular["omega_rad_per_s"] / angular["omega_m_rad_per_s"] ** 2, rel=1e-12
+        )
 
     def test_fidelity_vs_gamma_end_to_end(self, tmp_path):
         config_file = tmp_path / "sweep.conf"
