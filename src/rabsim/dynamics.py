@@ -3,15 +3,25 @@
 The drive Omega_m cos(omega t) is periodic with P = 2 pi/omega and V|rr><rr|
 is static, so every equation of motion here has the form
 dy/dt = (A0 + cos(omega t) A1) y: A = -iH on 9-vectors for pure states, and
-the 81x81 Liouvillian on vectorized density matrices otherwise.  The
-propagation is stroboscopic.  It integrates one drive period with fixed-step
-classical RK4 (generator evaluated at the step edges and midpoint, on the
-step P/m, m = ceil(P/dt), never coarser than the grid asks for) into the
-period propagator Phi(P), composes Phi(kP + s) = Phi(s) Phi(P)^k, and
-integrates the last partial period on its own so that every run ends exactly
-at t_end.  A gate window of 40 to 57 periods thus costs one or two periods
-of RK4 steps.  In exact arithmetic this is the same product of RK4 step maps
-as stepping through the whole window, which the step-by-step reference in
+the 81x81 Liouvillian on vectorized density matrices otherwise.
+
+Every drive and decay term changes the Rydberg count n_r by exactly one, so
+the parity Pi = diag((-1)^n_r) (on vec(rho), (-1)^(n_r(a) + n_r(b)) at index
+9a + b) gives Pi A0 Pi = A0 and Pi A1 Pi = -A1.  As cos(omega (t + P/2)) =
+-cos(omega t), A(t + P/2) = Pi A(t) Pi: the second half of every drive
+period is the first half conjugated by a sign flip.
+
+The propagation is stroboscopic.  It integrates half a drive period with
+fixed-step classical RK4 (generator evaluated at the step edges and
+midpoint, on the step P/m, m even and at least ceil(P/dt), so never coarser
+than the grid asks for) into Phi(P/2).  On rows, Phi(P) = G G with
+G = Phi(P/2) Pi; a state at kP + s is y(kP) Phi(s) for s < P/2 and
+y(kP) G Phi(s - P/2) Pi after that.  A window that ends on the step lattice
+is read from those maps; only an off-lattice end has its last partial
+period integrated on its own so that every run ends exactly at t_end.  A
+gate window of 40 to 57 periods thus costs one period of RK4 steps or less.
+In exact arithmetic this is the same product of RK4 step maps as stepping
+through the whole window, which the step-by-step reference in
 ``tests/conftest.py`` does.
 
 Each run is restricted to the coordinates its initial states can reach and
@@ -105,14 +115,18 @@ class TimeGrid:
         adjusted downward so an integer number of steps lands exactly on
         ``t_end``.
 
-        A non-finite or non-positive ``t_end``, and a ``dt_divisor`` below
-        the ceiling of :data:`MIN_STEPS_PER_PERIOD` steps per fastest period,
-        are rejected.
+        A non-finite or non-positive ``t_end``, a ``dt_divisor`` that is not
+        finite or lies below the ceiling of :data:`MIN_STEPS_PER_PERIOD` steps
+        per fastest period, and a ``max_samples`` below 1 are rejected.
         """
         if not 0.0 < t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-        if dt_divisor < MIN_STEPS_PER_PERIOD:
-            raise ValueError(f"dt_divisor must be >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}")
+        if not MIN_STEPS_PER_PERIOD <= dt_divisor < math.inf:
+            raise ValueError(
+                f"dt_divisor must be finite and >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}"
+            )
+        if not max_samples >= 1:
+            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         dt = 2.0 * math.pi / fastest_angular_frequency(params) / dt_divisor
         n_steps = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
         if sample_stride is None:
@@ -228,21 +242,25 @@ def _add_sandwich(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale: c
     view += (scale * left)[..., :, None, :, None] * np.swapaxes(right, -1, -2)[..., None, :, None, :]
 
 
-def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray]:
-    """(A0, A1) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
+def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, A1, parity) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
 
     For pure states y is the 9-vector and A(t) = -i H(t).  For density
     matrices y is the row-major vectorization of rho (index 9a + b) and A(t)
     is the 81x81 Liouvillian, with the decay in A0.  ``v`` may replace
     ``params.v`` by an array of RRI strengths, which gives A0 those leading
-    batch axes.
+    batch axes.  ``parity`` is the diagonal of Pi, (-1)^n_r on the 9 basis
+    states and (-1)^(n_r(a) + n_r(b)) at index 9a + b of vec(rho); it gives
+    Pi A0 Pi = A0 and Pi A1 Pi = -A1.
     """
     x = models.drive_structure(params.gate)
     v = params.v if v is None else np.asarray(v)
     h0 = np.zeros(np.shape(v) + (DIM, DIM), dtype=complex)
     h0[..., 8, 8] = v
+    is_rydberg = (np.arange(hilbert.N_LEVELS) == hilbert.RYD).astype(int)
+    parity = (-1.0) ** np.add.outer(is_rydberg, is_rydberg).ravel()
     if not density:
-        return -1j * h0, (-1j * params.omega_m) * x
+        return -1j * h0, (-1j * params.omega_m) * x, parity
     # Built in place: -i[H, rho] and the dissipator, one term at a time.
     eye = np.eye(DIM)
     a0 = np.zeros(h0.shape[:-2] + (DIM * DIM, DIM * DIM), dtype=complex)
@@ -256,7 +274,7 @@ def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray
     _add_sandwich(a0, eye, decay, -1.0)
     for op in collapse:
         _add_sandwich(a0, op, hilbert.dagger(op), 1.0)
-    return a0, a1
+    return a0, a1, np.outer(parity, parity).ravel()
 
 
 def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -293,45 +311,52 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     return blocks
 
 
-def _period_lattice(omega: float, grid: TimeGrid) -> tuple[int, int, int, float, float]:
+def _period_lattice(omega: float, grid: TimeGrid) -> tuple[int, int, int, int, float, float]:
     """Steps of the stroboscopic propagation over the window of ``grid``.
 
-    Returns (m, n, tail, h, h_tail): m steps of h = P/m per drive period
-    P = 2 pi/omega, with m = ceil(P/grid.dt) so that h <= grid.dt; n whole
-    periods; then ``tail`` equal steps of h_tail <= h that end at t_end.
-    A grid whose dt already divides P gets h = dt.
+    Returns (m, n, r, tail, h, h_tail): m steps of h = P/m per drive period
+    P = 2 pi/omega, with m the even number at or above ceil(P/grid.dt) so
+    that h <= grid.dt and P/2 falls on a step; n whole periods; then either
+    r < m further steps of h, when the window ends on that lattice (within
+    1e-9 of a step), or ``tail`` equal steps of h_tail <= h that end at
+    t_end.  A grid whose dt already divides P/2 gets h = dt.
     """
     period = 2.0 * math.pi / omega
     m = max(1, math.ceil(period / grid.dt * (1.0 - 1e-9)))
+    m += m % 2
     h = period / m
     span = grid.t_end - grid.t_start
     n = math.floor((span / h + 1e-9) / m)
     rest = span - n * period
     tail = max(0 if n else 1, math.ceil(rest / h - 1e-9))
-    return m, n, tail, h, (rest / tail if tail else h)
+    if abs(rest / h - tail) <= 1e-9:
+        return m, n, tail, 0, h, h
+    return m, n, 0, tail, h, rest / tail
 
 
 def stroboscopic_grid(params: DriveParams, grid: TimeGrid) -> TimeGrid:
     """The step grid the propagators actually run on for ``grid``'s window.
 
-    Its ``dt`` is the step P/m of the whole drive periods (equal to
-    ``grid.dt`` when that divides the period P = 2 pi/omega, finer
-    otherwise) and ``n_steps`` counts every step taken.  When the window is
-    not a whole number of those steps, the last partial period is split into
-    equal steps no longer than ``dt`` so that the run ends at ``t_end``.
+    Its ``dt`` is the step P/m of the whole drive periods, with m even
+    (equal to ``grid.dt`` when that divides half the period P = 2 pi/omega,
+    finer otherwise).  When the window does not end on that lattice, the
+    last partial period is split into equal steps no longer than ``dt`` so
+    that the run ends at ``t_end``.  ``n_steps`` is the length of the
+    lattice from ``t_start`` to ``t_end``, not the number of RK4 steps
+    integrated: only half a period, plus an off-lattice tail, is.
     """
-    m, n, tail, h, _ = _period_lattice(params.omega, grid)
-    return TimeGrid(grid.t_start, grid.t_end, h, n * m + tail, grid.sample_stride)
+    m, n, r, tail, h, _ = _period_lattice(params.omega, grid)
+    return TimeGrid(grid.t_start, grid.t_end, h, n * m + r + tail, grid.sample_stride)
 
 
 @dataclass(frozen=True)
 class _SampleLattice:
     """Where the samples of one stroboscopic run fall, for every block of it.
 
-    ``times`` are the sample instants.  A sample inside the whole periods is
-    step ``j`` of its period and continues from the period start held in
-    slot ``slot`` of the starts, one slot per period in ``start_slots``; a
-    sample in the tail is step s of the tail at position ``tail_pos[s]``.
+    ``times`` are the sample instants.  A sample on the step lattice is step
+    ``j`` of its period and continues from the period start held in slot
+    ``slot`` of the starts, one slot per period in ``start_slots``; a sample
+    in an off-lattice tail is step s of the tail at position ``tail_pos[s]``.
     """
 
     t0: float
@@ -349,12 +374,13 @@ class _SampleLattice:
 
 
 def _sample_lattice(omega: float, grid: TimeGrid) -> _SampleLattice:
-    m, n, tail, h, h_tail = _period_lattice(omega, grid)
+    m, n, r, tail, h, h_tail = _period_lattice(omega, grid)
     t0 = grid.t_start
-    whole = n * m
-    steps = TimeGrid(t0, grid.t_end, h, whole + tail, grid.sample_stride).sample_steps
-    in_period = steps <= whole
-    times = np.where(in_period, t0 + steps * h, t0 + whole * h + (steps - whole) * h_tail)
+    lattice_steps = n * m + r
+    steps = TimeGrid(t0, grid.t_end, h, lattice_steps + tail, grid.sample_stride).sample_steps
+    in_period = steps <= lattice_steps
+    times = np.where(in_period, t0 + steps * h,
+                     t0 + lattice_steps * h + (steps - lattice_steps) * h_tail)
     times[-1] = grid.t_end
     # Each sample continues from the state at the start of its period, and
     # the tail from the state after the n whole periods; keep only those.
@@ -362,30 +388,43 @@ def _sample_lattice(omega: float, grid: TimeGrid) -> _SampleLattice:
     k[~in_period] = n
     start_slots = {period: i for i, period in enumerate(sorted(set(k.tolist())))}
     slot = np.array([start_slots[period] for period in k.tolist()])
-    tail_pos = {int(s) - whole: p for p, s in enumerate(steps) if s > whole}
+    tail_pos = {int(s) - lattice_steps: p for p, s in enumerate(steps) if s > lattice_steps}
     return _SampleLattice(t0, m, n, tail, h, h_tail, times, in_period, j, slot,
                           start_slots, tail_pos)
 
 
-def _stroboscopic_run(a0, a1, omega: float, rows0: np.ndarray, grid: TimeGrid):
-    """Propagate under dy/dt = (A0 + cos(omega t) A1) y by whole drive periods.
+def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: TimeGrid):
+    """Propagate under dy/dt = (A0 + cos(omega t) A1) y by half drive periods.
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
-    ``a0`` may carry the same leading batch axes.  The coordinates are split
-    into the invariant blocks of :func:`_blocks`, and each block propagates
-    on its own, with only the rows of ``rows0`` that have support in it,
-    into its part of one (n_samples, ..., c, d) output; coordinates outside
-    every block stay zero.  Under decay a process map thus runs on blocks of
-    25 + 4x10 + 4x4 (CZ) or 45 + 18 + 18 (CNOT) coordinates instead of 81.
-    Within a block, one period is integrated with RK4 into its propagator
-    Phi(P); a state at t_start + kP + s is then Phi(s) Phi(P)^k y0, and the
-    last partial period is integrated on its own.  Samples inside the
-    periods need Phi(s): a second pass over one period regenerates each
-    Phi(s) instead of storing them all.
+    ``a0`` may carry the same leading batch axes.  ``parity`` is the
+    diagonal of Pi: A0 may couple only coordinates of equal parity and A1
+    only coordinates of opposite parity, so that Pi A0 Pi = A0 and
+    Pi A1 Pi = -A1; a generator with another pattern raises ``ValueError``.
+    The coordinates are split into the invariant blocks of :func:`_blocks`,
+    and each block propagates on its own, with only the rows of ``rows0``
+    that have support in it, into its part of one (n_samples, ..., c, d)
+    output; coordinates outside every block stay zero.  Under decay a
+    process map thus runs on blocks of 25 + 4x10 + 4x4 (CZ) or 45 + 18 + 18
+    (CNOT) coordinates instead of 81.  Within a block, half a period is
+    integrated with RK4 into Phi(P/2), and Phi(P) = G G with G = Phi(P/2) Pi.
+    A state at t_start + kP + s is y(kP) Phi(s) for s < P/2 and
+    y(kP) G Phi(s - P/2) Pi otherwise, so samples inside the periods need
+    Phi(s) only for s < P/2: a second pass over half a period regenerates
+    each Phi(s) instead of storing them all.  A window that ends off the
+    step lattice has its last partial period integrated on its own.
 
     Returns (times, samples) at the sample stride of ``grid`` on the lattice
     of :func:`stroboscopic_grid`.
     """
+    same = parity[:, np.newaxis] == parity
+    # abs(x) > 0 is False for NaN: a non-finite generator is left to the
+    # health gates of the propagators.
+    if np.any(np.abs(a0[..., ~same]) > 0) or np.any(np.abs(a1[..., same]) > 0):
+        raise ValueError(
+            "the generator lacks the glide symmetry of the drive: A0 must couple only "
+            "coordinates of equal parity and A1 only coordinates of opposite parity"
+        )
     lattice = _sample_lattice(omega, grid)
     out = np.zeros((len(lattice.times),) + rows0.shape, dtype=complex)
     for block in _blocks(a0, a1, rows0):
@@ -394,14 +433,15 @@ def _stroboscopic_run(a0, a1, omega: float, rows0: np.ndarray, grid: TimeGrid):
         # One block's part at a time, written straight into the output.
         out[..., rows, block] = _stroboscopic_core(
             a0[..., block[:, np.newaxis], block], a1[..., block[:, np.newaxis], block],
-            omega, rows0[..., rows, block], lattice,
+            parity[block], omega, rows0[..., rows, block], lattice,
         )
     return lattice.times, out
 
 
-def _stroboscopic_core(a0, a1, omega: float, rows0: np.ndarray, lattice: _SampleLattice):
+def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice: _SampleLattice):
     """Samples (n_samples, ..., c, d) of one run on the lattice, all coordinates."""
     t0, m, n, h = lattice.t0, lattice.m, lattice.n, lattice.h
+    half = m // 2
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     # The generator at the last stage time: RK4's two midpoint stages share it.
     cached = [None, None]
@@ -412,30 +452,45 @@ def _stroboscopic_core(a0, a1, omega: float, rows0: np.ndarray, lattice: _Sample
         return rows @ cached[1]
 
     eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=complex), a0.shape)
-    slot, j, in_period = lattice.slot, lattice.j, lattice.in_period
+    slot, in_period = lattice.slot, lattice.in_period
+    # Step j >= m/2 of a period is step j - m/2 of its glided second half.
+    glide = in_period & (lattice.j >= half)
+    j = np.where(glide, lattice.j - half, lattice.j)
     starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=complex)
     state = rows0
-    if n:
-        for period_map in _rk4_steps(rhs, eye, t0, h, m):
+    if n or glide.any():
+        for half_map in _rk4_steps(rhs, eye, t0, h, half):
             pass
+        glide_map = half_map * parity
+        period_map = glide_map @ glide_map
     for period in range(n + 1):
         if period:
             state = state @ period_map
         if period in lattice.start_slots:
             starts[lattice.start_slots[period]] = state
+    # Where each sample continues from: its period start y(kP), or y(kP) G
+    # in a second half.  The two halves take separate products: merged, the
+    # product of a densely sampled run outgrows the size at which OpenBLAS
+    # starts a second thread, which on these small blocks burns more CPU
+    # than it saves.
+    halves = [(starts, in_period & ~glide)]
+    if glide.any():
+        halves.append((starts @ glide_map, glide))
 
     out = np.empty((len(lattice.times),) + rows0.shape, dtype=complex)
-    on_start = in_period & (j == 0)
-    out[on_start] = starts[slot[on_start]]
-    inside = in_period & (j > 0)
-    if inside.any():
-        for step, partial_map in enumerate(_rk4_steps(rhs, eye, t0, h, int(j[inside].max())), 1):
-            hit = inside & (j == step)
+    for origins, group in halves:
+        on_start = group & (j == 0)
+        out[on_start] = origins[slot[on_start]]
+    last = int(j[in_period].max())
+    for step, partial_map in enumerate(_rk4_steps(rhs, eye, t0, h, last), 1):
+        for origins, group in halves:
+            hit = group & (j == step)
             if hit.any():
-                picked = starts[slot[hit]]
+                picked = origins[slot[hit]]
                 # Unbatched: one matrix product over all picked rows at once.
                 flat = picked.reshape(-1, picked.shape[-1]) if partial_map.ndim == 2 else picked
                 out[hit] = (flat @ partial_map).reshape(picked.shape)
+    out[glide] *= parity
     if lattice.tail_pos:
         tail_steps = _rk4_steps(rhs, starts[-1], t0, lattice.h_tail, lattice.tail)
         for step, rows in enumerate(tail_steps, 1):
@@ -454,8 +509,8 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
     norm = np.linalg.norm(psi0)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"initial state norm is {norm:.12f}, expected 1")
-    a0, a1 = _generator(params, density=False)
-    times, rows = _stroboscopic_run(a0, a1, params.omega, psi0[np.newaxis], grid)
+    a0, a1, parity = _generator(params, density=False)
+    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, psi0[np.newaxis], grid)
     states = rows[:, 0]
     dt = stroboscopic_grid(params, grid).dt
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
@@ -472,9 +527,9 @@ def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid, v=None
 
     ``v`` batches the run over RRI strengths as in :func:`_generator`.
     """
-    a0, a1 = _generator(params, density=True, v=v)
+    a0, a1, parity = _generator(params, density=True, v=v)
     rows0 = np.broadcast_to(rho0.reshape(1, DIM * DIM), a0.shape[:-2] + (1, DIM * DIM))
-    times, rows = _stroboscopic_run(a0, a1, params.omega, rows0, grid)
+    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
     states = rows.reshape(rows.shape[:-2] + (DIM, DIM))
     return times, 0.5 * (states + hilbert.dagger(states))
 
@@ -511,8 +566,9 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
     units, written straight into the (n_samples, 4, 4, 9, 9) output.
     """
     units = [DIM * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
-    a0, a1 = _generator(params, density=True)
-    times, rows = _stroboscopic_run(a0, a1, params.omega, np.eye(DIM * DIM)[units], grid)
+    a0, a1, parity = _generator(params, density=True)
+    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, np.eye(DIM * DIM)[units],
+                                    grid)
     images = rows.reshape(len(times), 4, 4, DIM, DIM)
     # The Lindblad increments are exactly traceless, so the image of
     # |q_i><q_j| keeps trace delta_ij; drift flags a broken run.

@@ -159,8 +159,8 @@ class TestExitCodes:
         generator = cli.dynamics._generator
 
         def nan_generator(*args, **kwargs):
-            a0, a1 = generator(*args, **kwargs)
-            return a0 * np.nan, a1
+            a0, a1, parity = generator(*args, **kwargs)
+            return a0 * np.nan, a1, parity
 
         monkeypatch.setattr(cli.dynamics, "_generator", nan_generator)
         code = main(["rab-populations", *FAST, "--out", str(tmp_path / "x.csv")])

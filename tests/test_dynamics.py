@@ -57,6 +57,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="t_end"):
             TimeGrid.build(cz_params, t_end)
 
+    @pytest.mark.parametrize("dt_divisor", [np.nan, np.inf])
+    def test_build_names_a_non_finite_dt_divisor(self, cz_params, dt_divisor):
+        with pytest.raises(ValueError, match="dt_divisor"):
+            TimeGrid.build(cz_params, 1e-6, dt_divisor=dt_divisor)
+
+    @pytest.mark.parametrize("max_samples", [0, -3])
+    def test_build_names_a_bad_max_samples(self, cz_params, max_samples):
+        with pytest.raises(ValueError, match="max_samples"):
+            TimeGrid.build(cz_params, 1e-6, max_samples=max_samples)
+
     def test_direct_construction_bypasses_ceiling(self):
         grid = TimeGrid(0.0, 1.0, 0.25, 4, 1)
         assert grid.n_steps == 4
@@ -379,6 +389,71 @@ class TestStroboscopicLattice:
         assert np.max(np.abs(traj.states - reference)) <= 1e-10
 
 
+class TestGlideSymmetry:
+    """A(t + P/2) = Pi A(t) Pi: the run integrates half a period and glides."""
+
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ])
+    @pytest.mark.parametrize("density, v", [(False, None), (True, None),
+                                            (True, np.linspace(10.0, 20.0, 3) * OMEGA_M)])
+    def test_parity_conjugation_is_exact(self, gate, gamma, density, v):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
+        a0, a1, parity = dynamics._generator(params, density=density, v=v)
+        flip = parity[:, np.newaxis] * parity
+        assert np.array_equal(flip * a0, a0)
+        assert np.array_equal(flip * a1, -a1)
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # Windows shorter than half a period and inside its second half, ending
+    # on a half-period node (tail P/2), and inside a later second half.
+    @pytest.mark.parametrize("periods", [0.3, 0.8, 3.5, 3.75])
+    def test_process_images_match_stepwise(self, params, periods):
+        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        assert dynamics.stroboscopic_grid(params, grid).n_steps == grid.n_steps
+        process = propagate_process(params, grid)
+        times, reference = rk4_run(
+            _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
+        )
+        np.testing.assert_allclose(process.times, times, rtol=1e-12)
+        assert np.max(np.abs(process.images - reference)) <= 1e-10
+
+    def test_odd_raw_step_count_takes_the_finer_even_step(self):
+        # V sets the step: 50 steps per 2 pi/V give P/dt = 120.9 on this
+        # window, which rounds up to an odd 121 steps per drive period.
+        params = DriveParams(omega_m=OMEGA_M, omega=7.5 * OMEGA_M, v=18.1 * OMEGA_M,
+                             gamma=GAMMA_15KHZ, gate=GateKind.CZ)
+        period = 2.0 * np.pi / params.omega
+        grid = TimeGrid.build(params, 3.5 * period, dt_divisor=50, sample_stride=7)
+        assert math.ceil(period / grid.dt) == 121
+        used = dynamics.stroboscopic_grid(params, grid)
+        assert period / used.dt == pytest.approx(122, abs=1e-9)
+        assert used.n_steps == 3 * 122 + 61
+        rho0 = _qubit_rho()
+        traj = propagate_density(params, rho0, grid)
+        assert traj.dt == used.dt
+        times, reference = rk4_run(_stepwise_lindblad(params), rho0, used, hermitize=True)
+        np.testing.assert_allclose(traj.times, times, rtol=1e-12)
+        assert np.max(np.abs(traj.states - reference)) <= 1e-10
+
+    @pytest.mark.parametrize("term", ["A0 across parities", "A1 within a parity"])
+    def test_generator_without_the_symmetry_is_rejected(self, cz_params, term):
+        a0, a1, parity = dynamics._generator(cz_params, density=True)
+        i, j = 0, 9 * hilbert.index_of(G0, RYD)  # |00><00| and |0r><00|: opposite parity
+        if term == "A0 across parities":
+            a0 = a0.copy()
+            a0[i, j] = 1.0
+        else:
+            a1 = a1.copy()
+            a1[i, i] = 1.0
+        grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
+        with pytest.raises(ValueError, match="glide symmetry"):
+            dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, _qubit_rows(), grid)
+
+
 class TestHealthGatesTripOnNan:
     """A NaN anywhere in the dynamics must fail the gates, not pass them."""
 
@@ -442,12 +517,12 @@ class TestInvariantBlocks:
         if request.param == "process":
             return (*dynamics._generator(params, density=True), _qubit_rows())
         v = None if request.param == "density" else np.linspace(10.0, 20.0, 3) * OMEGA_M
-        a0, a1 = dynamics._generator(params, density=True, v=v)
+        a0, a1, parity = dynamics._generator(params, density=True, v=v)
         rows0 = np.broadcast_to(_qubit_rho().reshape(1, 81), a0.shape[:-2] + (1, 81))
-        return a0, a1, rows0
+        return a0, a1, parity, rows0
 
     def test_blocks_partition_the_reachable_set(self, problem):
-        a0, a1, rows0 = problem
+        a0, a1, _, rows0 = problem
         blocks = dynamics._blocks(a0, a1, rows0)
         assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
         reach = np.concatenate(blocks)
@@ -464,31 +539,32 @@ class TestInvariantBlocks:
 
     def test_block_sizes_under_decay(self, params):
         sizes = sorted((len(b) for b in dynamics._blocks(
-            *dynamics._generator(params, density=True), _qubit_rows())), reverse=True)
+            *dynamics._generator(params, density=True)[:2], _qubit_rows())), reverse=True)
         expected = {GateKind.CZ: [25, 10, 10, 10, 10, 4, 4, 4, 4], GateKind.CNOT: [45, 18, 18]}
         assert sizes == expected[params.gate]
 
     def test_11_without_decay_reaches_one_block_of_16(self, cz_params):
         rho0 = hilbert.projector(G1, G1).reshape(1, 81)
-        a0, a1 = dynamics._generator(cz_params, density=True)
+        a0, a1, _ = dynamics._generator(cz_params, density=True)
         assert [len(b) for b in dynamics._blocks(a0, a1, rho0)] == [16]
         # The same for a heatmap column, batched over V.
-        a0, a1 = dynamics._generator(cz_params, density=True, v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
+        a0, a1, _ = dynamics._generator(cz_params, density=True,
+                                        v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
         rows0 = np.broadcast_to(rho0, (4, 1, 81))
         assert [len(b) for b in dynamics._blocks(a0, a1, rows0)] == [16]
 
     # Whole drive periods, and a window ending 0.3 into a period.
     @pytest.mark.parametrize("periods", [3.0, 3.3])
     def test_blockwise_run_matches_the_unsplit_core(self, problem, params, periods):
-        a0, a1, rows0 = problem
+        a0, a1, parity, rows0 = problem
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
-        times, out = dynamics._stroboscopic_run(a0, a1, params.omega, rows0, grid)
+        times, out = dynamics._stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
         lattice = dynamics._sample_lattice(params.omega, grid)
         reach = np.sort(np.concatenate(dynamics._blocks(a0, a1, rows0)))
         unsplit = dynamics._stroboscopic_core(
             a0[..., reach[:, np.newaxis], reach], a1[reach[:, np.newaxis], reach],
-            params.omega, rows0[..., reach], lattice,
+            parity[reach], params.omega, rows0[..., reach], lattice,
         )
         assert np.array_equal(times, lattice.times)
         assert np.max(np.abs(out[..., reach] - unsplit)) <= 1e-12
@@ -499,14 +575,14 @@ class TestInvariantBlocks:
         """Make _generator put a NaN on the diagonal of the smallest block
         that ``rows0`` reaches, and return that block."""
         generator = dynamics._generator
-        a0, a1 = generator(**generator_kwargs)
+        a0, a1, _ = generator(**generator_kwargs)
         block = min(dynamics._blocks(a0, a1, rows0), key=len)
 
         def nan_generator(*args, **kwargs):
-            a0, a1 = generator(*args, **kwargs)
+            a0, a1, parity = generator(*args, **kwargs)
             a0 = a0.copy()
             a0[..., block[0], block[0]] = np.nan
-            return a0, a1
+            return a0, a1, parity
 
         monkeypatch.setattr(dynamics, "_generator", nan_generator)
         return block
@@ -517,8 +593,8 @@ class TestInvariantBlocks:
         # A block of coherences only: the trace gate cannot see it.
         assert not set(block.tolist()) & {10 * a for a in range(9)}
         grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
-        a0, a1 = dynamics._generator(params, density=True)
-        _, rows = dynamics._stroboscopic_run(a0, a1, params.omega, _qubit_rows(), grid)
+        a0, a1, parity = dynamics._generator(params, density=True)
+        _, rows = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(), grid)
         assert 0 < np.isnan(rows).any(axis=(0, 1)).sum() <= len(block)
         assert np.all(np.isfinite(np.delete(rows, block, axis=-1)))
         with pytest.raises(IntegratorHealthError, match="non-finite"):

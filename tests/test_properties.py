@@ -6,8 +6,9 @@ must end in a resolved configuration with finite angular parameters, or in
 ``DriveParams``), never in another exception.
 
 Splitting a run into the invariant blocks of its generator must give the
-same samples as propagating every coordinate at once, for any sparse
-generator.
+same samples as propagating every coordinate at once, and as the
+step-by-step RK4 reference, for any sparse generator with the glide symmetry
+of the drive.
 """
 
 import math
@@ -23,7 +24,7 @@ from rabsim import cli, dynamics  # noqa: E402
 from rabsim.dynamics import TimeGrid  # noqa: E402
 from rabsim.cli import SCENARIOS, ScenarioConfig, ValidationError, parse_config  # noqa: E402
 from rabsim.models import DriveParams, GateKind, PerturbativeRegimeWarning  # noqa: E402
-from conftest import reference_blocks  # noqa: E402
+from conftest import reference_blocks, rk4_run  # noqa: E402
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 # Mostly usable values, so that one bad field among good ones is drawn often.
@@ -103,27 +104,40 @@ def test_each_non_finite_field_is_rejected(name, bad):
 
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(4, 12), batch=st.sampled_from([(), (1,), (3,)]),
-       n_rows=st.integers(1, 4), fill=st.floats(0.05, 0.4),
+       n_rows=st.integers(1, 4), fill=st.floats(0.05, 0.4), steps=st.integers(1, 60),
        seed=st.integers(0, 2**32 - 1))
-def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, seed):
+def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, seed):
     rng = np.random.default_rng(seed)
 
     def sparse(shape, fraction):
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return 0.5 * values * (rng.random(shape) < fraction)
 
-    # Each batch entry of A0 has its own pattern; rows may be empty.
-    a0, a1 = sparse(batch + (dim, dim), fill), sparse((dim, dim), fill)
+    # Each batch entry of A0 has its own pattern; rows may be empty.  A0
+    # couples only coordinates of equal parity and A1 only coordinates of
+    # opposite parity, as the drive's glide symmetry requires.
+    parity = rng.choice([-1.0, 1.0], dim)
+    same = parity[:, np.newaxis] == parity
+    a0, a1 = sparse(batch + (dim, dim), fill) * same, sparse((dim, dim), fill) * ~same
     rows0 = sparse(batch + (n_rows, dim), 0.3)
+    # 20 steps per drive period: windows end in either half of a period, on
+    # a half-period node, or short of the first period.
     omega = 2.0 * math.pi
-    grid = TimeGrid(0.0, 2.3, 0.05, 46, 5)
+    grid = TimeGrid(0.0, 0.05 * steps, 0.05, steps, 5)
     blocks = dynamics._blocks(a0, a1, rows0)
     assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
     covered = np.concatenate([np.zeros(0, dtype=int), *blocks])
     assert len(set(covered.tolist())) == len(covered)
 
-    times, out = dynamics._stroboscopic_run(a0, a1, omega, rows0, grid)
+    times, out = dynamics._stroboscopic_run(a0, a1, parity, omega, rows0, grid)
     lattice = dynamics._sample_lattice(omega, grid)
-    whole = dynamics._stroboscopic_core(a0, a1, omega, rows0, lattice)
+    whole = dynamics._stroboscopic_core(a0, a1, parity, omega, rows0, lattice)
     assert np.array_equal(times, lattice.times)
-    assert np.max(np.abs(out - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
+    scale = max(1.0, np.max(np.abs(whole)))
+    assert np.max(np.abs(out - whole)) <= 1e-12 * scale
+
+    def rhs(t, rows):
+        return rows @ np.swapaxes(a0 + math.cos(omega * t) * a1, -1, -2)
+
+    _, reference = rk4_run(rhs, rows0, grid, hermitize=False)
+    assert np.max(np.abs(out - reference)) <= 1e-10 * scale
