@@ -156,7 +156,10 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
     """Worker count for the heatmap sweep: explicit value, RABSIM_THREADS, or cpu count."""
     if workers is None:
         env = os.environ.get("RABSIM_THREADS", "").strip()
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"RABSIM_THREADS must be an integer, got {env!r}") from None
     return max(1, min(workers, n_tasks))
 
 

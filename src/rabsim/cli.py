@@ -28,7 +28,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +311,7 @@ def _run_rab_populations(config: ScenarioConfig, out: Path) -> dict:
     _write_csv(out, ["t_us", "p_11", "p_rr"],
                zip(traj.times * 1e6, p11, prr))
     check = dynamics.convergence_check(
-        params, rho0, grid, lambda rho: float(np.real(rho[8, 8]))
+        params, traj, grid, lambda rho: float(np.real(rho[8, 8]))
     )
     payload = _base_payload(config, params, grid)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
@@ -339,9 +339,12 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         params, math.pi * params.omega / (params.omega_m * params.omega_m),
         dt_divisor=config.dt_divisor,
     )
+    probe = dynamics.propagate_density(
+        params, hilbert.projector(hilbert.G1, hilbert.G1),
+        replace(ridge_grid, sample_stride=10**9),
+    )
     check = dynamics.convergence_check(
-        params, hilbert.projector(hilbert.G1, hilbert.G1), ridge_grid,
-        lambda rho: float(np.real(rho[8, 8])),
+        params, probe, ridge_grid, lambda rho: float(np.real(rho[8, 8])),
     )
     payload = _base_payload(config, params, ridge_grid)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}

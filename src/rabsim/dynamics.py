@@ -11,18 +11,21 @@ the parity Pi = diag((-1)^n_r) (on vec(rho), (-1)^(n_r(a) + n_r(b)) at index
 -cos(omega t), A(t + P/2) = Pi A(t) Pi: the second half of every drive
 period is the first half conjugated by a sign flip.
 
-The propagation is stroboscopic.  It integrates half a drive period with
-fixed-step classical RK4 (generator evaluated at the step edges and
+The propagation is stroboscopic.  It integrates half a drive period once
+with fixed-step classical RK4 (generator evaluated at the step edges and
 midpoint, on the step P/m, m even and at least ceil(P/dt), so never coarser
-than the grid asks for) into Phi(P/2).  On rows, Phi(P) = G G with
-G = Phi(P/2) Pi; a state at kP + s is y(kP) Phi(s) for s < P/2 and
-y(kP) G Phi(s - P/2) Pi after that.  A window that ends on the step lattice
-is read from those maps; only an off-lattice end has its last partial
-period integrated on its own so that every run ends exactly at t_end.  A
-gate window of 40 to 57 periods thus costs one period of RK4 steps or less.
-In exact arithmetic this is the same product of RK4 step maps as stepping
-through the whole window, which the step-by-step reference in
-``tests/conftest.py`` does.
+than the grid asks for) into Phi(P/2), and keeps on the way the prefix map
+Phi(s) at each in-period offset s that a sample reads.  On rows,
+Phi(P) = G G with G = Phi(P/2) Pi; a state at kP + s is y(kP) Phi(s) for
+s < P/2 and y(kP) G Phi(s - P/2) Pi after that.  A window that ends off the
+step lattice is read at its last lattice step and advanced to t_end by one
+RK4 step of the remainder, so every run ends exactly at t_end.  Each
+invariant block (below) thus takes at most m/2 RK4 steps of P/m, plus at
+most one short step, however long the window; the kept maps cost at most
+one map of the block's size per distinct in-period sample offset.  In exact
+arithmetic this is the same product of RK4 step maps as stepping through
+the lattice and then the short step, which the step-by-step references of
+the tests do.
 
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
@@ -311,27 +314,28 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     return blocks
 
 
-def _period_lattice(omega: float, grid: TimeGrid) -> tuple[int, int, int, int, float, float]:
+def _period_lattice(omega: float, grid: TimeGrid) -> tuple[int, int, int, float, float]:
     """Steps of the stroboscopic propagation over the window of ``grid``.
 
-    Returns (m, n, r, tail, h, h_tail): m steps of h = P/m per drive period
+    Returns (m, n, r, h, delta): m steps of h = P/m per drive period
     P = 2 pi/omega, with m the even number at or above ceil(P/grid.dt) so
-    that h <= grid.dt and P/2 falls on a step; n whole periods; then either
-    r < m further steps of h, when the window ends on that lattice (within
-    1e-9 of a step), or ``tail`` equal steps of h_tail <= h that end at
-    t_end.  A grid whose dt already divides P/2 gets h = dt.
+    that h <= grid.dt and P/2 falls on a step; n whole periods and r < m
+    further steps of h, the last lattice step at or before t_end (within
+    1e-9 of a step); then one step of the remainder delta < h that ends at
+    t_end, or delta = 0 when the window ends on the lattice.  A grid whose
+    dt already divides P/2 gets h = dt.
     """
     period = 2.0 * math.pi / omega
     m = max(1, math.ceil(period / grid.dt * (1.0 - 1e-9)))
     m += m % 2
     h = period / m
     span = grid.t_end - grid.t_start
-    n = math.floor((span / h + 1e-9) / m)
-    rest = span - n * period
-    tail = max(0 if n else 1, math.ceil(rest / h - 1e-9))
-    if abs(rest / h - tail) <= 1e-9:
-        return m, n, tail, 0, h, h
-    return m, n, 0, tail, h, rest / tail
+    steps = math.floor(span / h + 1e-9)
+    delta = span - steps * h
+    if steps and abs(delta) <= 1e-9 * h:
+        delta = 0.0
+    n, r = divmod(steps, m)
+    return m, n, r, h, delta
 
 
 def stroboscopic_grid(params: DriveParams, grid: TimeGrid) -> TimeGrid:
@@ -339,58 +343,55 @@ def stroboscopic_grid(params: DriveParams, grid: TimeGrid) -> TimeGrid:
 
     Its ``dt`` is the step P/m of the whole drive periods, with m even
     (equal to ``grid.dt`` when that divides half the period P = 2 pi/omega,
-    finer otherwise).  When the window does not end on that lattice, the
-    last partial period is split into equal steps no longer than ``dt`` so
-    that the run ends at ``t_end``.  ``n_steps`` is the length of the
-    lattice from ``t_start`` to ``t_end``, not the number of RK4 steps
-    integrated: only half a period, plus an off-lattice tail, is.
+    finer otherwise).  When the window does not end on that lattice, one
+    last step, shorter than ``dt``, takes the run from the last lattice step
+    to ``t_end``.  ``n_steps`` is the length of the lattice from ``t_start``
+    to ``t_end``, that short step included, not the number of RK4 steps
+    integrated: only half a period per invariant block, plus the short
+    step, is.
     """
-    m, n, r, tail, h, _ = _period_lattice(params.omega, grid)
-    return TimeGrid(grid.t_start, grid.t_end, h, n * m + r + tail, grid.sample_stride)
+    m, n, r, h, delta = _period_lattice(params.omega, grid)
+    return TimeGrid(grid.t_start, grid.t_end, h, n * m + r + (delta > 0), grid.sample_stride)
 
 
 @dataclass(frozen=True)
 class _SampleLattice:
     """Where the samples of one stroboscopic run fall, for every block of it.
 
-    ``times`` are the sample instants.  A sample on the step lattice is step
-    ``j`` of its period and continues from the period start held in slot
-    ``slot`` of the starts, one slot per period in ``start_slots``; a sample
-    in an off-lattice tail is step s of the tail at position ``tail_pos[s]``.
+    ``times`` are the sample instants.  A sample is step ``j`` of its period
+    and continues from the period start held in slot ``slot`` of the
+    starts, one slot per period in ``start_slots``.  When ``delta`` > 0 the
+    window ends off the lattice: the last sample is read at the last lattice
+    step and then advanced by one step of ``delta`` to ``times[-1]``.
     """
 
     t0: float
     m: int
     n: int
-    tail: int
     h: float
-    h_tail: float
+    delta: float
     times: np.ndarray
-    in_period: np.ndarray
     j: np.ndarray
     slot: np.ndarray
     start_slots: dict
-    tail_pos: dict
 
 
 def _sample_lattice(omega: float, grid: TimeGrid) -> _SampleLattice:
-    m, n, r, tail, h, h_tail = _period_lattice(omega, grid)
+    m, n, r, h, delta = _period_lattice(omega, grid)
     t0 = grid.t_start
     lattice_steps = n * m + r
-    steps = TimeGrid(t0, grid.t_end, h, lattice_steps + tail, grid.sample_stride).sample_steps
-    in_period = steps <= lattice_steps
-    times = np.where(in_period, t0 + steps * h,
-                     t0 + lattice_steps * h + (steps - lattice_steps) * h_tail)
+    steps = TimeGrid(t0, grid.t_end, h, lattice_steps + (delta > 0),
+                     grid.sample_stride).sample_steps
+    # An off-lattice end starts its short step from the last lattice step.
+    steps = np.minimum(steps, lattice_steps)
+    times = t0 + steps * h
     times[-1] = grid.t_end
-    # Each sample continues from the state at the start of its period, and
-    # the tail from the state after the n whole periods; keep only those.
+    # Each sample continues from the state at the start of its period; keep
+    # only those.
     k, j = np.divmod(steps, m)
-    k[~in_period] = n
     start_slots = {period: i for i, period in enumerate(sorted(set(k.tolist())))}
     slot = np.array([start_slots[period] for period in k.tolist()])
-    tail_pos = {int(s) - lattice_steps: p for p, s in enumerate(steps) if s > lattice_steps}
-    return _SampleLattice(t0, m, n, tail, h, h_tail, times, in_period, j, slot,
-                          start_slots, tail_pos)
+    return _SampleLattice(t0, m, n, h, delta, times, j, slot, start_slots)
 
 
 def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: TimeGrid):
@@ -407,12 +408,14 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     output; coordinates outside every block stay zero.  Under decay a
     process map thus runs on blocks of 25 + 4x10 + 4x4 (CZ) or 45 + 18 + 18
     (CNOT) coordinates instead of 81.  Within a block, half a period is
-    integrated with RK4 into Phi(P/2), and Phi(P) = G G with G = Phi(P/2) Pi.
-    A state at t_start + kP + s is y(kP) Phi(s) for s < P/2 and
-    y(kP) G Phi(s - P/2) Pi otherwise, so samples inside the periods need
-    Phi(s) only for s < P/2: a second pass over half a period regenerates
-    each Phi(s) instead of storing them all.  A window that ends off the
-    step lattice has its last partial period integrated on its own.
+    integrated once with RK4 into Phi(P/2), and Phi(P) = G G with
+    G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
+    s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
+    Phi(s) only for s < P/2: the same pass keeps Phi(s) at each offset s
+    that a sample reads, at most one map of the block's size (times the
+    batch axes of ``a0``) per distinct offset.  A window that ends off the
+    step lattice is read at its last lattice step and advanced to t_end by
+    one RK4 step of the remainder.
 
     Returns (times, samples) at the sample stride of ``grid`` on the lattice
     of :func:`stroboscopic_grid`.
@@ -440,7 +443,7 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
 
 def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice: _SampleLattice):
     """Samples (n_samples, ..., c, d) of one run on the lattice, all coordinates."""
-    t0, m, n, h = lattice.t0, lattice.m, lattice.n, lattice.h
+    t0, m, n, h, slot = lattice.t0, lattice.m, lattice.n, lattice.h, lattice.slot
     half = m // 2
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     # The generator at the last stage time: RK4's two midpoint stages share it.
@@ -451,17 +454,23 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice:
             cached[:] = t, b0 + math.cos(omega * t) * b1
         return rows @ cached[1]
 
-    eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=complex), a0.shape)
-    slot, in_period = lattice.slot, lattice.in_period
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
-    glide = in_period & (lattice.j >= half)
+    glide = lattice.j >= half
     j = np.where(glide, lattice.j - half, lattice.j)
+    # One pass over half a period (or up to the last offset read, when no
+    # sample needs the half-period map) keeps the prefix maps Phi(j h).
+    needs_half = n > 0 or glide.any()
+    offsets = set(j.tolist()) - {0}
+    partial_maps = {}
+    eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=complex), a0.shape)
+    last = half if needs_half else int(j.max())
+    for step, prefix in enumerate(_rk4_steps(rhs, eye, t0, h, last), 1):
+        if step in offsets:
+            partial_maps[step] = prefix
     starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=complex)
     state = rows0
-    if n or glide.any():
-        for half_map in _rk4_steps(rhs, eye, t0, h, half):
-            pass
-        glide_map = half_map * parity
+    if needs_half:
+        glide_map = prefix * parity
         period_map = glide_map @ glide_map
     for period in range(n + 1):
         if period:
@@ -473,7 +482,7 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice:
     # product of a densely sampled run outgrows the size at which OpenBLAS
     # starts a second thread, which on these small blocks burns more CPU
     # than it saves.
-    halves = [(starts, in_period & ~glide)]
+    halves = [(starts, ~glide)]
     if glide.any():
         halves.append((starts @ glide_map, glide))
 
@@ -481,8 +490,8 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice:
     for origins, group in halves:
         on_start = group & (j == 0)
         out[on_start] = origins[slot[on_start]]
-    last = int(j[in_period].max())
-    for step, partial_map in enumerate(_rk4_steps(rhs, eye, t0, h, last), 1):
+    for step in sorted(offsets):
+        partial_map = partial_maps.pop(step)
         for origins, group in halves:
             hit = group & (j == step)
             if hit.any():
@@ -491,11 +500,9 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice:
                 flat = picked.reshape(-1, picked.shape[-1]) if partial_map.ndim == 2 else picked
                 out[hit] = (flat @ partial_map).reshape(picked.shape)
     out[glide] *= parity
-    if lattice.tail_pos:
-        tail_steps = _rk4_steps(rhs, starts[-1], t0, lattice.h_tail, lattice.tail)
-        for step, rows in enumerate(tail_steps, 1):
-            if step in lattice.tail_pos:
-                out[lattice.tail_pos[step]] = rows
+    if lattice.delta:
+        t_last = lattice.times[-1] - lattice.delta
+        out[-1] = next(_rk4_steps(rhs, out[-1], t_last, lattice.delta, 1))
     return out
 
 
@@ -584,23 +591,29 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
 
 def convergence_check(
     params: DriveParams,
-    rho0: np.ndarray,
+    trajectory: Trajectory,
     grid: TimeGrid,
     observable,
 ) -> ConvergenceReport:
-    """Run at dt and dt/2 and compare ``observable`` of the final state.
+    """Compare ``observable`` of the final state at dt and at dt/2.
 
-    ``observable`` maps a 9x9 density matrix to a float.  The check passes
-    when the two values agree within 1e-6.  Health gates are skipped here:
-    the point of the check is to measure the error of whatever grid it is
-    handed, including deliberately coarse ones.
+    ``trajectory`` is the density-matrix run on ``grid`` that the caller
+    already holds (:func:`propagate_density`); only the run at dt/2, from
+    its first state, is propagated here.  ``observable`` maps a 9x9 density
+    matrix to a float.  The check passes when the two values agree within
+    1e-6.  Health gates are skipped on the dt/2 run: the point of the check
+    is to measure the error of whatever grid it is handed, including
+    deliberately coarse ones.  A trajectory that does not end at
+    ``grid.t_end`` on the step of :func:`stroboscopic_grid` raises
+    ``ValueError``.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    finals = [
-        _propagate_rho(params, rho0, replace(g, sample_stride=10**9))[1][-1]
-        for g in (grid, grid.halved())
-    ]
-    value, value_halved = (float(observable(rho)) for rho in finals)
+    if not (trajectory.times[-1] == grid.t_end
+            and trajectory.dt == stroboscopic_grid(params, grid).dt):
+        raise ValueError("the trajectory was not propagated on the grid it is checked on")
+    halved = replace(grid.halved(), sample_stride=10**9)
+    final_halved = _propagate_rho(params, trajectory.states[0], halved)[1][-1]
+    value, value_halved = (float(observable(rho))
+                           for rho in (trajectory.final_state, final_halved))
     delta = abs(value - value_halved)
     return ConvergenceReport(
         value=value,

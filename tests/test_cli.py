@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabsim import cli
+from rabsim import cli, dynamics, hilbert, models
 from rabsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -155,6 +155,14 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
+    def test_non_integer_thread_count_is_validation_error(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.setenv("RABSIM_THREADS", "abc")
+        code = main(["heatmap", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "RABSIM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_dynamics_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         generator = cli.dynamics._generator
 
@@ -203,6 +211,18 @@ class TestScenarios:
         assert "v_rad_per_s" in sidecar["resolved_angular"]
         assert "dt_halving_delta_p_rr" in sidecar["convergence"]
         assert sidecar["wall_time_s"] > 0
+
+    def test_rab_populations_convergence_is_the_delta_of_two_runs(self, tmp_path):
+        out = tmp_path / "pop.csv"
+        assert main(["rab-populations", "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        params = parse_config(["rab-populations"]).drive_params()
+        grid = dynamics.TimeGrid.build(params, models.gate_time(params))
+        rho0 = hilbert.projector(hilbert.G1, hilbert.G1)
+        p_rr, p_rr_halved = (dynamics.propagate_density(params, rho0, g).final_state[8, 8].real
+                             for g in (grid, grid.halved()))
+        delta = sidecar["convergence"]["dt_halving_delta_p_rr"]
+        assert abs(delta - abs(p_rr - p_rr_halved)) <= 1e-12
 
     def test_rab_populations_deterministic_output(self, tmp_path):
         out_a = tmp_path / "a.csv"

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rabsim import analysis, dynamics, hilbert, models
+from rabsim import analysis, cli, dynamics, hilbert, models
 from rabsim.dynamics import (
     IntegratorHealthError,
     TimeGrid,
@@ -259,19 +259,16 @@ class TestConvergenceCheck:
     def test_passes_at_scenario_resolution(self, cz_params):
         t_end = 1.875e-6
         grid = TimeGrid.build(cz_params, t_end, dt_divisor=400, sample_stride=10**9)
-        report = convergence_check(
-            cz_params, hilbert.projector(G1, G1), grid,
-            lambda rho: float(np.real(rho[8, 8])),
-        )
+        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
+        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
         assert report.passed
         assert report.delta <= 1e-6
+        assert report.value == float(np.real(traj.final_state[8, 8]))
 
     def test_stationary_observable_has_zero_delta(self, cz_params):
         grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
-        report = convergence_check(
-            cz_params, hilbert.projector(G0, G0), grid,
-            lambda rho: float(np.real(rho[0, 0])),
-        )
+        traj = propagate_density(cz_params, hilbert.projector(G0, G0), grid)
+        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[0, 0])))
         assert report.delta == 0.0
 
     def test_reports_failure_on_deliberately_coarse_grid(self, cz_params):
@@ -280,12 +277,16 @@ class TestConvergenceCheck:
         t_end = 1.875e-6
         n = max(1, math.ceil(t_end / (10.0 * cap)))
         grid = TimeGrid(0.0, t_end, t_end / n, n, 10**9)
-        report = convergence_check(
-            cz_params, hilbert.projector(G1, G1), grid,
-            lambda rho: float(np.real(rho[8, 8])),
-        )
+        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
+        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
         assert not report.passed
         assert report.delta > 1e-6
+
+    def test_rejects_a_trajectory_from_another_grid(self, cz_params):
+        grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
+        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
+        with pytest.raises(ValueError, match="not propagated on the grid"):
+            convergence_check(cz_params, traj, grid.halved(), lambda rho: 0.0)
 
 
 def test_amplitude_never_reaches_rr_from_00(cz_params):
@@ -360,7 +361,7 @@ class TestStroboscopicMatchesStepwise:
 class TestStroboscopicLattice:
     def test_times_of_an_unaligned_window(self, cz_params):
         # dt does not divide the drive period: the step shrinks to P/m and the
-        # last partial period gets its own equal steps.
+        # window ends with one step shorter than that.
         t_end = 3.37123 * 2.0 * np.pi / cz_params.omega
         grid = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=3)
         used = dynamics.stroboscopic_grid(cz_params, grid)
@@ -452,6 +453,116 @@ class TestGlideSymmetry:
         grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
         with pytest.raises(ValueError, match="glide symmetry"):
             dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, _qubit_rows(), grid)
+
+
+def _lindblad_to(params, rows0, used, delta):
+    """Stepwise reference: RK4 over the lattice of ``used`` and then one
+    step of ``delta`` (when it is > 0) to the end of the window."""
+    lattice_steps = used.n_steps - (delta > 0)
+    rhs = _stepwise_lindblad(params)
+    y = rows0
+    for y in dynamics._rk4_steps(rhs, rows0, used.t_start, used.dt, lattice_steps):
+        pass
+    if delta > 0:
+        [y] = dynamics._rk4_steps(rhs, y, used.t_start + lattice_steps * used.dt, delta, 1)
+    return y
+
+
+class TestOffLatticeEnd:
+    """A window that ends off the step lattice takes one short last step."""
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # Inside a first half, inside a second half, and a later second half.
+    @pytest.mark.parametrize("periods", [0.37123, 0.81234, 3.37123])
+    def test_process_images_match_stepwise(self, params, periods):
+        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=10**9)
+        used = dynamics.stroboscopic_grid(params, grid)
+        delta = grid.t_end - (used.n_steps - 1) * used.dt
+        assert 0.0 < delta < used.dt
+        process = propagate_process(params, grid)
+        assert process.times[-1] == grid.t_end
+        reference = _lindblad_to(params, _qubit_units(), used, delta)
+        assert np.max(np.abs(process.images[-1] - reference)) <= 1e-10
+
+    def test_window_shorter_than_one_step(self, params):
+        # dt = P/100 gives 100 steps per period; the window is 0.4 of one.
+        step = 2.0 * np.pi / params.omega / 100
+        grid = TimeGrid(0.0, 0.4 * step, step, 1)
+        m, n, r, h, delta = dynamics._period_lattice(params.omega, grid)
+        assert (m, n, r) == (100, 0, 0)
+        assert delta == pytest.approx(0.4 * h, rel=1e-12)
+        process = propagate_process(params, grid)
+        np.testing.assert_array_equal(process.times, [0.0, grid.t_end])
+        reference = _lindblad_to(params, _qubit_units(),
+                                 dynamics.stroboscopic_grid(params, grid), delta)
+        assert np.max(np.abs(process.images[-1] - reference)) <= 1e-10
+
+
+class TestHalfPeriodWork:
+    """Each invariant block takes m/2 RK4 steps of h, plus at most one
+    shorter step that ends an off-lattice window."""
+
+    @pytest.fixture
+    def rk4_calls(self, monkeypatch):
+        calls = []
+        steps = dynamics._rk4_steps
+
+        def counted(rhs, y0, t0, dt, n_steps, **kwargs):
+            calls.append((dt, n_steps))
+            return steps(rhs, y0, t0, dt, n_steps, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_rk4_steps", counted)
+        return calls
+
+    @staticmethod
+    def _steps(params, grid, rows0, calls, *, density):
+        """RK4 steps the calls take on ``grid``'s lattice, after checking
+        that each block took m/2 of them plus at most one shorter step."""
+        used = dynamics.stroboscopic_grid(params, grid)
+        m = round(2.0 * np.pi / params.omega / used.dt)
+        a0, a1, _ = dynamics._generator(params, density=density)
+        blocks = len(dynamics._blocks(a0, a1, rows0))
+        on_lattice = [n for dt, n in calls if dt == used.dt]
+        short = [n for dt, n in calls if dt < used.dt]
+        assert len(on_lattice) + len(short) == len(calls)
+        assert on_lattice == [m // 2] * blocks
+        assert len(short) <= blocks and set(short) <= {1}
+        return sum(on_lattice) + sum(short)
+
+    def test_time_resolved_cz_process_map(self, cz_decay_params, rk4_calls):
+        grid = TimeGrid.build(cz_decay_params, models.pulse_end_time(cz_decay_params),
+                              dt_divisor=50)
+        assert len(grid.sample_steps) > 1000
+        analysis.fidelity_time_series(cz_decay_params, grid)
+        assert self._steps(cz_decay_params, grid, _qubit_rows(), rk4_calls, density=True) == 450
+
+    def test_default_rab_populations_run(self, tmp_path, rk4_calls):
+        assert cli.main(["rab-populations", "--out", str(tmp_path / "pop.csv")]) == 0
+        params = cli.parse_config(["rab-populations"]).drive_params()
+        grid = TimeGrid.build(params, models.gate_time(params))
+        rows0 = hilbert.projector(G1, G1).reshape(1, 81)
+        # The trajectory on the grid, and the convergence check's run at
+        # dt/2; both windows end on the lattice.
+        h = dynamics.stroboscopic_grid(params, grid).dt
+        whole = self._steps(params, grid, rows0,
+                            [c for c in rk4_calls if c[0] == h], density=True)
+        halved = self._steps(params, grid.halved(), rows0,
+                             [c for c in rk4_calls if c[0] != h], density=True)
+        assert (whole, halved) == (400, 800)
+
+    def test_off_lattice_window(self, cz_params, rk4_calls):
+        grid = TimeGrid.build(cz_params, 3.37123 * 2.0 * np.pi / cz_params.omega,
+                              dt_divisor=50, sample_stride=3)
+        psi = hilbert.ket(G0, G1)
+        propagate_state(cz_params, psi, grid)
+        used = dynamics.stroboscopic_grid(cz_params, grid)
+        m = round(2.0 * np.pi / cz_params.omega / used.dt)
+        assert self._steps(cz_params, grid, psi[np.newaxis], rk4_calls, density=False) \
+            == m // 2 + 1
 
 
 class TestHealthGatesTripOnNan:
