@@ -9,10 +9,10 @@ fidelity-vs-gamma  final average fidelity across a range of decay rates
 
 Every run writes one CSV (documented per-scenario column contract) plus a
 JSON sidecar with the fully resolved parameters in angular units, the
-integration step, convergence deltas and wall time.  Rates cross the CLI
-boundary in cyclic units (MHz / kHz) to match how they are usually quoted;
-all internal math is angular, and the conversion happens in exactly one
-place (:func:`cyclic_to_angular`).
+integration step, convergence deltas, wall time and the versions that made
+the run.  Rates cross the CLI boundary in cyclic units (MHz / kHz) to match
+how they are usually quoted; all internal math is angular, and the
+conversion happens in exactly one place (:func:`cyclic_to_angular`).
 
 Exit codes: 0 success, 2 validation/usage error (including non-finite
 input), 3 integrator health error or another arithmetic failure, 4 I/O
@@ -277,9 +277,21 @@ def _write_sidecar(csv_path: Path, payload: dict) -> Path:
     return sidecar
 
 
+def _run_record() -> dict:
+    """Versions of the code that made the run."""
+    from . import __version__  # the package has finished loading by now
+
+    return {
+        "rabsim_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": "{}.{}.{}".format(*sys.version_info[:3]),
+    }
+
+
 def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -> dict:
     used = dynamics.stroboscopic_grid(params, grid)
     return {
+        "run": _run_record(),
         "scenario": config.scenario,
         "config": {k: (v.value if isinstance(v, GateKind) else v)
                    for k, v in asdict(config).items()},
@@ -347,6 +359,7 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         params, probe, ridge_grid, lambda rho: float(np.real(rho[8, 8])),
     )
     payload = _base_payload(config, params, ridge_grid)
+    payload["run"]["workers"] = analysis.resolve_workers(None, config.resolution)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
     payload["failed_cells"] = int(np.count_nonzero(~np.isfinite(grid_result.p_rr)))
     return payload

@@ -32,7 +32,9 @@ split into the invariant blocks of the generator: the connected components
 of its coupling graph, between which A(t) has no entry at any t.  Every
 block propagates on its own.  Under decay the 81 coordinates of a process
 map split into 25 + 4x10 + 4x4 for CZ and 45 + 18 + 18 for CNOT; |11><11|
-without decay reaches one block of 16.
+without decay reaches one block of 16.  A run may keep only some output
+coordinates: the maps are cut to them before the samples are formed.  A
+process map keeps 21 of the 81, the qubit block and the diagonal.
 
 Runs are deterministic, so step-halving convergence checks stay meaningful.
 Density matrices are re-Hermitized when sampled but never renormalized, so
@@ -101,7 +103,7 @@ class TimeGrid:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.n_steps < 1 or self.sample_stride < 1:
+        if not (self.n_steps >= 1 and self.sample_stride >= 1):
             raise ValueError("n_steps and sample_stride must be positive")
 
     @classmethod
@@ -196,15 +198,17 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class ProcessMap:
-    """Linear action of the dynamics on the qubit subspace.
+    """Linear action of the dynamics on the qubit subspace, read back on it.
 
-    ``images[s, i, j]`` is the propagated state of the basis matrix
-    |q_i><q_j| (q = 00, 01, 10, 11) at sample ``s``; the map applied to any
-    qubit-subspace initial matrix follows by linearity.
+    ``images[s, i, j]`` is the 4x4 qubit block (rows and columns
+    q = 00, 01, 10, 11) of the propagated state of the basis matrix
+    |q_i><q_j| at sample ``s``; its entries on the Rydberg levels are not
+    kept.  The qubit block of the map applied to any qubit-subspace initial
+    matrix follows by linearity.
     """
 
     times: np.ndarray
-    images: np.ndarray  # (n_samples, 4, 4, 9, 9)
+    images: np.ndarray  # (n_samples, 4, 4, 4, 4)
 
 
 def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermitize: bool = False):
@@ -394,7 +398,8 @@ def _sample_lattice(omega: float, grid: TimeGrid) -> _SampleLattice:
     return _SampleLattice(t0, m, n, h, delta, times, j, slot, start_slots)
 
 
-def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: TimeGrid):
+def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: TimeGrid,
+                      columns=None):
     """Propagate under dy/dt = (A0 + cos(omega t) A1) y by half drive periods.
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
@@ -404,7 +409,7 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     Pi A1 Pi = -A1; a generator with another pattern raises ``ValueError``.
     The coordinates are split into the invariant blocks of :func:`_blocks`,
     and each block propagates on its own, with only the rows of ``rows0``
-    that have support in it, into its part of one (n_samples, ..., c, d)
+    that have support in it, into its part of one (n_samples, ..., c, k)
     output; coordinates outside every block stay zero.  Under decay a
     process map thus runs on blocks of 25 + 4x10 + 4x4 (CZ) or 45 + 18 + 18
     (CNOT) coordinates instead of 81.  Within a block, half a period is
@@ -416,6 +421,11 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     batch axes of ``a0``) per distinct offset.  A window that ends off the
     step lattice is read at its last lattice step and advanced to t_end by
     one RK4 step of the remainder.
+
+    ``columns`` (an index array into the d coordinates) keeps only those
+    output coordinates, k = len(columns) of them in that order; None keeps
+    all d.  A sample then costs c x d x k multiply-adds instead of
+    c x d x d, and a block with no kept coordinate is not propagated.
 
     Returns (times, samples) at the sample stride of ``grid`` on the lattice
     of :func:`stroboscopic_grid`.
@@ -429,20 +439,34 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
             "coordinates of equal parity and A1 only coordinates of opposite parity"
         )
     lattice = _sample_lattice(omega, grid)
-    out = np.zeros((len(lattice.times),) + rows0.shape, dtype=complex)
+    width = rows0.shape[-1] if columns is None else len(columns)
+    out = np.zeros((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=complex)
     for block in _blocks(a0, a1, rows0):
+        # Where the block's part goes in the output, and which of its own
+        # coordinates those are (all, in order, when none are picked).
+        kept, local = block, None
+        if columns is not None:
+            position = np.full(rows0.shape[-1], -1)
+            position[block] = np.arange(len(block))
+            local = position[columns]
+            kept = np.flatnonzero(local >= 0)
+            if not len(kept):
+                continue
+            local = local[kept]
         support = np.any(rows0[..., block] != 0, axis=tuple(range(rows0.ndim - 2)) + (-1,))
         rows = np.flatnonzero(support)[:, np.newaxis]
         # One block's part at a time, written straight into the output.
-        out[..., rows, block] = _stroboscopic_core(
+        out[..., rows, kept] = _stroboscopic_core(
             a0[..., block[:, np.newaxis], block], a1[..., block[:, np.newaxis], block],
-            parity[block], omega, rows0[..., rows, block], lattice,
+            parity[block], omega, rows0[..., rows, block], lattice, local,
         )
     return lattice.times, out
 
 
-def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice: _SampleLattice):
-    """Samples (n_samples, ..., c, d) of one run on the lattice, all coordinates."""
+def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
+                       lattice: _SampleLattice, columns=None):
+    """Samples (n_samples, ..., c, k) of one run on the lattice: the
+    coordinates ``columns`` of the d it runs on, or all of them when None."""
     t0, m, n, h, slot = lattice.t0, lattice.m, lattice.n, lattice.h, lattice.slot
     half = m // 2
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
@@ -486,23 +510,35 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray, lattice:
     if glide.any():
         halves.append((starts @ glide_map, glide))
 
-    out = np.empty((len(lattice.times),) + rows0.shape, dtype=complex)
+    # The kept coordinates: a view of all of them when none are picked.
+    keep = slice(None) if columns is None else columns
+    if lattice.delta:
+        # An off-lattice end: the last sample is formed at full width, takes
+        # its short step, and is cut afterwards.
+        y = halves[1][0][slot[-1]] if glide[-1] else starts[slot[-1]]
+        if j[-1]:
+            y = y @ partial_maps[j[-1]]
+        if glide[-1]:
+            y = y * parity
+        t_last = lattice.times[-1] - lattice.delta
+        final = next(_rk4_steps(rhs, y, t_last, lattice.delta, 1))[..., keep]
+    width = rows0.shape[-1] if columns is None else len(columns)
+    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=complex)
     for origins, group in halves:
         on_start = group & (j == 0)
-        out[on_start] = origins[slot[on_start]]
+        out[on_start] = origins[slot[on_start]][..., keep]
     for step in sorted(offsets):
-        partial_map = partial_maps.pop(step)
+        partial_map = partial_maps.pop(step)[..., keep]
         for origins, group in halves:
             hit = group & (j == step)
             if hit.any():
                 picked = origins[slot[hit]]
                 # Unbatched: one matrix product over all picked rows at once.
                 flat = picked.reshape(-1, picked.shape[-1]) if partial_map.ndim == 2 else picked
-                out[hit] = (flat @ partial_map).reshape(picked.shape)
-    out[glide] *= parity
+                out[hit] = (flat @ partial_map).reshape(picked.shape[:-1] + (width,))
+    out[glide] *= parity[keep]
     if lattice.delta:
-        t_last = lattice.times[-1] - lattice.delta
-        out[-1] = next(_rk4_steps(rhs, out[-1], t_last, lattice.delta, 1))
+        out[-1] = final
     return out
 
 
@@ -570,21 +606,30 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
     """Propagate the 16 qubit-subspace matrix units |q_i><q_j| in one run.
 
     The images are the columns of the superoperator that belong to the
-    units, written straight into the (n_samples, 4, 4, 9, 9) output.
+    units.  Of each image the run keeps only the coordinates that are read:
+    its 4x4 qubit block, which the fidelity reads and ``images`` returns,
+    and its five non-qubit diagonal entries, which with the block's
+    diagonal give the trace that the drift gate checks at every sample.
+    The finiteness gate reads those 21 coordinates: every invariant block
+    of the run holds the unit it starts from, so a NaN anywhere in a block
+    reaches a kept coordinate.
     """
     units = [DIM * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
+    diagonals = [(DIM + 1) * a for a in range(DIM) if a not in QUBIT_INDICES]
     a0, a1, parity = _generator(params, density=True)
     times, rows = _stroboscopic_run(a0, a1, parity, params.omega, np.eye(DIM * DIM)[units],
-                                    grid)
-    images = rows.reshape(len(times), 4, 4, DIM, DIM)
+                                    grid, np.array(units + diagonals))
+    images = rows[..., :len(units)].reshape(len(times), 4, 4, 4, 4)
     # The Lindblad increments are exactly traceless, so the image of
     # |q_i><q_j| keeps trace delta_ij; drift flags a broken run.
-    drift = np.max(np.abs(np.einsum("sijaa->sij", images) - np.eye(4)))
+    traces = np.einsum("sijaa->sij", images) + rows[..., len(units):].sum(axis=-1).reshape(
+        len(times), 4, 4)
+    drift = np.max(np.abs(traces - np.eye(4)))
     if not drift <= 1e-6:
         raise IntegratorHealthError(
             f"process-basis trace drifted by {drift:.3e} (> 1e-6); reduce dt"
         )
-    if not np.all(np.isfinite(images)):
+    if not np.all(np.isfinite(rows)):
         raise IntegratorHealthError("process images became non-finite; reduce dt")
     return ProcessMap(times=times, images=images)
 

@@ -145,8 +145,31 @@ def rk4_run(rhs, y0, grid, *, hermitize):
     return grid.sample_times, samples
 
 
-def apply_process(process, rho0):
-    """Final image of a 9x9 initial matrix supported on the qubit subspace,
-    by linearity: its 4x4 qubit block weighs the basis images."""
-    block = np.asarray(rho0)[np.ix_(QUBIT_INDICES, QUBIT_INDICES)]
-    return np.einsum("ij,ijab->ab", block, process.images[-1])
+QUBIT_UNITS = [9 * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
+
+
+def full_process(params, grid):
+    """(times, images) of the 16 qubit matrix units with all 81 coordinates
+    of every image, shape (n_samples, 4, 4, 9, 9).
+
+    The run that :func:`dynamics.propagate_process` makes, with every
+    output coordinate kept and without its health gates: the images that
+    the oracles compare in full, while ``ProcessMap.images`` keeps only
+    their qubit blocks.
+    """
+    a0, a1, parity = dynamics._generator(params, density=True)
+    times, rows = dynamics._stroboscopic_run(a0, a1, parity, params.omega,
+                                             np.eye(81)[QUBIT_UNITS], grid)
+    return times, rows.reshape(len(times), 4, 4, 9, 9)
+
+
+def qubit_block(matrices):
+    """The 4x4 qubit block of 9x9 matrices on the last two axes."""
+    q = list(QUBIT_INDICES)
+    return np.asarray(matrices)[..., q, :][..., q]
+
+
+def apply_process(images, rho0):
+    """Image of a 9x9 initial matrix supported on the qubit subspace, by
+    linearity: its 4x4 qubit block weighs the basis images (..., 4, 4, 9, 9)."""
+    return np.einsum("ij,...ijab->...ab", qubit_block(rho0), images)

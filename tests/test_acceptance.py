@@ -210,6 +210,7 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
     short = TimeGrid.build(params, models.gate_time(params) / 8.0, dt_divisor=100,
                            sample_stride=10**9)
     process = dynamics.propagate_process(params, short)
+    _, full_images = conftest.full_process(params, short)
     u_cz = models.target_unitary(GateKind.CZ)
     f_map = analysis._fbar_of_images(process.images[-1], u_cz)
     total = 0.0
@@ -220,7 +221,7 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
         rho0 = np.outer(psi, psi.conj())
         direct = dynamics.propagate_density(params, rho0, short).final_state
         image_dev = max(image_dev, float(np.max(np.abs(
-            conftest.apply_process(process, rho0) - direct))))
+            conftest.apply_process(full_images[-1], rho0) - direct))))
         phi = u_cz @ psi
         total += float((phi.conj() @ direct @ phi).real)
     f_dev = abs(f_map - total / 64.0)

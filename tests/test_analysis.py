@@ -18,7 +18,7 @@ from rabsim.analysis import (
 from rabsim.dynamics import ProcessMap, TimeGrid
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
-from conftest import OMEGA_M, product_amplitudes
+from conftest import OMEGA_M, product_amplitudes, qubit_block
 
 
 def stub_process(images_final, t_end=1.0):
@@ -27,13 +27,14 @@ def stub_process(images_final, t_end=1.0):
 
 
 def conjugation_images(u):
-    """Images of the qubit basis matrices under rho -> u rho u^dagger."""
+    """Qubit blocks of the images of the qubit basis matrices under
+    rho -> u rho u^dagger."""
     kets = [np.eye(9, dtype=complex)[q] for q in hilbert.QUBIT_INDICES]
     images = np.zeros((4, 4, 9, 9), dtype=complex)
     for i in range(4):
         for j in range(4):
             images[i, j] = u @ np.outer(kets[i], kets[j].conj()) @ u.conj().T
-    return images
+    return qubit_block(images)
 
 
 class TestPopulation:
@@ -137,11 +138,11 @@ class TestQubitBlockContraction:
         if complex_target:  # still maps the qubit subspace into itself
             u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
         images = rng.standard_normal((5, 4, 4, 9, 9)) + 1j * rng.standard_normal((5, 4, 4, 9, 9))
-        stacked = analysis._fbar_of_images(images, u)
+        stacked = analysis._fbar_of_images(qubit_block(images), u)
         assert stacked.shape == (5,)
         for image, value in zip(images, stacked):
             assert abs(value - fbar_full_block(image, u, grid_n)) <= 1e-12
-            assert abs(analysis._fbar_of_images(image, u) - value) <= 1e-12
+            assert abs(analysis._fbar_of_images(qubit_block(image), u) - value) <= 1e-12
 
     def test_rejects_target_leaving_the_qubit_subspace(self):
         u = np.eye(9, dtype=complex)
@@ -232,6 +233,11 @@ class TestSweepHeatmap:
             sweep_heatmap(cz_params, v_range=(-1.0, 2.0))
         with pytest.raises(ValueError):
             sweep_heatmap(cz_params, resolution=1)
+
+    @pytest.mark.parametrize("resolution", [2.5, np.nan, 1])
+    def test_names_a_bad_resolution(self, cz_params, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            sweep_heatmap(cz_params, resolution=resolution)
 
     def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
         propagate = dynamics._propagate_rho

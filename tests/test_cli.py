@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rabsim
 from rabsim import cli, dynamics, hilbert, models
 from rabsim.cli import (
     EXIT_IO,
@@ -25,6 +27,13 @@ from rabsim.models import GateKind
 # Small, fast parameter set for end-to-end runs: shorter gate window via a
 # lower omega/Omega_m ratio and the coarsest legal step.
 FAST = ["--omega-ratio", "5", "--dt-divisor", "50"]
+
+#: The ``run`` block of every sidecar, without the heatmap's worker count.
+RUN_RECORD = {
+    "rabsim_version": rabsim.__version__,
+    "numpy_version": np.__version__,
+    "python_version": platform.python_version(),
+}
 
 
 def test_unit_conversion_round_numbers():
@@ -211,6 +220,7 @@ class TestScenarios:
         assert "v_rad_per_s" in sidecar["resolved_angular"]
         assert "dt_halving_delta_p_rr" in sidecar["convergence"]
         assert sidecar["wall_time_s"] > 0
+        assert sidecar["run"] == RUN_RECORD
 
     def test_rab_populations_convergence_is_the_delta_of_two_runs(self, tmp_path):
         out = tmp_path / "pop.csv"
@@ -250,13 +260,15 @@ class TestScenarios:
         assert sidecar["resolved_angular"]["v_over_omega_m"] == pytest.approx(
             2 * 5 - 2 / (3 * 5)
         )
+        assert sidecar["run"] == RUN_RECORD
 
-    def test_heatmap_end_to_end(self, tmp_path):
+    def test_heatmap_end_to_end(self, tmp_path, monkeypatch):
         config_file = tmp_path / "small.conf"
         config_file.write_text(
             "v_min = 9.5\nv_max = 10.5\nw_min = 5.0\nw_max = 5.5\nresolution = 3\n"
         )
         out = tmp_path / "heat.csv"
+        monkeypatch.setenv("RABSIM_THREADS", "8")
         code = main(["heatmap", "--dt-divisor", "50", "--config", str(config_file),
                      "--out", str(out)])
         assert code == EXIT_OK
@@ -265,6 +277,9 @@ class TestScenarios:
         assert len(rows) == 9  # long form, one row per cell
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["failed_cells"] == 0
+        # The worker count the sweep resolved: RABSIM_THREADS, capped at the
+        # number of columns.
+        assert sidecar["run"] == dict(RUN_RECORD, workers=3)
         # The grid block is the convergence probe's: the ridge time at the
         # configured operating point.
         angular = sidecar["resolved_angular"]
@@ -285,6 +300,8 @@ class TestScenarios:
         np.testing.assert_allclose(rows[:, 0], [0.0, 1.0, 2.0])
         fbars = rows[:, 1]
         assert all(b <= a + 1e-6 for a, b in zip(fbars, fbars[1:]))
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["run"] == RUN_RECORD
 
     def test_fidelity_vs_gamma_sidecar_records_its_instants(self, tmp_path):
         config_file = tmp_path / "sweep.conf"

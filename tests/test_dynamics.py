@@ -17,8 +17,8 @@ from rabsim.dynamics import (
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
-    GAMMA_15KHZ, OMEGA_M, apply_process, lindblad_rhs, reference_blocks, rk4_run,
-    schrodinger_rhs,
+    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, apply_process, full_process, lindblad_rhs,
+    qubit_block, reference_blocks, rk4_run, schrodinger_rhs,
 )
 
 
@@ -78,6 +78,11 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.5, 0.1, 5, 1)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0.1, 10, 0)
+
+    @pytest.mark.parametrize("n_steps, sample_stride", [(np.nan, 1), (10, np.nan), (0.5, 1)])
+    def test_step_counts_below_one_or_nan_rejected(self, n_steps, sample_stride):
+        with pytest.raises(ValueError, match="n_steps and sample_stride"):
+            TimeGrid(0.0, 1.0, 0.1, n_steps, sample_stride)
 
     @pytest.mark.parametrize("t_end, dt", [(np.nan, 1e-9), (1.0, np.nan), (np.inf, 0.1)])
     def test_non_finite_window_rejected(self, t_end, dt):
@@ -223,13 +228,13 @@ class TestProcessMap:
         stub = SimpleNamespace(omega_m=0.0, omega=1.0, v=3.0, gamma=0.0, gate=GateKind.CZ)
         grid = TimeGrid(0.0, 1.0, 0.01, 100, 100)
         process = propagate_process(stub, grid)
-        np.testing.assert_allclose(process.images[-1], _qubit_units(), atol=1e-14)
+        np.testing.assert_allclose(process.images[-1], qubit_block(_qubit_units()), atol=1e-14)
 
     def test_reconstruction_matches_direct_propagation(self, cz_decay_params):
         params = cz_decay_params
         grid = TimeGrid.build(params, models.gate_time(params) / 8.0, dt_divisor=100,
                               sample_stride=10**9)
-        process = propagate_process(params, grid)
+        _, images = full_process(params, grid)
         amps = np.array([np.cos(np.pi / 4) * np.cos(np.pi / 4),
                          np.cos(np.pi / 4) * np.sin(np.pi / 4),
                          np.sin(np.pi / 4) * np.cos(np.pi / 4),
@@ -238,21 +243,61 @@ class TestProcessMap:
         psi[list(hilbert.QUBIT_INDICES)] = amps
         rho0 = np.outer(psi, psi.conj())
         direct = propagate_density(params, rho0, grid).final_state
-        assert np.max(np.abs(apply_process(process, rho0) - direct)) <= 1e-8
+        assert np.max(np.abs(apply_process(images[-1], rho0) - direct)) <= 1e-8
 
     def test_images_preserve_trace_of_unit_trace_inputs(self, cz_decay_params):
         grid = TimeGrid.build(cz_decay_params, 5e-7, dt_divisor=100, sample_stride=10**9)
-        process = propagate_process(cz_decay_params, grid)
+        _, images = full_process(cz_decay_params, grid)
         for i in range(4):
-            assert abs(np.trace(process.images[-1][i, i]) - 1.0) <= 1e-8
+            assert abs(np.trace(images[-1][i, i]) - 1.0) <= 1e-8
 
     def test_images_respect_daggering(self, cz_decay_params):
         grid = TimeGrid.build(cz_decay_params, 5e-7, dt_divisor=100, sample_stride=10**9)
-        process = propagate_process(cz_decay_params, grid)
-        final = process.images[-1]
+        _, images = full_process(cz_decay_params, grid)
+        final = images[-1]
         for i in range(4):
             for j in range(4):
                 assert np.max(np.abs(final[i, j] - final[j, i].conj().T)) <= 1e-12
+
+
+class TestKeptCoordinates:
+    """A run may keep only some output coordinates; process maps keep the
+    qubit blocks and the diagonal entries outside them."""
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # On a lattice step in a first half and in a later second half, and off
+    # the lattice.
+    @pytest.mark.parametrize("periods", [0.3, 3.75, 3.37123])
+    def test_selected_columns_match_the_full_run(self, params, periods, rng):
+        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        a0, a1, parity = dynamics._generator(params, density=True)
+        times, full = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(),
+                                                 grid)
+        process = QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)]
+        for columns in (np.array(process), rng.permutation(81)[:30]):
+            kept_times, kept = dynamics._stroboscopic_run(a0, a1, parity, params.omega,
+                                                          _qubit_rows(), grid, columns)
+            assert np.array_equal(kept_times, times)
+            assert kept.shape == full.shape[:-1] + (len(columns),)
+            assert np.max(np.abs(kept - full[..., columns])) <= 1e-14
+
+    @pytest.mark.parametrize("periods", [0.3, 3.37123])
+    def test_images_are_the_qubit_blocks_of_the_full_run(self, params, periods):
+        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        process = propagate_process(params, grid)
+        times, images = full_process(params, grid)
+        assert np.array_equal(process.times, times)
+        assert np.max(np.abs(process.images - qubit_block(images))) <= 1e-14
+
+    def test_default_divisor_cz_map_stores_qubit_blocks(self, cz_decay_params):
+        grid = TimeGrid.build(cz_decay_params, 1e-7)
+        process = propagate_process(cz_decay_params, grid)
+        assert process.images.shape == (len(process.times), 4, 4, 4, 4)
 
 
 class TestConvergenceCheck:
@@ -323,12 +368,12 @@ class TestStroboscopicMatchesStepwise:
         return grid
 
     def test_process_images(self, params, grid):
-        process = propagate_process(params, grid)
+        process_times, images = full_process(params, grid)
         times, reference = rk4_run(
             _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
         )
-        np.testing.assert_allclose(process.times, times, rtol=1e-12)
-        assert np.max(np.abs(process.images - reference)) <= 1e-10
+        np.testing.assert_allclose(process_times, times, rtol=1e-12)
+        assert np.max(np.abs(images - reference)) <= 1e-10
 
     def test_density_matrices(self, params, grid):
         psi = np.zeros(9, dtype=complex)
@@ -415,12 +460,12 @@ class TestGlideSymmetry:
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
         assert dynamics.stroboscopic_grid(params, grid).n_steps == grid.n_steps
-        process = propagate_process(params, grid)
+        process_times, images = full_process(params, grid)
         times, reference = rk4_run(
             _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
         )
-        np.testing.assert_allclose(process.times, times, rtol=1e-12)
-        assert np.max(np.abs(process.images - reference)) <= 1e-10
+        np.testing.assert_allclose(process_times, times, rtol=1e-12)
+        assert np.max(np.abs(images - reference)) <= 1e-10
 
     def test_odd_raw_step_count_takes_the_finer_even_step(self):
         # V sets the step: 50 steps per 2 pi/V give P/dt = 120.9 on this
@@ -483,10 +528,10 @@ class TestOffLatticeEnd:
         used = dynamics.stroboscopic_grid(params, grid)
         delta = grid.t_end - (used.n_steps - 1) * used.dt
         assert 0.0 < delta < used.dt
-        process = propagate_process(params, grid)
-        assert process.times[-1] == grid.t_end
+        times, images = full_process(params, grid)
+        assert times[-1] == grid.t_end
         reference = _lindblad_to(params, _qubit_units(), used, delta)
-        assert np.max(np.abs(process.images[-1] - reference)) <= 1e-10
+        assert np.max(np.abs(images[-1] - reference)) <= 1e-10
 
     def test_window_shorter_than_one_step(self, params):
         # dt = P/100 gives 100 steps per period; the window is 0.4 of one.
@@ -495,11 +540,11 @@ class TestOffLatticeEnd:
         m, n, r, h, delta = dynamics._period_lattice(params.omega, grid)
         assert (m, n, r) == (100, 0, 0)
         assert delta == pytest.approx(0.4 * h, rel=1e-12)
-        process = propagate_process(params, grid)
-        np.testing.assert_array_equal(process.times, [0.0, grid.t_end])
+        times, images = full_process(params, grid)
+        np.testing.assert_array_equal(times, [0.0, grid.t_end])
         reference = _lindblad_to(params, _qubit_units(),
                                  dynamics.stroboscopic_grid(params, grid), delta)
-        assert np.max(np.abs(process.images[-1] - reference)) <= 1e-10
+        assert np.max(np.abs(images[-1] - reference)) <= 1e-10
 
 
 class TestHalfPeriodWork:
@@ -598,8 +643,7 @@ class TestHealthGatesTripOnNan:
 
 def _qubit_rows():
     """The 16 qubit matrix units as rows of vectorized 9x9 matrices."""
-    units = [9 * a + b for a in hilbert.QUBIT_INDICES for b in hilbert.QUBIT_INDICES]
-    return np.eye(81)[units]
+    return np.eye(81)[QUBIT_UNITS]
 
 
 def _qubit_psi():

@@ -1,6 +1,9 @@
 """rabsim's public surface: what the CLI, the benchmark and the oracles read."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import rabsim
 from rabsim import analysis, cli, dynamics, models
@@ -24,3 +27,22 @@ def test_public_surface():
         cli.ScenarioConfig(scenario="heatmap").dt_divisor,
     ]
     assert defaults == [dynamics.DEFAULT_DT_DIVISOR] * 4
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one dependency that pyproject.toml declares.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    seen = set()
+    for path in sorted(Path(rabsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in allowed, f"{path.name} imports {name}"
+                seen.add(top)
+    assert "numpy" in seen
