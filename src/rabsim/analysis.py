@@ -9,12 +9,12 @@ The average fidelity integral runs over product states
 [0, 2pi)^2.  Because the master equation is linear in the density matrix,
 one process-map propagation (16 basis matrices) serves every (a, b).  The
 target U keeps the qubit subspace, so only the 4x4 qubit block of each image
-enters (the process map keeps no more), and all samples of a trajectory are
-evaluated together.  The integrand is quartic in the input amplitudes c, so
-the average needs only the moments E[c_i c_j c_k c_l], which factor into
-one average per angle: E[cos^4] = E[sin^4] = 3/8, E[cos^2 sin^2] = 1/8, and
-0 for an odd power of either.  They are taken in closed form, so the average
-is exact.
+enters (the process map keeps no more, as real coordinates of Hermitian
+matrices), and all samples of a trajectory are evaluated together.  The
+integrand is quartic in the input amplitudes c, so the average needs only
+the moments E[c_i c_j c_k c_l], which factor into one average per angle:
+E[cos^4] = E[sin^4] = 3/8, E[cos^2 sin^2] = 1/8, and 0 for an odd power of
+either.  They are taken in closed form, so the average is exact.
 """
 
 from __future__ import annotations
@@ -107,25 +107,30 @@ _MOMENTS = _moment_tensor()
 def _fbar_of_images(images: np.ndarray, u: np.ndarray):
     """Average of <Psi| U^dag rho(t) U |Psi> over the product inputs Psi.
 
-    ``images`` holds the 4x4 qubit blocks of the process images of the 16
-    qubit basis matrices, shape (..., 4, 4, 4, 4) as in
-    :attr:`ProcessMap.images`: one time, or several stacked on the leading
-    axes, with one fidelity returned per leading index.  ``u`` must map the
-    qubit subspace into itself; U|Psi> then lies in it, so the qubit block
-    of each image is all that enters.  With rho(t) = sum_ij c_i c_j
-    image_ij for the input amplitudes c and U|Psi> = U c, the integrand is
-    linear in that block and quartic in c, so the average is taken once,
-    over the moments E[c_i c_j c_k c_l], into a 16x16 weight on (ij, ab);
-    every image then costs one 256-term sum, all of them in one call.
+    ``images`` holds the real coordinates of the qubit blocks of the
+    process images of the 16 Hermitian qubit basis matrices, shape
+    (..., 4, 4, 4, 4) as in :attr:`ProcessMap.images`: one time, or several
+    stacked on the leading axes, with one fidelity returned per leading
+    index.  ``u`` must map the qubit subspace into itself; U|Psi> then lies
+    in it, so the qubit block of each image is all that enters.  With
+    rho(t) = sum_ij c_i c_j image(|q_i><q_j|) for the input amplitudes c and
+    U|Psi> = U c, the integrand is linear in that block and quartic in c,
+    so the average is taken once, over the moments E[c_i c_j c_k c_l], into
+    a complex 16x16 weight W on the matrix units (ij, ab).  On the real
+    coordinates the fidelity is the real part of that contraction, the
+    contraction with the real weight Re(T W T^dagger)
+    (:func:`hilbert.real_superoperator`): every image then costs one
+    256-term real sum, all of them in one call.
     """
     q = list(QUBIT_INDICES)
     u_qubit = u[np.ix_(q, q)]
     if not np.allclose(np.linalg.norm(u_qubit, axis=0), np.linalg.norm(u[:, q], axis=0)):
         raise ValueError("the target must map the qubit subspace into itself")
-    weight = np.einsum("ijkl,ak,bl->ijab", _MOMENTS, u_qubit.conj(), u_qubit).reshape(16, 16)
+    weight = hilbert.real_superoperator(
+        np.einsum("ijkl,ak,bl->ijab", _MOMENTS, u_qubit.conj(), u_qubit).reshape(16, 16))
     # (sample, ij, ab) is a view of the stored blocks: nothing is copied.
     stack = images.reshape((-1, 16, 16))
-    values = np.einsum("sxy,xy->s", stack, weight).real
+    values = np.einsum("sxy,xy->s", stack, weight)
     return values[0] if images.ndim == 4 else values.reshape(images.shape[:-4])
 
 
@@ -246,9 +251,10 @@ def fidelity_vs_gamma(
     gamma, one after another in this process, and returns
     [(gamma, final_fbar), ...] in input order.  The points are not spread
     over a process pool: each propagation is m/2 RK4 steps (400 at the
-    default divisor) on each invariant block of the process map, for CNOT
-    under decay its blocks of 45, 18 and 18 coordinates, and forked workers
-    each start their own BLAS threads, which then contend for the cores.
+    default divisor) on each invariant block of the process map, in real
+    arithmetic on the real coordinates of density matrices (for CNOT under
+    decay, blocks of 45 and 36 coordinates), and forked workers each start
+    their own BLAS threads, which then contend for the cores.
     """
     gammas = [float(g) for g in gammas]
     if not all(0.0 <= g < math.inf for g in gammas):

@@ -2,12 +2,19 @@
 
 The drive Omega_m cos(omega t) is periodic with P = 2 pi/omega and V|rr><rr|
 is static, so every equation of motion here has the form
-dy/dt = (A0 + cos(omega t) A1) y: A = -iH on 9-vectors for pure states, and
-the 81x81 Liouvillian on vectorized density matrices otherwise.
+dy/dt = (A0 + cos(omega t) A1) y: A = -iH on complex 9-vectors for pure
+states, and otherwise the 81x81 Liouvillian on the real coordinates of the
+density matrix (:func:`hilbert.real_coordinates`: rho_aa at index 9a + a,
+and for a < b sqrt2 Re rho_ab at 9a + b and sqrt2 Im rho_ab at 9b + a).  The
+Lindblad generator maps Hermitian matrices to Hermitian matrices, so on
+these coordinates it is a real matrix, and density matrices and process
+maps propagate in real arithmetic.  States enter and leave the coordinates
+by index gathers at the edges of a run.
 
 Every drive and decay term changes the Rydberg count n_r by exactly one, so
-the parity Pi = diag((-1)^n_r) (on vec(rho), (-1)^(n_r(a) + n_r(b)) at index
-9a + b) gives Pi A0 Pi = A0 and Pi A1 Pi = -A1.  As cos(omega (t + P/2)) =
+the parity Pi = diag((-1)^n_r) (on the density coordinates,
+(-1)^(n_r(a) + n_r(b)) at indices 9a + b and 9b + a) gives Pi A0 Pi = A0 and
+Pi A1 Pi = -A1.  As cos(omega (t + P/2)) =
 -cos(omega t), A(t + P/2) = Pi A(t) Pi: the second half of every drive
 period is the first half conjugated by a sign flip.
 
@@ -31,13 +38,14 @@ Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
 of its coupling graph, between which A(t) has no entry at any t.  Every
 block propagates on its own.  Under decay the 81 coordinates of a process
-map split into 25 + 4x10 + 4x4 for CZ and 45 + 18 + 18 for CNOT; |11><11|
-without decay reaches one block of 16.  A run may keep only some output
-coordinates: the maps are cut to them before the samples are formed.  A
-process map keeps 21 of the 81, the qubit block and the diagonal.
+map split into 25 + 2x20 + 8 + 2x4 for CZ and 45 + 36 for CNOT (the real
+and imaginary parts of a coherence share a block); |11><11| without decay
+reaches one block of 16.  A run may keep only some output coordinates: the
+maps are cut to them before the samples are formed.  A process map keeps 21
+of the 81, the qubit block and the diagonal.
 
 Runs are deterministic, so step-halving convergence checks stay meaningful.
-Density matrices are re-Hermitized when sampled but never renormalized, so
+Density matrices are Hermitian by construction but never renormalized, so
 trace drift stays visible as a health metric (the Lindblad generator is
 exactly traceless, so drift only reflects rounding).  Every health gate is
 written as ``not (x <= tol)`` so that a NaN trips it.
@@ -45,7 +53,9 @@ written as ``not (x <= tol)`` so that a NaN trips it.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,7 +95,8 @@ class TimeGrid:
     Construct through :meth:`build`, which derives dt from the model's
     fastest frequency and enforces the step ceiling.  Direct construction
     skips the ceiling check (used by convergence tests that deliberately
-    under-resolve).
+    under-resolve).  ``n_steps`` and ``sample_stride`` must be integers
+    >= 1 (a bool is not one).
     """
 
     t_start: float
@@ -105,6 +116,10 @@ class TimeGrid:
             raise ValueError("t_end must exceed t_start")
         if not (self.n_steps >= 1 and self.sample_stride >= 1):
             raise ValueError("n_steps and sample_stride must be positive")
+        for name in ("n_steps", "sample_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
     @classmethod
     def build(
@@ -200,15 +215,19 @@ class ConvergenceReport:
 class ProcessMap:
     """Linear action of the dynamics on the qubit subspace, read back on it.
 
-    ``images[s, i, j]`` is the 4x4 qubit block (rows and columns
-    q = 00, 01, 10, 11) of the propagated state of the basis matrix
-    |q_i><q_j| at sample ``s``; its entries on the Rydberg levels are not
-    kept.  The qubit block of the map applied to any qubit-subspace initial
-    matrix follows by linearity.
+    Everything is in real coordinates of Hermitian matrices
+    (:func:`hilbert.real_coordinates`, on the 4x4 qubit block with rows and
+    columns q = 00, 01, 10, 11).  ``images[s, i, j]`` holds, at entry
+    [a, b], the real coordinate at 4a + b of the qubit block of the
+    propagated basis matrix of index 4i + j at sample ``s``: |q_i><q_i|,
+    (|q_i><q_j| + |q_j><q_i|)/sqrt2 for i < j, i(|q_j><q_i| - |q_i><q_j|)/sqrt2
+    for i > j.  Entries on the Rydberg levels are not kept.  The qubit block
+    of the map applied to any Hermitian qubit-subspace initial matrix
+    follows by linearity from its real coordinates.
     """
 
     times: np.ndarray
-    images: np.ndarray  # (n_samples, 4, 4, 4, 4)
+    images: np.ndarray  # (n_samples, 4, 4, 4, 4), float64
 
 
 def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermitize: bool = False):
@@ -216,7 +235,9 @@ def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermi
 
     y_next = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated stage by stage.
     ``rhs`` must return a new array: each stage's buffer is reused for the
-    next stage's argument, which keeps few temporaries alive per step.
+    next stage's argument, which keeps few temporaries alive per step.  y
+    keeps the dtype of ``y0`` (at least float64): real for the real
+    coordinates of density matrices, complex for states.
     """
 
     def shifted(k, weight):  # y + weight * k, in k's buffer
@@ -224,7 +245,7 @@ def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermi
         k += y
         return k
 
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=np.result_type(y0, float))
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
     for step in range(n_steps):
         t = t0 + step * dt
@@ -244,44 +265,70 @@ def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermi
 
 def _add_sandwich(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale: complex) -> None:
     """out += scale * (superoperator of X -> left X right) on the row-major
-    vec(X), i.e. scale * kron(left, right^T); batched over leading axes."""
-    view = out.reshape(out.shape[:-2] + (DIM,) * 4)
-    view += (scale * left)[..., :, None, :, None] * np.swapaxes(right, -1, -2)[..., None, :, None, :]
+    vec(X), i.e. scale * kron(left, right^T)."""
+    view = out.reshape((DIM,) * 4)
+    view += (scale * left)[:, None, :, None] * right.T[None, :, None, :]
+
+
+@functools.cache
+def _density_terms(gate) -> np.ndarray:
+    """The density generator's terms per unit rate on the real coordinates of
+    rho, stacked and read-only: the dissipator at gamma = 1, -i[X, rho] for
+    the drive structure X of ``gate``, and -i[|rr><rr|, rho].
+
+    Each is built on vec(rho) from its sandwich terms X -> left X right and
+    taken to the real coordinates with :func:`hilbert.real_superoperator`.
+    """
+    eye = np.eye(DIM)
+    collapse = models.collapse_operators(1.0)
+    half_rate = 0.5 * sum(hilbert.dagger(op) @ op for op in collapse)
+    x = models.drive_structure(gate)
+    rr = hilbert.projector(hilbert.RYD, hilbert.RYD)
+    sandwiches = (
+        [(half_rate, eye, -1.0), (eye, half_rate, -1.0)]
+        + [(op, hilbert.dagger(op), 1.0) for op in collapse],
+        [(x, eye, -1j), (eye, x, 1j)],
+        [(rr, eye, -1j), (eye, rr, 1j)],
+    )
+    terms = np.empty((len(sandwiches), DIM * DIM, DIM * DIM))
+    for term, parts in zip(terms, sandwiches):
+        superoperator = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+        for left, right, scale in parts:
+            _add_sandwich(superoperator, left, right, scale)
+        term[...] = hilbert.real_superoperator(superoperator)
+    terms.flags.writeable = False
+    return terms
 
 
 def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A0, A1, parity) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
 
-    For pure states y is the 9-vector and A(t) = -i H(t).  For density
-    matrices y is the row-major vectorization of rho (index 9a + b) and A(t)
-    is the 81x81 Liouvillian, with the decay in A0.  ``v`` may replace
-    ``params.v`` by an array of RRI strengths, which gives A0 those leading
-    batch axes.  ``parity`` is the diagonal of Pi, (-1)^n_r on the 9 basis
-    states and (-1)^(n_r(a) + n_r(b)) at index 9a + b of vec(rho); it gives
-    Pi A0 Pi = A0 and Pi A1 Pi = -A1.
+    For pure states y is the 9-vector and A(t) = -i H(t), complex.  For
+    density matrices y holds the real coordinates of rho
+    (:func:`hilbert.real_coordinates`: rho_aa at 9a + a, and for a < b
+    sqrt2 Re rho_ab at 9a + b and sqrt2 Im rho_ab at 9b + a) and A(t) is the
+    real 81x81 Liouvillian on them, with the decay in A0: the Lindblad
+    generator maps Hermitian matrices to Hermitian matrices.  It is
+    assembled from the per-gate terms of :func:`_density_terms`, scaled by
+    gamma, Omega_m and V.  ``v`` may replace ``params.v`` by an array of RRI
+    strengths, which gives A0 those leading batch axes; V enters a density
+    A0 only through the 16 entries of -i[|rr><rr|, rho].  ``parity`` is the
+    diagonal of Pi, (-1)^n_r on the 9 basis states and
+    (-1)^(n_r(a) + n_r(b)) at index 9a + b (and so at 9b + a) of the density
+    coordinates; it gives Pi A0 Pi = A0 and Pi A1 Pi = -A1.
     """
-    x = models.drive_structure(params.gate)
     v = params.v if v is None else np.asarray(v)
-    h0 = np.zeros(np.shape(v) + (DIM, DIM), dtype=complex)
-    h0[..., 8, 8] = v
     is_rydberg = (np.arange(hilbert.N_LEVELS) == hilbert.RYD).astype(int)
     parity = (-1.0) ** np.add.outer(is_rydberg, is_rydberg).ravel()
     if not density:
-        return -1j * h0, (-1j * params.omega_m) * x, parity
-    # Built in place: -i[H, rho] and the dissipator, one term at a time.
-    eye = np.eye(DIM)
-    a0 = np.zeros(h0.shape[:-2] + (DIM * DIM, DIM * DIM), dtype=complex)
-    a1 = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for out, h, scale in ((a0, h0, 1.0), (a1, x, params.omega_m)):
-        _add_sandwich(out, h, eye, -1j * scale)
-        _add_sandwich(out, eye, h, 1j * scale)
-    collapse = models.collapse_operators(params.gamma)
-    decay = 0.5 * sum(hilbert.dagger(op) @ op for op in collapse)
-    _add_sandwich(a0, decay, eye, -1.0)
-    _add_sandwich(a0, eye, decay, -1.0)
-    for op in collapse:
-        _add_sandwich(a0, op, hilbert.dagger(op), 1.0)
-    return a0, a1, np.outer(parity, parity).ravel()
+        h0 = np.zeros(np.shape(v) + (DIM, DIM), dtype=complex)
+        h0[..., 8, 8] = v
+        return -1j * h0, (-1j * params.omega_m) * models.drive_structure(params.gate), parity
+    decay, drive, rr = _density_terms(params.gate)
+    rows, cols = np.nonzero(rr)
+    a0 = np.broadcast_to(params.gamma * decay, np.shape(v) + decay.shape).copy()
+    a0[..., rows, cols] += np.asarray(v)[..., np.newaxis] * rr[rows, cols]
+    return a0, params.omega_m * drive, np.outer(parity, parity).ravel()
 
 
 def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -303,9 +350,10 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     then split into the connected components of the undirected coupling
     graph (A0 != 0) | (A1 != 0): no entry of A couples two components, so
     each evolves on its own.  Blocks come in order of their smallest index.
-    Under decay the 16 qubit matrix units split into 25 + 4x10 + 4x4
-    coordinates for CZ and 45 + 18 + 18 for CNOT; |11><11| without decay
-    reaches one block of 16, and the dark state |00> one of 1.
+    On the real density coordinates, under decay, the 16 Hermitian qubit
+    basis matrices split into 25 + 2x20 + 8 + 2x4 coordinates for CZ and
+    45 + 36 for CNOT; |11><11| without decay reaches one block of 16, and
+    the dark state |00> one of 1.
     """
     links = np.any((a0 != 0) | (a1 != 0), axis=tuple(range(a0.ndim - 2)))
     left = _closure(links, np.any(rows0 != 0, axis=tuple(range(rows0.ndim - 1))))
@@ -411,10 +459,12 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     and each block propagates on its own, with only the rows of ``rows0``
     that have support in it, into its part of one (n_samples, ..., c, k)
     output; coordinates outside every block stay zero.  Under decay a
-    process map thus runs on blocks of 25 + 4x10 + 4x4 (CZ) or 45 + 18 + 18
-    (CNOT) coordinates instead of 81.  Within a block, half a period is
-    integrated once with RK4 into Phi(P/2), and Phi(P) = G G with
-    G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
+    process map thus runs on blocks of 25 + 2x20 + 8 + 2x4 (CZ) or 45 + 36
+    (CNOT) coordinates instead of 81.  The run is real when the generator
+    and ``rows0`` are (density coordinates) and complex otherwise (states):
+    every map, start and sample takes their common dtype.  Within a block,
+    half a period is integrated once with RK4 into Phi(P/2), and
+    Phi(P) = G G with G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
     Phi(s) only for s < P/2: the same pass keeps Phi(s) at each offset s
     that a sample reads, at most one map of the block's size (times the
@@ -440,7 +490,8 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
         )
     lattice = _sample_lattice(omega, grid)
     width = rows0.shape[-1] if columns is None else len(columns)
-    out = np.zeros((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=complex)
+    out = np.zeros((len(lattice.times),) + rows0.shape[:-1] + (width,),
+                   dtype=np.result_type(a0, a1, rows0))
     for block in _blocks(a0, a1, rows0):
         # Where the block's part goes in the output, and which of its own
         # coordinates those are (all, in order, when none are picked).
@@ -469,6 +520,7 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
     coordinates ``columns`` of the d it runs on, or all of them when None."""
     t0, m, n, h, slot = lattice.t0, lattice.m, lattice.n, lattice.h, lattice.slot
     half = m // 2
+    dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     # The generator at the last stage time: RK4's two midpoint stages share it.
     cached = [None, None]
@@ -486,12 +538,12 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
     needs_half = n > 0 or glide.any()
     offsets = set(j.tolist()) - {0}
     partial_maps = {}
-    eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=complex), a0.shape)
+    eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=dtype), a0.shape)
     last = half if needs_half else int(j.max())
     for step, prefix in enumerate(_rk4_steps(rhs, eye, t0, h, last), 1):
         if step in offsets:
             partial_maps[step] = prefix
-    starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=complex)
+    starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=dtype)
     state = rows0
     if needs_half:
         glide_map = prefix * parity
@@ -523,7 +575,7 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
         t_last = lattice.times[-1] - lattice.delta
         final = next(_rk4_steps(rhs, y, t_last, lattice.delta, 1))[..., keep]
     width = rows0.shape[-1] if columns is None else len(columns)
-    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=complex)
+    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=dtype)
     for origins, group in halves:
         on_start = group & (j == 0)
         out[on_start] = origins[slot[on_start]][..., keep]
@@ -566,22 +618,24 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
 
 
 def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid, v=None):
-    """Density-matrix samples (times, (n_samples, ..., 9, 9)), re-Hermitized.
+    """Density-matrix samples (times, (n_samples, ..., 9, 9)), Hermitian by
+    construction: the run is on the real coordinates of rho.
 
     ``v`` batches the run over RRI strengths as in :func:`_generator`.
     """
     a0, a1, parity = _generator(params, density=True, v=v)
-    rows0 = np.broadcast_to(rho0.reshape(1, DIM * DIM), a0.shape[:-2] + (1, DIM * DIM))
+    x0 = hilbert.real_coordinates(rho0)
+    rows0 = np.broadcast_to(x0, a0.shape[:-2] + (1, DIM * DIM))
     times, rows = _stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
-    states = rows.reshape(rows.shape[:-2] + (DIM, DIM))
-    return times, 0.5 * (states + hilbert.dagger(states))
+    return times, hilbert.hermitian_matrices(rows[..., 0, :])
 
 
 def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Lindblad propagation of a density matrix.
 
-    Every sampled state is re-Hermitized and health-checked: trace drift
-    beyond 1e-6, a non-finite entry or an eigenvalue below -1e-6 raises
+    The run is on the real coordinates of rho, so every sampled state is
+    Hermitian; each is health-checked: trace drift beyond 1e-6, a
+    non-finite entry or an eigenvalue below -1e-6 raises
     :class:`IntegratorHealthError`.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -603,16 +657,19 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
 
 
 def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
-    """Propagate the 16 qubit-subspace matrix units |q_i><q_j| in one run.
+    """Propagate the 16 Hermitian basis matrices of the qubit subspace in one run.
 
-    The images are the columns of the superoperator that belong to the
-    units.  Of each image the run keeps only the coordinates that are read:
-    its 4x4 qubit block, which the fidelity reads and ``images`` returns,
-    and its five non-qubit diagonal entries, which with the block's
-    diagonal give the trace that the drift gate checks at every sample.
-    The finiteness gate reads those 21 coordinates: every invariant block
-    of the run holds the unit it starts from, so a NaN anywhere in a block
-    reaches a kept coordinate.
+    They are the real coordinate units at the indices of the qubit matrix
+    units (:func:`hilbert.real_coordinates`): |q_i><q_i|,
+    (|q_i><q_j| + |q_j><q_i|)/sqrt2 for i < j and
+    i(|q_j><q_i| - |q_i><q_j|)/sqrt2 for i > j, and their images are real.
+    Of each image the run keeps only the coordinates that are read: its 16
+    on the 4x4 qubit block, which the fidelity reads and ``images``
+    returns, and its five non-qubit diagonal entries, which with the
+    block's diagonal give the trace that the drift gate checks at every
+    sample.  The finiteness gate reads those 21 coordinates: every
+    invariant block of the run holds the unit it starts from, so a NaN
+    anywhere in a block reaches a kept coordinate.
     """
     units = [DIM * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
     diagonals = [(DIM + 1) * a for a in range(DIM) if a not in QUBIT_INDICES]
@@ -620,8 +677,8 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
     times, rows = _stroboscopic_run(a0, a1, parity, params.omega, np.eye(DIM * DIM)[units],
                                     grid, np.array(units + diagonals))
     images = rows[..., :len(units)].reshape(len(times), 4, 4, 4, 4)
-    # The Lindblad increments are exactly traceless, so the image of
-    # |q_i><q_j| keeps trace delta_ij; drift flags a broken run.
+    # The Lindblad increments are exactly traceless, so the image of unit
+    # (i, j) keeps the unit's trace delta_ij; drift flags a broken run.
     traces = np.einsum("sijaa->sij", images) + rows[..., len(units):].sum(axis=-1).reshape(
         len(times), 4, 4)
     drift = np.max(np.abs(traces - np.eye(4)))

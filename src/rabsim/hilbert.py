@@ -79,6 +79,80 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+# Real coordinates of Hermitian n x n matrices, on the row-major indices of
+# vec(X): x[n a + a] = X_aa, and for a < b, x[n a + b] = sqrt2 Re X_ab and
+# x[n b + a] = sqrt2 Im X_ab.  They are the coefficients of X on the
+# orthonormal basis |a><a|, (|a><b| + |b><a|)/sqrt2 at n a + b and
+# i(|a><b| - |b><a|)/sqrt2 at n b + a, so the matrix unit |a><b| of vec(X)
+# and the basis matrix of its index share the index, and X -> x is an
+# isometry of the Frobenius norm.
+
+
+def _hermitian_pairs(n: int):
+    """(swap, upper, lower) over the n*n row-major indices: the index of the
+    transposed entry, and the masks of the entries above and below the
+    diagonal."""
+    a, b = np.divmod(np.arange(n * n), n)
+    return n * b + a, a < b, a > b
+
+
+def real_coordinates(matrices: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., n*n) of Hermitian matrices (..., n, n)."""
+    matrices = np.asarray(matrices)
+    n = matrices.shape[-1]
+    flat = matrices.reshape(matrices.shape[:-2] + (n * n,))
+    swap, upper, lower = _hermitian_pairs(n)
+    return np.where(lower, flat[..., swap].imag, flat.real) * np.where(upper | lower,
+                                                                       np.sqrt(2.0), 1.0)
+
+
+def hermitian_matrices(coordinates: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (..., n, n) of real coordinates (..., n*n)."""
+    n = round(np.sqrt(coordinates.shape[-1]))
+    swap, upper, lower = _hermitian_pairs(n)
+    r = np.sqrt(0.5)
+    index = np.arange(n * n)
+    out = np.empty(coordinates.shape, dtype=complex)
+    # Off the diagonal, a pair's real part sits at its upper index and its
+    # imaginary part at its lower one.
+    picked = np.take(coordinates, np.where(lower, swap, index), axis=-1)
+    np.multiply(picked, np.where(upper | lower, r, 1.0), out=out.real)
+    np.take(coordinates, np.where(upper, swap, index), axis=-1, out=picked, mode="clip")
+    np.multiply(picked, np.where(upper, r, np.where(lower, -r, 0.0)), out=out.imag)
+    return out.reshape(coordinates.shape[:-1] + (n, n))
+
+
+def real_superoperator(s: np.ndarray) -> np.ndarray:
+    """Real part of T s T^dagger, for s acting on the row-major vec(X) of
+    n x n matrices (last two axes n*n x n*n) and T the unitary that takes
+    vec(X) to the real coordinates of a Hermitian X.
+
+    For a Hermiticity-preserving s (a Lindblad generator) T s T^dagger is
+    real, the matrix of s on the real coordinates.  For any s and real
+    coordinates x, y, Re(y . T s T^dagger x) is this real matrix's form, so
+    a real contraction with it reads the real part of a complex one.  Built
+    by gathers over the transposed index pairs: T has two entries per row.
+    """
+    n = round(np.sqrt(s.shape[-1]))
+    swap, upper, lower = _hermitian_pairs(n)
+    # T y = scale * (w_self * y + w_swap * y[swap]), scale 1/sqrt2 off the
+    # diagonal; the scales enter once per side, as exact products.
+    w_self = np.where(lower, 1j, 1.0)
+    w_swap = np.where(upper, 1.0, np.where(lower, -1j, 0.0))
+    rows = w_self[:, np.newaxis] * s
+    swapped = s[..., swap, :]
+    swapped *= w_swap[:, np.newaxis]
+    rows += swapped
+    both = rows * w_self.conj()
+    np.take(rows, swap, axis=-1, out=swapped, mode="clip")
+    swapped *= w_swap.conj()
+    both += swapped
+    off = upper | lower
+    both *= np.where(off[:, np.newaxis] & off, 0.5,
+                     np.where(off[:, np.newaxis] | off, np.sqrt(0.5), 1.0))
+    return np.ascontiguousarray(both.real)
+
+
 def check_density_matrix(
     rho: np.ndarray,
     *,

@@ -148,19 +148,66 @@ def rk4_run(rhs, y0, grid, *, hermitize):
 QUBIT_UNITS = [9 * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
 
 
-def full_process(params, grid):
-    """(times, images) of the 16 qubit matrix units with all 81 coordinates
-    of every image, shape (n_samples, 4, 4, 9, 9).
+def hermitian_basis(n):
+    """The orthonormal Hermitian basis of n x n matrices that the real
+    coordinates refer to, shape (n*n, n, n), written out from its
+    definition: |a><a| at n a + a, and for a < b (|a><b| + |b><a|)/sqrt2 at
+    n a + b and i(|a><b| - |b><a|)/sqrt2 at n b + a."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    r = math.sqrt(0.5)
+    for a in range(n):
+        basis[n * a + a, a, a] = 1.0
+        for b in range(a + 1, n):
+            basis[n * a + b, a, b] = basis[n * a + b, b, a] = r
+            basis[n * b + a, a, b], basis[n * b + a, b, a] = 1j * r, -1j * r
+    return basis
 
-    The run that :func:`dynamics.propagate_process` makes, with every
-    output coordinate kept and without its health gates: the images that
-    the oracles compare in full, while ``ProcessMap.images`` keeps only
-    their qubit blocks.
-    """
+
+def matrices_of(coordinates):
+    """Hermitian n x n matrices of real coordinates (..., n*n): sum_k x_k B_k."""
+    n = math.isqrt(np.shape(coordinates)[-1])
+    return np.einsum("...k,kab->...ab", coordinates, hermitian_basis(n))
+
+
+def coordinates_of(matrices):
+    """Real coordinates (..., n*n) of n x n matrices: Re tr(B_k X)."""
+    n = np.shape(matrices)[-1]
+    return np.einsum("kba,...ab->...k", hermitian_basis(n), matrices).real
+
+
+def unit_images(rows):
+    """Complex images (..., 4, 4, n, n) of the qubit matrix units |q_i><q_j|
+    from the real images (..., 16, n*n) of the 16 Hermitian qubit basis
+    matrices, by linearity: |q_i><q_j| = sum_k B_k[j, i] B_k over the
+    basis of 4x4 matrices."""
+    return np.einsum("kji,...kab->...ijab", hermitian_basis(4), matrices_of(rows))
+
+
+def real_process(params, grid):
+    """(times, rows) of the run that :func:`dynamics.propagate_process`
+    makes, with every output coordinate kept and without its health gates:
+    the real coordinates (n_samples, 16, 81) of the images of the 16
+    Hermitian qubit basis matrices."""
     a0, a1, parity = dynamics._generator(params, density=True)
-    times, rows = dynamics._stroboscopic_run(a0, a1, parity, params.omega,
-                                             np.eye(81)[QUBIT_UNITS], grid)
-    return times, rows.reshape(len(times), 4, 4, 9, 9)
+    return dynamics._stroboscopic_run(a0, a1, parity, params.omega, np.eye(81)[QUBIT_UNITS],
+                                      grid)
+
+
+def full_process(params, grid):
+    """(times, images) of the 16 qubit matrix units with all 81 entries of
+    every image, complex, shape (n_samples, 4, 4, 9, 9), read from
+    :func:`real_process` by linearity: the images that the oracles compare
+    in full, while ``ProcessMap.images`` keeps only the real coordinates of
+    their qubit blocks."""
+    times, rows = real_process(params, grid)
+    return times, unit_images(rows)
+
+
+def qubit_coordinates(rows):
+    """The real coordinates (..., 4, 4, 4, 4) of the qubit blocks that
+    ``ProcessMap.images`` keeps, from real images (..., 16, 81)."""
+    rows = np.asarray(rows)
+    return rows[..., QUBIT_UNITS].reshape(rows.shape[:-2] + (4, 4, 4, 4))
 
 
 def qubit_block(matrices):

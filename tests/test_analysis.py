@@ -18,7 +18,10 @@ from rabsim.analysis import (
 from rabsim.dynamics import ProcessMap, TimeGrid
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
-from conftest import OMEGA_M, product_amplitudes, qubit_block
+from conftest import (
+    OMEGA_M, QUBIT_UNITS, coordinates_of, hermitian_basis, product_amplitudes,
+    qubit_coordinates, unit_images,
+)
 
 
 def stub_process(images_final, t_end=1.0):
@@ -27,14 +30,11 @@ def stub_process(images_final, t_end=1.0):
 
 
 def conjugation_images(u):
-    """Qubit blocks of the images of the qubit basis matrices under
-    rho -> u rho u^dagger."""
-    kets = [np.eye(9, dtype=complex)[q] for q in hilbert.QUBIT_INDICES]
-    images = np.zeros((4, 4, 9, 9), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            images[i, j] = u @ np.outer(kets[i], kets[j].conj()) @ u.conj().T
-    return qubit_block(images)
+    """Real coordinates of the qubit blocks of the images of the Hermitian
+    qubit basis matrices under rho -> u rho u^dagger, as in
+    ``ProcessMap.images``."""
+    basis = hermitian_basis(9)[QUBIT_UNITS]
+    return qubit_coordinates(coordinates_of(u @ basis @ u.conj().T))
 
 
 class TestPopulation:
@@ -137,12 +137,14 @@ class TestQubitBlockContraction:
         u = models.target_unitary(gate)
         if complex_target:  # still maps the qubit subspace into itself
             u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
-        images = rng.standard_normal((5, 4, 4, 9, 9)) + 1j * rng.standard_normal((5, 4, 4, 9, 9))
-        stacked = analysis._fbar_of_images(qubit_block(images), u)
+        # Random real images of the Hermitian basis matrices: any
+        # Hermiticity-preserving map, the class a Lindblad process map is in.
+        rows = rng.standard_normal((5, 16, 81))
+        stacked = analysis._fbar_of_images(qubit_coordinates(rows), u)
         assert stacked.shape == (5,)
-        for image, value in zip(images, stacked):
-            assert abs(value - fbar_full_block(image, u, grid_n)) <= 1e-12
-            assert abs(analysis._fbar_of_images(qubit_block(image), u) - value) <= 1e-12
+        for row, value in zip(rows, stacked):
+            assert abs(value - fbar_full_block(unit_images(row), u, grid_n)) <= 1e-12
+            assert abs(analysis._fbar_of_images(qubit_coordinates(row), u) - value) <= 1e-12
 
     def test_rejects_target_leaving_the_qubit_subspace(self):
         u = np.eye(9, dtype=complex)

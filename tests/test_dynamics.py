@@ -17,8 +17,9 @@ from rabsim.dynamics import (
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
-    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, apply_process, full_process, lindblad_rhs,
-    qubit_block, reference_blocks, rk4_run, schrodinger_rhs,
+    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, apply_process, coordinates_of, full_process,
+    lindblad_rhs, matrices_of, qubit_coordinates, real_process, reference_blocks, rk4_run,
+    schrodinger_rhs, unit_images,
 )
 
 
@@ -83,6 +84,22 @@ class TestTimeGrid:
     def test_step_counts_below_one_or_nan_rejected(self, n_steps, sample_stride):
         with pytest.raises(ValueError, match="n_steps and sample_stride"):
             TimeGrid(0.0, 1.0, 0.1, n_steps, sample_stride)
+
+    # A fractional step count sampled past t_end and then backwards.
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, 1.0, 0.4, 2.5), "n_steps"),
+        ((0.0, 1.0, 0.1, 10, 2.5), "sample_stride"),
+        ((0.0, 1.0, 0.1, True), "n_steps"),
+        ((0.0, 1.0, 0.1, 10, np.True_), "sample_stride"),
+        ((0.0, 1.0, 0.1, 10.0), "n_steps"),
+    ])
+    def test_non_integral_or_bool_step_counts_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TimeGrid(*args)
+
+    def test_numpy_integer_step_counts_accepted(self):
+        grid = TimeGrid(0.0, 1.0, 0.1, np.int64(10), np.int32(3))
+        assert grid.sample_steps.tolist() == [0, 3, 6, 9, 10]
 
     @pytest.mark.parametrize("t_end, dt", [(np.nan, 1e-9), (1.0, np.nan), (np.inf, 0.1)])
     def test_non_finite_window_rejected(self, t_end, dt):
@@ -228,7 +245,9 @@ class TestProcessMap:
         stub = SimpleNamespace(omega_m=0.0, omega=1.0, v=3.0, gamma=0.0, gate=GateKind.CZ)
         grid = TimeGrid(0.0, 1.0, 0.01, 100, 100)
         process = propagate_process(stub, grid)
-        np.testing.assert_allclose(process.images[-1], qubit_block(_qubit_units()), atol=1e-14)
+        assert process.images.dtype == np.float64
+        np.testing.assert_allclose(process.images[-1], np.eye(16).reshape(4, 4, 4, 4),
+                                   atol=1e-14)
 
     def test_reconstruction_matches_direct_propagation(self, cz_decay_params):
         params = cz_decay_params
@@ -290,9 +309,9 @@ class TestKeptCoordinates:
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
         process = propagate_process(params, grid)
-        times, images = full_process(params, grid)
+        times, rows = real_process(params, grid)
         assert np.array_equal(process.times, times)
-        assert np.max(np.abs(process.images - qubit_block(images))) <= 1e-14
+        assert np.max(np.abs(process.images - qubit_coordinates(rows))) <= 1e-14
 
     def test_default_divisor_cz_map_stores_qubit_blocks(self, cz_decay_params):
         grid = TimeGrid.build(cz_decay_params, 1e-7)
@@ -403,6 +422,59 @@ class TestStroboscopicMatchesStepwise:
         assert abs(fbar - target) <= 1e-4
 
 
+class TestRealCoordinates:
+    """Density matrices and process maps run on the real coordinates of
+    Hermitian matrices; the step-by-step reference runs on complex rho."""
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    # Inside a first half period, and inside the second half of a later one.
+    @pytest.fixture(params=[0.3, 3.3])
+    def grid(self, request, params):
+        grid = TimeGrid.build(params, request.param * 2.0 * np.pi / params.omega,
+                              dt_divisor=50, sample_stride=7)
+        assert dynamics.stroboscopic_grid(params, grid).dt == pytest.approx(grid.dt, rel=1e-12)
+        return grid
+
+    def test_coordinates_are_those_of_the_hermitian_basis(self, rng):
+        rho = random_hermitian(rng)
+        x = hilbert.real_coordinates(rho)
+        assert x.dtype == np.float64
+        assert np.max(np.abs(x - coordinates_of(rho))) <= 1e-15
+        assert np.max(np.abs(hilbert.hermitian_matrices(x) - rho)) <= 1e-15
+        assert np.max(np.abs(matrices_of(x) - rho)) <= 1e-15
+
+    def test_random_hermitian_matrix(self, params, grid, rng):
+        rho0 = random_hermitian(rng)
+        times, states = dynamics._propagate_rho(params, rho0, grid)
+        ref_times, reference = rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=False)
+        np.testing.assert_allclose(times, ref_times, rtol=1e-12)
+        assert np.max(np.abs(states - reference)) <= 1e-12
+
+    def test_qubit_units(self, params, grid):
+        _, rows = real_process(params, grid)
+        assert rows.dtype == np.float64
+        images = unit_images(rows)
+        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
+                               hermitize=False)
+        assert np.max(np.abs(images - reference)) <= 1e-12
+        # The process map keeps the qubit blocks of the same run.
+        process = propagate_process(params, grid)
+        assert np.max(np.abs(process.images - qubit_coordinates(rows))) <= 1e-14
+
+    def test_transposed_unit_maps_to_the_conjugate_transpose(self, params, grid):
+        # The real coordinates rest on this: the dynamics maps |q_j><q_i| to
+        # the conjugate transpose of the image of |q_i><q_j|, at every sample.
+        _, images = full_process(params, grid)
+        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
+                               hermitize=False)
+        for found in (reference, images):
+            assert np.max(np.abs(found - hilbert.dagger(found.swapaxes(1, 2)))) <= 1e-12
+        assert np.max(np.abs(images - hilbert.dagger(reference.swapaxes(1, 2)))) <= 1e-12
+
+
 class TestStroboscopicLattice:
     def test_times_of_an_unaligned_window(self, cz_params):
         # dt does not divide the drive period: the step shrinks to P/m and the
@@ -445,6 +517,9 @@ class TestGlideSymmetry:
     def test_parity_conjugation_is_exact(self, gate, gamma, density, v):
         params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
         a0, a1, parity = dynamics._generator(params, density=density, v=v)
+        # Density generators act on the real coordinates of rho.
+        expected = np.float64 if density else np.complex128
+        assert a0.dtype == a1.dtype == expected
         flip = parity[:, np.newaxis] * parity
         assert np.array_equal(flip * a0, a0)
         assert np.array_equal(flip * a1, -a1)
@@ -488,7 +563,8 @@ class TestGlideSymmetry:
     @pytest.mark.parametrize("term", ["A0 across parities", "A1 within a parity"])
     def test_generator_without_the_symmetry_is_rejected(self, cz_params, term):
         a0, a1, parity = dynamics._generator(cz_params, density=True)
-        i, j = 0, 9 * hilbert.index_of(G0, RYD)  # |00><00| and |0r><00|: opposite parity
+        # rho_{00,00} and sqrt2 Im rho_{00,0r}: opposite parity.
+        i, j = 0, 9 * hilbert.index_of(G0, RYD)
         if term == "A0 across parities":
             a0 = a0.copy()
             a0[i, j] = 1.0
@@ -583,13 +659,13 @@ class TestHalfPeriodWork:
                               dt_divisor=50)
         assert len(grid.sample_steps) > 1000
         analysis.fidelity_time_series(cz_decay_params, grid)
-        assert self._steps(cz_decay_params, grid, _qubit_rows(), rk4_calls, density=True) == 450
+        assert self._steps(cz_decay_params, grid, _qubit_rows(), rk4_calls, density=True) == 300
 
     def test_default_rab_populations_run(self, tmp_path, rk4_calls):
         assert cli.main(["rab-populations", "--out", str(tmp_path / "pop.csv")]) == 0
         params = cli.parse_config(["rab-populations"]).drive_params()
         grid = TimeGrid.build(params, models.gate_time(params))
-        rows0 = hilbert.projector(G1, G1).reshape(1, 81)
+        rows0 = coordinates_of(hilbert.projector(G1, G1))[np.newaxis]
         # The trajectory on the grid, and the convergence check's run at
         # dt/2; both windows end on the lattice.
         h = dynamics.stroboscopic_grid(params, grid).dt
@@ -642,7 +718,7 @@ class TestHealthGatesTripOnNan:
 
 
 def _qubit_rows():
-    """The 16 qubit matrix units as rows of vectorized 9x9 matrices."""
+    """The real coordinates of the 16 Hermitian qubit basis matrices, as rows."""
     return np.eye(81)[QUBIT_UNITS]
 
 
@@ -673,7 +749,7 @@ class TestInvariantBlocks:
             return (*dynamics._generator(params, density=True), _qubit_rows())
         v = None if request.param == "density" else np.linspace(10.0, 20.0, 3) * OMEGA_M
         a0, a1, parity = dynamics._generator(params, density=True, v=v)
-        rows0 = np.broadcast_to(_qubit_rho().reshape(1, 81), a0.shape[:-2] + (1, 81))
+        rows0 = np.broadcast_to(coordinates_of(_qubit_rho()), a0.shape[:-2] + (1, 81))
         return a0, a1, parity, rows0
 
     def test_blocks_partition_the_reachable_set(self, problem):
@@ -695,11 +771,11 @@ class TestInvariantBlocks:
     def test_block_sizes_under_decay(self, params):
         sizes = sorted((len(b) for b in dynamics._blocks(
             *dynamics._generator(params, density=True)[:2], _qubit_rows())), reverse=True)
-        expected = {GateKind.CZ: [25, 10, 10, 10, 10, 4, 4, 4, 4], GateKind.CNOT: [45, 18, 18]}
+        expected = {GateKind.CZ: [25, 20, 20, 8, 4, 4], GateKind.CNOT: [45, 36]}
         assert sizes == expected[params.gate]
 
     def test_11_without_decay_reaches_one_block_of_16(self, cz_params):
-        rho0 = hilbert.projector(G1, G1).reshape(1, 81)
+        rho0 = coordinates_of(hilbert.projector(G1, G1))[np.newaxis]
         a0, a1, _ = dynamics._generator(cz_params, density=True)
         assert [len(b) for b in dynamics._blocks(a0, a1, rho0)] == [16]
         # The same for a heatmap column, batched over V.
@@ -757,8 +833,8 @@ class TestInvariantBlocks:
 
     def test_nan_in_one_block_trips_the_density_gate(self, params, monkeypatch):
         rho0 = _qubit_rho()
-        block = self._nan_in_smallest_block(monkeypatch, rho0.reshape(1, 81), params=params,
-                                            density=True)
+        block = self._nan_in_smallest_block(monkeypatch, coordinates_of(rho0)[np.newaxis],
+                                            params=params, density=True)
         assert not set(block.tolist()) & {10 * a for a in range(9)}
         grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
         with pytest.raises(IntegratorHealthError, match="non-finite"):

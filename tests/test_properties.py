@@ -8,7 +8,8 @@ must end in a resolved configuration with finite angular parameters, or in
 Splitting a run into the invariant blocks of its generator must give the
 same samples as propagating every coordinate at once, and as the
 step-by-step RK4 reference, for any sparse generator with the glide symmetry
-of the drive.
+of the drive, real (as on the real coordinates of density matrices) or
+complex (as for states); the run keeps the generator's dtype.
 """
 
 import math
@@ -105,12 +106,14 @@ def test_each_non_finite_field_is_rejected(name, bad):
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(4, 12), batch=st.sampled_from([(), (1,), (3,)]),
        n_rows=st.integers(1, 4), fill=st.floats(0.05, 0.4), steps=st.integers(1, 60),
-       seed=st.integers(0, 2**32 - 1))
-def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, seed):
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, real, seed):
     rng = np.random.default_rng(seed)
 
     def sparse(shape, fraction):
-        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = rng.standard_normal(shape)
+        if not real:
+            values = values + 1j * rng.standard_normal(shape)
         return 0.5 * values * (rng.random(shape) < fraction)
 
     # Each batch entry of A0 has its own pattern; rows may be empty.  A0
@@ -133,6 +136,7 @@ def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, se
     lattice = dynamics._sample_lattice(omega, grid)
     whole = dynamics._stroboscopic_core(a0, a1, parity, omega, rows0, lattice)
     assert np.array_equal(times, lattice.times)
+    assert out.dtype == whole.dtype == (np.float64 if real else np.complex128)
     scale = max(1.0, np.max(np.abs(whole)))
     assert np.max(np.abs(out - whole)) <= 1e-12 * scale
 
