@@ -362,6 +362,8 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
     payload["run"]["workers"] = analysis.resolve_workers(None, config.resolution)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
     payload["failed_cells"] = int(np.count_nonzero(~np.isfinite(grid_result.p_rr)))
+    payload["health"] = {"max_norm_loss": grid_result.max_norm_loss,
+                         "norm_gain_tol": analysis.NORM_GAIN_TOL}
     return payload
 
 

@@ -40,9 +40,10 @@ of its coupling graph, between which A(t) has no entry at any t.  Every
 block propagates on its own.  Under decay the 81 coordinates of a process
 map split into 25 + 2x20 + 8 + 2x4 for CZ and 45 + 36 for CNOT (the real
 and imaginary parts of a coherence share a block); |11><11| without decay
-reaches one block of 16.  A run may keep only some output coordinates: the
-maps are cut to them before the samples are formed.  A process map keeps 21
-of the 81, the qubit block and the diagonal.
+reaches one block of 16, and the pure |11> of a heatmap column one of 4
+amplitudes (CZ) or 6 (CNOT).  A run may keep only some output coordinates:
+the maps are cut to them before the samples are formed.  A process map keeps
+21 of the 81, the qubit block and the diagonal.
 
 Runs are deterministic, so step-halving convergence checks stay meaningful.
 Density matrices are Hermitian by construction but never renormalized, so
@@ -230,7 +231,7 @@ class ProcessMap:
     images: np.ndarray  # (n_samples, 4, 4, 4, 4), float64
 
 
-def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermitize: bool = False):
+def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int):
     """Fixed-step classical RK4 from ``t0``: yield y after each of ``n_steps`` steps.
 
     y_next = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated stage by stage.
@@ -257,8 +258,6 @@ def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int, *, hermi
         y_next += third * k
         k = rhs(t + dt, shifted(k, dt))
         y_next += sixth * k
-        if hermitize:
-            y_next = 0.5 * (y_next + hilbert.dagger(y_next))
         y = y_next
         yield y
 
@@ -303,32 +302,32 @@ def _density_terms(gate) -> np.ndarray:
 def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A0, A1, parity) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
 
-    For pure states y is the 9-vector and A(t) = -i H(t), complex.  For
-    density matrices y holds the real coordinates of rho
+    For pure states y is the 9-vector and A(t) = -i H(t), complex; ``v`` may
+    replace ``params.v`` by an array of RRI strengths, which gives A0 those
+    leading batch axes (a heatmap column runs |11> over its V axis that
+    way).  For density matrices y holds the real coordinates of rho
     (:func:`hilbert.real_coordinates`: rho_aa at 9a + a, and for a < b
     sqrt2 Re rho_ab at 9a + b and sqrt2 Im rho_ab at 9b + a) and A(t) is the
     real 81x81 Liouvillian on them, with the decay in A0: the Lindblad
     generator maps Hermitian matrices to Hermitian matrices.  It is
     assembled from the per-gate terms of :func:`_density_terms`, scaled by
-    gamma, Omega_m and V.  ``v`` may replace ``params.v`` by an array of RRI
-    strengths, which gives A0 those leading batch axes; V enters a density
-    A0 only through the 16 entries of -i[|rr><rr|, rho].  ``parity`` is the
-    diagonal of Pi, (-1)^n_r on the 9 basis states and
-    (-1)^(n_r(a) + n_r(b)) at index 9a + b (and so at 9b + a) of the density
-    coordinates; it gives Pi A0 Pi = A0 and Pi A1 Pi = -A1.
+    gamma, Omega_m and V, and is never batched.  ``parity`` is the diagonal
+    of Pi, (-1)^n_r on the 9 basis states and (-1)^(n_r(a) + n_r(b)) at
+    index 9a + b (and so at 9b + a) of the density coordinates; it gives
+    Pi A0 Pi = A0 and Pi A1 Pi = -A1.
     """
-    v = params.v if v is None else np.asarray(v)
     is_rydberg = (np.arange(hilbert.N_LEVELS) == hilbert.RYD).astype(int)
     parity = (-1.0) ** np.add.outer(is_rydberg, is_rydberg).ravel()
     if not density:
+        v = params.v if v is None else np.asarray(v)
         h0 = np.zeros(np.shape(v) + (DIM, DIM), dtype=complex)
         h0[..., 8, 8] = v
         return -1j * h0, (-1j * params.omega_m) * models.drive_structure(params.gate), parity
+    if v is not None:
+        raise ValueError("only the pure-state generator batches over V")
     decay, drive, rr = _density_terms(params.gate)
-    rows, cols = np.nonzero(rr)
-    a0 = np.broadcast_to(params.gamma * decay, np.shape(v) + decay.shape).copy()
-    a0[..., rows, cols] += np.asarray(v)[..., np.newaxis] * rr[rows, cols]
-    return a0, params.omega_m * drive, np.outer(parity, parity).ravel()
+    return (params.gamma * decay + params.v * rr, params.omega_m * drive,
+            np.outer(parity, parity).ravel())
 
 
 def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -353,7 +352,8 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     On the real density coordinates, under decay, the 16 Hermitian qubit
     basis matrices split into 25 + 2x20 + 8 + 2x4 coordinates for CZ and
     45 + 36 for CNOT; |11><11| without decay reaches one block of 16, and
-    the dark state |00> one of 1.
+    the dark state |00> one of 1.  The state |11>, batched over V as in a
+    heatmap column, reaches one block of 4 amplitudes for CZ and 6 for CNOT.
     """
     links = np.any((a0 != 0) | (a1 != 0), axis=tuple(range(a0.ndim - 2)))
     left = _closure(links, np.any(rows0 != 0, axis=tuple(range(rows0.ndim - 1))))
@@ -617,17 +617,13 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
     return Trajectory(times=times, states=states, dt=dt)
 
 
-def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid, v=None):
-    """Density-matrix samples (times, (n_samples, ..., 9, 9)), Hermitian by
-    construction: the run is on the real coordinates of rho.
-
-    ``v`` batches the run over RRI strengths as in :func:`_generator`.
-    """
-    a0, a1, parity = _generator(params, density=True, v=v)
-    x0 = hilbert.real_coordinates(rho0)
-    rows0 = np.broadcast_to(x0, a0.shape[:-2] + (1, DIM * DIM))
+def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid):
+    """Density-matrix samples (times, (n_samples, 9, 9)), Hermitian by
+    construction: the run is on the real coordinates of rho."""
+    a0, a1, parity = _generator(params, density=True)
+    rows0 = hilbert.real_coordinates(rho0)[np.newaxis]
     times, rows = _stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
-    return times, hilbert.hermitian_matrices(rows[..., 0, :])
+    return times, hilbert.hermitian_matrices(rows[:, 0])
 
 
 def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rabsim import dynamics, models
+from rabsim import dynamics, hilbert, models
 from rabsim.hilbert import QUBIT_INDICES
 from rabsim.models import DriveParams, GateKind
 
@@ -131,14 +131,20 @@ def schrodinger_rhs(params):
 
 
 def rk4_run(rhs, y0, grid, *, hermitize):
-    """Step-by-step RK4 over the grid, returning (sample_times, samples)."""
+    """Step-by-step RK4 over the grid, returning (sample_times, samples).
+
+    Each step is one step of :func:`dynamics._rk4_steps`; with ``hermitize``
+    the state is replaced by its Hermitian part 0.5 (y + y^dagger) after it.
+    """
     sample_steps = grid.sample_steps
     samples = np.empty((len(sample_steps),) + np.shape(y0), dtype=complex)
-    samples[0] = y0
+    samples[0] = y = y0
     sample_pos = 1
-    steps = dynamics._rk4_steps(rhs, y0, grid.t_start, grid.dt, grid.n_steps,
-                                hermitize=hermitize)
-    for step, y in enumerate(steps, start=1):
+    for step in range(1, grid.n_steps + 1):
+        t = grid.t_start + (step - 1) * grid.dt
+        y = next(dynamics._rk4_steps(rhs, y, t, grid.dt, 1))
+        if hermitize:
+            y = 0.5 * (y + hilbert.dagger(y))
         if sample_pos < len(sample_steps) and step == sample_steps[sample_pos]:
             samples[sample_pos] = y
             sample_pos += 1

@@ -241,19 +241,80 @@ class TestSweepHeatmap:
         with pytest.raises(ValueError, match="resolution"):
             sweep_heatmap(cz_params, resolution=resolution)
 
-    def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
-        propagate = dynamics._propagate_rho
+    @staticmethod
+    def _sweep_with_final_state(cz_params, monkeypatch, perturb):
+        """3x3 CZ sweep in which ``perturb`` edits, in place, the final state
+        of the middle cell (V = 14.5) of every column."""
+        run = dynamics._stroboscopic_run
 
-        def with_nan(*args, **kwargs):
-            times, states = propagate(*args, **kwargs)
-            states[-1, 1, 4, 8] = states[-1, 1, 8, 4] = np.nan  # one coherence only
+        def perturbed(*args, **kwargs):
+            times, states = run(*args, **kwargs)
+            perturb(states[-1, 1, 0])
             return times, states
 
-        monkeypatch.setattr(dynamics, "_propagate_rho", with_nan)
-        grid = sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
-                             resolution=3, dt_divisor=50, workers=1)
+        monkeypatch.setattr(dynamics, "_stroboscopic_run", perturbed)
+        return sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
+                             resolution=3, dt_divisor=400, workers=1)
+
+    def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
+        def one_nan(psi):  # one amplitude only, and not the |rr> one
+            psi[hilbert.index_of(G1, RYD)] = np.nan
+
+        grid = self._sweep_with_final_state(cz_params, monkeypatch, one_nan)
         assert np.all(np.isnan(grid.p_rr[1]))
         assert np.all(np.isfinite(grid.p_rr[[0, 2]]))
+
+    def test_norm_gain_trips_the_gate(self, cz_params, monkeypatch):
+        def gain(psi):
+            psi *= 1.0 + 1e-5
+
+        grid = self._sweep_with_final_state(cz_params, monkeypatch, gain)
+        assert np.all(np.isnan(grid.p_rr[1]))
+        assert np.all(np.isfinite(grid.p_rr[[0, 2]]))
+
+    def test_norm_loss_passes_and_is_reported(self, cz_params, monkeypatch):
+        plain = sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
+                              resolution=3, dt_divisor=400, workers=1)
+        assert 0.0 <= plain.max_norm_loss <= 1e-8
+
+        def loss(psi):
+            psi *= 1.0 - 1e-5
+
+        grid = self._sweep_with_final_state(cz_params, monkeypatch, loss)
+        np.testing.assert_allclose(grid.p_rr[1], plain.p_rr[1] * (1.0 - 1e-5) ** 2, rtol=1e-12)
+        assert np.array_equal(grid.p_rr[[0, 2]], plain.p_rr[[0, 2]])
+        assert grid.max_norm_loss == pytest.approx(1.0 - (1.0 - 1e-5) ** 2, rel=1e-3)
+
+    # RK4 truncation only loses norm, by more than the gain threshold on
+    # these grids (up to 1.1e-4 of <psi|psi> at divisor 50), and must fail no
+    # cell: the default extent at the smallest divisor, and the extent and
+    # divisor of the benchmark's heatmap.
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("resolution, dt_divisor", [(60, 50), (10, 100)])
+    def test_truncation_loss_fails_no_cell(self, gate, resolution, dt_divisor):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = sweep_heatmap(params, v_range=(10.0, 20.0), w_range=(5.0, 10.0),
+                             resolution=resolution, dt_divisor=dt_divisor, workers=1)
+        assert not np.any(np.isnan(grid.p_rr))
+        assert grid.max_norm_loss > analysis.NORM_GAIN_TOL
+
+    @pytest.mark.parametrize("gate", list(GateKind))
+    def test_cells_match_density_runs(self, gate):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = sweep_heatmap(params, v_range=(14.0, 16.0), w_range=(7.0, 8.0),
+                             resolution=3, dt_divisor=400, workers=1)
+        for j, w in enumerate(grid.w_axis):
+            omega = w * OMEGA_M
+            # Each cell on its column's grid, which the stiffest cell sizes.
+            stiffest = DriveParams(omega_m=OMEGA_M, omega=omega, v=grid.v_axis[-1] * OMEGA_M,
+                                   gate=gate)
+            column_grid = TimeGrid.build(stiffest, np.pi * omega / OMEGA_M**2,
+                                         dt_divisor=400, sample_stride=10**9)
+            for i, v in enumerate(grid.v_axis):
+                cell = DriveParams(omega_m=OMEGA_M, omega=omega, v=v * OMEGA_M, gate=gate)
+                rho = dynamics.propagate_density(cell, hilbert.projector(G1, G1),
+                                                 column_grid).final_state
+                assert abs(grid.p_rr[i, j] - rho[8, 8].real) <= 1e-8
 
     def test_rejects_non_finite_ranges(self, cz_params):
         for bad in (np.nan, np.inf):

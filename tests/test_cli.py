@@ -277,6 +277,11 @@ class TestScenarios:
         assert len(rows) == 9  # long form, one row per cell
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["failed_cells"] == 0
+        # The worst norm loss of the sweep, next to the gain threshold of
+        # its cell gate: RK4 truncation at divisor 50 loses more than that.
+        health = sidecar["health"]
+        assert health["norm_gain_tol"] == 1e-6
+        assert 1e-6 < health["max_norm_loss"] < 1e-3
         # The worker count the sweep resolved: RABSIM_THREADS, capped at the
         # number of columns.
         assert sidecar["run"] == dict(RUN_RECORD, workers=3)

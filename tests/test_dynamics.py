@@ -513,7 +513,7 @@ class TestGlideSymmetry:
     @pytest.mark.parametrize("gate", list(GateKind))
     @pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ])
     @pytest.mark.parametrize("density, v", [(False, None), (True, None),
-                                            (True, np.linspace(10.0, 20.0, 3) * OMEGA_M)])
+                                            (False, np.linspace(10.0, 20.0, 3) * OMEGA_M)])
     def test_parity_conjugation_is_exact(self, gate, gamma, density, v):
         params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
         a0, a1, parity = dynamics._generator(params, density=density, v=v)
@@ -741,16 +741,18 @@ class TestInvariantBlocks:
     def params(self, request):
         return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
 
-    # Process units, one density matrix, and one density matrix batched over
-    # V as in a heatmap column.
+    # Process units, one density matrix, and one pure state batched over V
+    # as in a heatmap column.
     @pytest.fixture(params=["process", "density", "batched"])
     def problem(self, request, params):
         if request.param == "process":
             return (*dynamics._generator(params, density=True), _qubit_rows())
-        v = None if request.param == "density" else np.linspace(10.0, 20.0, 3) * OMEGA_M
-        a0, a1, parity = dynamics._generator(params, density=True, v=v)
-        rows0 = np.broadcast_to(coordinates_of(_qubit_rho()), a0.shape[:-2] + (1, 81))
-        return a0, a1, parity, rows0
+        if request.param == "density":
+            return (*dynamics._generator(params, density=True),
+                    coordinates_of(_qubit_rho())[np.newaxis])
+        a0, a1, parity = dynamics._generator(params, density=False,
+                                             v=np.linspace(10.0, 20.0, 3) * OMEGA_M)
+        return a0, a1, parity, np.broadcast_to(_qubit_psi(), (3, 1, 9))
 
     def test_blocks_partition_the_reachable_set(self, problem):
         a0, a1, _, rows0 = problem
@@ -758,7 +760,7 @@ class TestInvariantBlocks:
         assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
         reach = np.concatenate(blocks)
         assert len(set(reach.tolist())) == len(reach)
-        outside = np.setdiff1d(np.arange(81), reach)
+        outside = np.setdiff1d(np.arange(a1.shape[-1]), reach)
         # Nothing leaves the reachable set, and no entry of A0 (any batch
         # entry) or A1 joins two blocks.
         for a in (a0, a1):
@@ -774,15 +776,21 @@ class TestInvariantBlocks:
         expected = {GateKind.CZ: [25, 20, 20, 8, 4, 4], GateKind.CNOT: [45, 36]}
         assert sizes == expected[params.gate]
 
-    def test_11_without_decay_reaches_one_block_of_16(self, cz_params):
+    def test_11_without_decay_reaches_one_block_of_16(self, cz_params, cnot_params):
         rho0 = coordinates_of(hilbert.projector(G1, G1))[np.newaxis]
         a0, a1, _ = dynamics._generator(cz_params, density=True)
         assert [len(b) for b in dynamics._blocks(a0, a1, rho0)] == [16]
-        # The same for a heatmap column, batched over V.
-        a0, a1, _ = dynamics._generator(cz_params, density=True,
-                                        v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
-        rows0 = np.broadcast_to(rho0, (4, 1, 81))
-        assert [len(b) for b in dynamics._blocks(a0, a1, rows0)] == [16]
+        # A heatmap column runs the pure |11>, batched over V: one block of
+        # 4 amplitudes for CZ, 6 for CNOT.
+        rows0 = np.broadcast_to(hilbert.ket(G1, G1), (4, 1, 9))
+        for params, size in [(cz_params, 4), (cnot_params, 6)]:
+            a0, a1, _ = dynamics._generator(params, density=False,
+                                            v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
+            assert [len(b) for b in dynamics._blocks(a0, a1, rows0)] == [size]
+
+    def test_density_generator_takes_no_v_batch(self, cz_params):
+        with pytest.raises(ValueError, match="pure-state"):
+            dynamics._generator(cz_params, density=True, v=np.array([10.0, 20.0]) * OMEGA_M)
 
     # Whole drive periods, and a window ending 0.3 into a period.
     @pytest.mark.parametrize("periods", [3.0, 3.3])
