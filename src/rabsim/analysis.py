@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,38 +158,17 @@ def fidelity_time_series(params: DriveParams, grid: TimeGrid) -> FidelityReport:
     return FidelityReport(times=process.times, fbar=fbar, final_fbar=float(fbar[-1]))
 
 
-def resolve_workers(workers: int | None, n_tasks: int) -> int:
-    """Worker count for the heatmap sweep: explicit value, RABSIM_THREADS, or cpu count."""
-    if workers is None:
-        env = os.environ.get("RABSIM_THREADS", "").strip()
-        try:
-            workers = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ValueError(f"RABSIM_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(workers, n_tasks))
-
-
-def _map_ordered(fn, tasks, workers: int):
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    # Imported here: only the pooled heatmap pays for loading the pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _heatmap_column(task):
+def _heatmap_column(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, dt_divisor: int):
     """(p_rr, norm loss) of one column: its cells with NaN for a failed one,
     and the largest 1 - <psi|psi> over the others."""
-    omega_m, w_ratio, v_ratios, resolution_dt, gate_value = task
-    gate = GateKind(gate_value)
+    omega_m = params.omega_m
     omega = w_ratio * omega_m
-    v_values = np.asarray(v_ratios) * omega_m
+    v_values = v_ratios * omega_m
     t_end = math.pi * omega / (omega_m * omega_m)
     # One grid per column, sized for the stiffest cell it contains.
-    stiffest = DriveParams(omega_m=omega_m, omega=omega, v=float(v_values.max()), gate=gate)
-    grid = TimeGrid.build(stiffest, t_end, dt_divisor=resolution_dt, sample_stride=10**9)
+    stiffest = DriveParams(omega_m=omega_m, omega=omega, v=float(v_values.max()),
+                           gate=params.gate)
+    grid = TimeGrid.build(stiffest, t_end, dt_divisor=dt_divisor, sample_stride=10**9)
     a0, a1, parity = dynamics._generator(stiffest, density=False, v=v_values)
     rows0 = np.broadcast_to(hilbert.ket(hilbert.G1, hilbert.G1), (len(v_values), 1, hilbert.DIM))
     _, states = dynamics._stroboscopic_run(a0, a1, parity, omega, rows0, grid)
@@ -212,7 +190,6 @@ def sweep_heatmap(
     resolution: int = 60,
     *,
     dt_divisor: int = dynamics.DEFAULT_DT_DIVISOR,
-    workers: int | None = None,
 ) -> HeatmapGrid:
     """|rr> population at t = pi*omega/Omega_m^2 over a (V, omega) grid.
 
@@ -220,9 +197,10 @@ def sweep_heatmap(
     in units of Omega_m.  Decay must be off (gamma = 0), so |11> stays pure
     and each cell is the Schrodinger run of its 9-vector: a column (fixed
     omega) propagates its cells as one batch over V, on the invariant block
-    of |11> (4 amplitudes for CZ, 6 for CNOT).  Columns run in parallel,
-    and the result is assembled by index so worker completion order is
-    irrelevant.  A cell whose final <psi|psi> exceeds 1 by more than
+    of |11> (4 amplitudes for CZ, 6 for CNOT).  The columns run one after
+    another in this process: each is a few hundred RK4 step maps of a batch
+    of 4x4 or 6x6 matrices, too little work to pay for starting a process
+    pool.  A cell whose final <psi|psi> exceeds 1 by more than
     :data:`NORM_GAIN_TOL`, or is not finite, comes back as NaN.  RK4
     truncation only loses norm, so the gate does not see it; the largest
     loss over the healthy cells is returned as ``max_norm_loss``.
@@ -235,11 +213,7 @@ def sweep_heatmap(
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     v_axis = np.linspace(v_range[0], v_range[1], resolution)
     w_axis = np.linspace(w_range[0], w_range[1], resolution)
-    tasks = [
-        (params.omega_m, float(w), v_axis.copy(), dt_divisor, params.gate.value)
-        for w in w_axis
-    ]
-    columns = _map_ordered(_heatmap_column, tasks, resolve_workers(workers, len(tasks)))
+    columns = [_heatmap_column(params, float(w), v_axis, dt_divisor) for w in w_axis]
     p_rr = np.column_stack([cells for cells, _ in columns])
     return HeatmapGrid(v_axis=v_axis, w_axis=w_axis, p_rr=p_rr,
                        max_norm_loss=max(loss for _, loss in columns))
@@ -264,12 +238,11 @@ def fidelity_vs_gamma(
     The pulse ends at :func:`models.pulse_end_time`, the first drive-envelope
     node at or after the gate time.  Runs one process-map propagation per
     gamma, one after another in this process, and returns
-    [(gamma, final_fbar), ...] in input order.  The points are not spread
-    over a process pool: each propagation is m/2 RK4 steps (400 at the
-    default divisor) on each invariant block of the process map, in real
-    arithmetic on the real coordinates of density matrices (for CNOT under
-    decay, blocks of 45 and 36 coordinates), and forked workers each start
-    their own BLAS threads, which then contend for the cores.
+    [(gamma, final_fbar), ...] in input order.  Each propagation is m/2
+    RK4 step maps (400 at the default divisor) on each invariant block of
+    the process map, in real arithmetic on the real coordinates of density
+    matrices (for CNOT under decay, blocks of 45 and 36 coordinates): one
+    small matrix product per step, too little work to share out.
     """
     gammas = [float(g) for g in gammas]
     if not all(0.0 <= g < math.inf for g in gammas):

@@ -359,7 +359,6 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         params, probe, ridge_grid, lambda rho: float(np.real(rho[8, 8])),
     )
     payload = _base_payload(config, params, ridge_grid)
-    payload["run"]["workers"] = analysis.resolve_workers(None, config.resolution)
     payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
     payload["failed_cells"] = int(np.count_nonzero(~np.isfinite(grid_result.p_rr)))
     payload["health"] = {"max_norm_loss": grid_result.max_norm_loss,

@@ -34,6 +34,22 @@ arithmetic this is the same product of RK4 step maps as stepping through
 the lattice and then the short step, which the step-by-step references of
 the tests do.
 
+Each step is applied as its map.  On rows (y' = y B with B = A^T =
+b0 + c(t) b1), one RK4 step of h from t is y -> y M with
+
+    M = I + h/6 (B1 + 4 B2 + B4) + h^2/6 (B1 B2 + B2^2 + B2 B4)
+          + h^3/12 (B1 B2^2 + B2^2 B4) + h^4/24 B1 B2^2 B4
+
+for B1, B2, B4 the generator at t, t + h/2 and t + h.  In it c1 = c(t)
+appears at most once, c2 = c(t + h/2) at most twice and c4 = c(t + h) at
+most once, so M = sum c1^a c2^b c4^e K_abe over twelve fixed kernels K.
+They are formed once per block and step size from the 30 words of length
+1 to 4 in (h b0, h b1) (:func:`_rk4_kernels`).  The step maps of a pass are
+then one product of cosine monomials with the kernels, taken a few steps at
+a time (:func:`_step_maps`), and each step costs one product of the prefix
+map with its step map: 12 d^2 + d^3 multiply-adds on a block of d, where
+four generator products take 4 d^3.
+
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
 of its coupling graph, between which A(t) has no entry at any t.  Every
@@ -231,35 +247,70 @@ class ProcessMap:
     images: np.ndarray  # (n_samples, 4, 4, 4, 4), float64
 
 
-def _rk4_steps(rhs, y0: np.ndarray, t0: float, dt: float, n_steps: int):
-    """Fixed-step classical RK4 from ``t0``: yield y after each of ``n_steps`` steps.
+#: Powers (a, b, e) of (c1, c2, c4) that kernel 6a + 2b + e carries.
+_KERNEL_POWERS = np.indices((2, 3, 2)).reshape(3, -1)
 
-    y_next = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated stage by stage.
-    ``rhs`` must return a new array: each stage's buffer is reused for the
-    next stage's argument, which keeps few temporaries alive per step.  y
-    keeps the dtype of ``y0`` (at least float64): real for the real
-    coordinates of density matrices, complex for states.
+
+def _rk4_kernels(b0: np.ndarray, b1: np.ndarray, h: float) -> np.ndarray:
+    """The 12 kernels (12, ..., d, d) of an RK4 step of ``h`` on rows under
+    y' = y (b0 + c(t) b1): the step map from t is the sum over k of
+    c1^a c2^b c4^e K_k, with (a, b, e) = ``_KERNEL_POWERS[:, k]`` and c1, c2
+    and c4 the values of c at t, t + h/2 and t + h.  ``b0`` may carry leading
+    batch axes, and the kernels take them.
+
+    Each kernel is a sum of the 30 words of length 1 to 4 in X = h b0 and
+    Y = h b1.  They are formed with 22 matrix products instead of one per
+    word: with h B_i = X + c_i Y, the step map of the module docstring
+    splits by its first factor into M = h B1 R + Q, with
+    R = I/6 + h B2/6 + (h B2)^2/12 + (h B2)^2 h B4/24 and
+    Q = 2R + 2I/3 + h B2/3 + h B4/6 + h^2 B2 B4/6.  So the kernels with
+    a = 1 are Y R and those with a = 0 are (X + 2I) R plus the rest of Q,
+    each at the powers (b, e) of (c2, c4).
     """
+    x, y = h * b0, h * b1
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    eye = np.eye(shape[-1])
+    xy, yx = x @ y, y @ x
+    # (h B2)^2 at the powers b = 0, 1, 2 of c2.
+    squares = np.stack(np.broadcast_arrays(x @ x, xy + yx, y @ y))
+    # R at (b, e) is squares[b] @ factors[e], plus the linear terms at e = 0.
+    factors = np.stack(np.broadcast_arrays(eye / 12 + x / 24, y / 24))
+    kernels = np.empty((2, 3, 2) + shape, dtype=squares.dtype)
+    lift = x + 2 * eye
+    for b, linear in enumerate(((eye + x) / 6, y / 6, 0.0)):
+        r = squares[b] @ factors
+        r[0] += linear
+        np.matmul(lift, r, out=kernels[0, b])
+        np.matmul(y, r, out=kernels[1, b])
+    kernels[0, 0, 0] += 2 / 3 * eye + x / 2 + squares[0] / 6
+    kernels[0, 1, 0] += y / 3 + yx / 6
+    kernels[0, 0, 1] += (y + xy) / 6
+    kernels[0, 1, 1] += squares[2] / 6
+    return kernels.reshape((12,) + shape)
 
-    def shifted(k, weight):  # y + weight * k, in k's buffer
-        k *= weight
-        k += y
-        return k
 
-    y = np.array(y0, dtype=np.result_type(y0, float))
-    half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
-    for step in range(n_steps):
-        t = t0 + step * dt
-        k = rhs(t, y)
-        y_next = y + sixth * k
-        k = rhs(t + half, shifted(k, half))
-        y_next += third * k
-        k = rhs(t + half, shifted(k, half))
-        y_next += third * k
-        k = rhs(t + dt, shifted(k, dt))
-        y_next += sixth * k
-        y = y_next
-        yield y
+def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: int):
+    """Yield the RK4 step maps (..., d, d) of ``n_steps`` steps of ``h`` from
+    ``t0`` under c(t) = cos(omega t), in order, from the kernels of
+    :func:`_rk4_kernels` for that ``h``: y after step k is y before it times
+    map k.
+
+    The maps are the cosine monomials of the steps contracted with the
+    kernels, a few steps at a time, so that each product stays below the
+    size at which OpenBLAS starts a second thread, which on these small
+    blocks burns more CPU than it saves.  Complex kernels are contracted as
+    their real and imaginary parts side by side.
+    """
+    t = t0 + h * np.arange(n_steps)
+    cosines = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
+    monomials = np.prod(cosines[:, :, np.newaxis] ** _KERNEL_POWERS[:, np.newaxis], axis=0)
+    flat = kernels.reshape(len(kernels), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    rows = max(1, 2**16 // kernels.size)
+    for start in range(0, n_steps, rows):
+        chunk = monomials[start:start + rows] @ flat
+        yield from chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
 
 
 def _add_sandwich(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale: complex) -> None:
@@ -463,7 +514,8 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     (CNOT) coordinates instead of 81.  The run is real when the generator
     and ``rows0`` are (density coordinates) and complex otherwise (states):
     every map, start and sample takes their common dtype.  Within a block,
-    half a period is integrated once with RK4 into Phi(P/2), and
+    half a period is integrated once with RK4, as the product of its step
+    maps (:func:`_step_maps`), into Phi(P/2), and
     Phi(P) = G G with G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
     Phi(s) only for s < P/2: the same pass keeps Phi(s) at each offset s
@@ -522,14 +574,6 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
     half = m // 2
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
-    # The generator at the last stage time: RK4's two midpoint stages share it.
-    cached = [None, None]
-
-    def rhs(t, rows):
-        if t != cached[0]:
-            cached[:] = t, b0 + math.cos(omega * t) * b1
-        return rows @ cached[1]
-
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
     glide = lattice.j >= half
     j = np.where(glide, lattice.j - half, lattice.j)
@@ -538,9 +582,10 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
     needs_half = n > 0 or glide.any()
     offsets = set(j.tolist()) - {0}
     partial_maps = {}
-    eye = np.broadcast_to(np.eye(a0.shape[-1], dtype=dtype), a0.shape)
+    prefix = np.broadcast_to(np.eye(a0.shape[-1], dtype=dtype), a0.shape)
     last = half if needs_half else int(j.max())
-    for step, prefix in enumerate(_rk4_steps(rhs, eye, t0, h, last), 1):
+    for step, step_map in enumerate(_step_maps(_rk4_kernels(b0, b1, h), omega, t0, h, last), 1):
+        prefix = prefix @ step_map
         if step in offsets:
             partial_maps[step] = prefix
     starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=dtype)
@@ -573,7 +618,9 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
         if glide[-1]:
             y = y * parity
         t_last = lattice.times[-1] - lattice.delta
-        final = next(_rk4_steps(rhs, y, t_last, lattice.delta, 1))[..., keep]
+        [short] = _step_maps(_rk4_kernels(b0, b1, lattice.delta), omega, t_last,
+                             lattice.delta, 1)
+        final = (y @ short)[..., keep]
     width = rows0.shape[-1] if columns is None else len(columns)
     out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=dtype)
     for origins, group in halves:

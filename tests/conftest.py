@@ -130,11 +130,30 @@ def schrodinger_rhs(params):
     return rhs
 
 
+def rk4_steps(rhs, y0, t0, dt, n_steps):
+    """Fixed-step classical RK4 from ``t0``: yield y after each of ``n_steps`` steps.
+
+    y_next = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), with the stages
+    k1 = rhs(t, y), k2 = rhs(t + dt/2, y + dt/2 k1),
+    k3 = rhs(t + dt/2, y + dt/2 k2) and k4 = rhs(t + dt, y + dt k3).  y keeps
+    the dtype of ``y0`` (at least float64).
+    """
+    y = np.array(y0, dtype=np.result_type(y0, float))
+    for step in range(n_steps):
+        t = t0 + step * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield y
+
+
 def rk4_run(rhs, y0, grid, *, hermitize):
     """Step-by-step RK4 over the grid, returning (sample_times, samples).
 
-    Each step is one step of :func:`dynamics._rk4_steps`; with ``hermitize``
-    the state is replaced by its Hermitian part 0.5 (y + y^dagger) after it.
+    Each step is one step of :func:`rk4_steps`; with ``hermitize`` the state
+    is replaced by its Hermitian part 0.5 (y + y^dagger) after it.
     """
     sample_steps = grid.sample_steps
     samples = np.empty((len(sample_steps),) + np.shape(y0), dtype=complex)
@@ -142,7 +161,7 @@ def rk4_run(rhs, y0, grid, *, hermitize):
     sample_pos = 1
     for step in range(1, grid.n_steps + 1):
         t = grid.t_start + (step - 1) * grid.dt
-        y = next(dynamics._rk4_steps(rhs, y, t, grid.dt, 1))
+        y = next(rk4_steps(rhs, y, t, grid.dt, 1))
         if hermitize:
             y = 0.5 * (y + hilbert.dagger(y))
         if sample_pos < len(sample_steps) and step == sample_steps[sample_pos]:

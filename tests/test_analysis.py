@@ -220,7 +220,6 @@ class TestSweepHeatmap:
             w_range=(7.0, 8.0),
             resolution=3,
             dt_divisor=100,
-            workers=1,
         )
         assert grid.p_rr[1, 1] >= 0.95
         assert grid.p_rr.shape == (3, 3)
@@ -254,7 +253,7 @@ class TestSweepHeatmap:
 
         monkeypatch.setattr(dynamics, "_stroboscopic_run", perturbed)
         return sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
-                             resolution=3, dt_divisor=400, workers=1)
+                             resolution=3, dt_divisor=400)
 
     def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
         def one_nan(psi):  # one amplitude only, and not the |rr> one
@@ -274,7 +273,7 @@ class TestSweepHeatmap:
 
     def test_norm_loss_passes_and_is_reported(self, cz_params, monkeypatch):
         plain = sweep_heatmap(cz_params, v_range=(14.0, 15.0), w_range=(7.0, 8.0),
-                              resolution=3, dt_divisor=400, workers=1)
+                              resolution=3, dt_divisor=400)
         assert 0.0 <= plain.max_norm_loss <= 1e-8
 
         def loss(psi):
@@ -294,7 +293,7 @@ class TestSweepHeatmap:
     def test_truncation_loss_fails_no_cell(self, gate, resolution, dt_divisor):
         params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
         grid = sweep_heatmap(params, v_range=(10.0, 20.0), w_range=(5.0, 10.0),
-                             resolution=resolution, dt_divisor=dt_divisor, workers=1)
+                             resolution=resolution, dt_divisor=dt_divisor)
         assert not np.any(np.isnan(grid.p_rr))
         assert grid.max_norm_loss > analysis.NORM_GAIN_TOL
 
@@ -302,7 +301,7 @@ class TestSweepHeatmap:
     def test_cells_match_density_runs(self, gate):
         params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
         grid = sweep_heatmap(params, v_range=(14.0, 16.0), w_range=(7.0, 8.0),
-                             resolution=3, dt_divisor=400, workers=1)
+                             resolution=3, dt_divisor=400)
         for j, w in enumerate(grid.w_axis):
             omega = w * OMEGA_M
             # Each cell on its column's grid, which the stiffest cell sizes.
@@ -320,14 +319,6 @@ class TestSweepHeatmap:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sweep_heatmap(cz_params, v_range=(10.0, bad))
-
-    def test_parallel_matches_serial(self, cz_params):
-        kwargs = dict(
-            v_range=(14.0, 15.0), w_range=(7.0, 8.0), resolution=3, dt_divisor=50
-        )
-        serial = sweep_heatmap(cz_params, workers=1, **kwargs)
-        parallel = sweep_heatmap(cz_params, workers=2, **kwargs)
-        assert np.array_equal(serial.p_rr, parallel.p_rr)
 
 
 class TestFidelityVsGamma:
@@ -348,12 +339,3 @@ class TestFidelityVsGamma:
     def test_rejects_non_finite_rates(self, cz_params, bad):
         with pytest.raises(ValueError, match="finite"):
             fidelity_vs_gamma(cz_params, [0.0, bad])
-
-
-def test_workers_resolution_respects_env(monkeypatch):
-    monkeypatch.setenv("RABSIM_THREADS", "3")
-    assert analysis.resolve_workers(None, 10) == 3
-    assert analysis.resolve_workers(None, 2) == 2
-    monkeypatch.delenv("RABSIM_THREADS")
-    assert analysis.resolve_workers(5, 10) == 5
-    assert analysis.resolve_workers(0, 10) == 1

@@ -28,7 +28,7 @@ from rabsim.models import GateKind
 # lower omega/Omega_m ratio and the coarsest legal step.
 FAST = ["--omega-ratio", "5", "--dt-divisor", "50"]
 
-#: The ``run`` block of every sidecar, without the heatmap's worker count.
+#: The ``run`` block of every sidecar.
 RUN_RECORD = {
     "rabsim_version": rabsim.__version__,
     "numpy_version": np.__version__,
@@ -164,14 +164,6 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
-    def test_non_integer_thread_count_is_validation_error(self, tmp_path, monkeypatch,
-                                                          capsys):
-        monkeypatch.setenv("RABSIM_THREADS", "abc")
-        code = main(["heatmap", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_VALIDATION
-        assert "RABSIM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
     def test_nan_dynamics_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         generator = cli.dynamics._generator
 
@@ -262,13 +254,12 @@ class TestScenarios:
         )
         assert sidecar["run"] == RUN_RECORD
 
-    def test_heatmap_end_to_end(self, tmp_path, monkeypatch):
+    def test_heatmap_end_to_end(self, tmp_path):
         config_file = tmp_path / "small.conf"
         config_file.write_text(
             "v_min = 9.5\nv_max = 10.5\nw_min = 5.0\nw_max = 5.5\nresolution = 3\n"
         )
         out = tmp_path / "heat.csv"
-        monkeypatch.setenv("RABSIM_THREADS", "8")
         code = main(["heatmap", "--dt-divisor", "50", "--config", str(config_file),
                      "--out", str(out)])
         assert code == EXIT_OK
@@ -282,9 +273,7 @@ class TestScenarios:
         health = sidecar["health"]
         assert health["norm_gain_tol"] == 1e-6
         assert 1e-6 < health["max_norm_loss"] < 1e-3
-        # The worker count the sweep resolved: RABSIM_THREADS, capped at the
-        # number of columns.
-        assert sidecar["run"] == dict(RUN_RECORD, workers=3)
+        assert sidecar["run"] == RUN_RECORD
         # The grid block is the convergence probe's: the ridge time at the
         # configured operating point.
         angular = sidecar["resolved_angular"]

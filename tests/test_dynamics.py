@@ -19,7 +19,7 @@ from rabsim.models import DriveParams, GateKind
 from conftest import (
     GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, apply_process, coordinates_of, full_process,
     lindblad_rhs, matrices_of, qubit_coordinates, real_process, reference_blocks, rk4_run,
-    schrodinger_rhs, unit_images,
+    rk4_steps, schrodinger_rhs, unit_images,
 )
 
 
@@ -238,6 +238,53 @@ class TestRk4Order:
         err_coarse = np.linalg.norm(final_state(50) - reference)
         err_half = np.linalg.norm(final_state(100) - reference)
         assert 12.0 <= err_coarse / err_half <= 20.0
+
+
+class TestRk4Kernels:
+    """Step maps formed from the twelve kernels against plain RK4 steps of
+    the identity rows under y' = y (b0 + cos(omega t) b1)."""
+
+    @staticmethod
+    def _max_relative_deviation(b0, b1, omega, t0, h, n_steps):
+        kernels = dynamics._rk4_kernels(b0, b1, h)
+        assert kernels.shape == (12,) + np.broadcast_shapes(b0.shape, b1.shape)
+        maps = list(dynamics._step_maps(kernels, omega, t0, h, n_steps))
+        assert len(maps) == n_steps
+
+        def rhs(t, rows):
+            return rows @ (b0 + math.cos(omega * t) * b1)
+
+        eye = np.broadcast_to(np.eye(b1.shape[-1]), kernels.shape[1:])
+        deviation = 0.0
+        for k, step_map in enumerate(maps):
+            [reference] = rk4_steps(rhs, eye, t0 + k * h, h, 1)
+            deviation = max(deviation,
+                            np.max(np.abs(step_map - reference)) / np.max(np.abs(reference)))
+        return deviation
+
+    # h ||b|| near 1, where every order of the step map counts; 40 steps run
+    # across the chunks in which the maps are formed.
+    @pytest.mark.parametrize("t0", [0.0, 0.7318])
+    def test_random_real_generator(self, rng, t0):
+        b0, b1 = rng.normal(size=(2, 7, 7))
+        assert self._max_relative_deviation(b0, b1, 2.3, t0, 0.11, 40) <= 1e-13
+
+    @pytest.mark.parametrize("t0", [0.0, -3.1416])
+    def test_complex_generator_batched_over_v(self, rng, t0):
+        b0 = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+        b1 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        assert self._max_relative_deviation(b0, b1, 2.3, t0, 0.09, 40) <= 1e-13
+
+    def test_short_step(self, rng):
+        # The step of delta < h that ends an off-lattice window.
+        b0, b1 = rng.normal(size=(2, 5, 5))
+        assert self._max_relative_deviation(b0, b1, 2.3, 1.234, 0.11 * 0.3712, 1) <= 1e-13
+
+    def test_lindblad_generator(self, cz_decay_params):
+        a0, a1, _ = dynamics._generator(cz_decay_params, density=True)
+        h = 2.0 * np.pi / fastest_angular_frequency(cz_decay_params) / 50
+        assert self._max_relative_deviation(a0.T, a1.T, cz_decay_params.omega, 3.7e-7, h,
+                                            5) <= 1e-13
 
 
 class TestProcessMap:
@@ -582,10 +629,10 @@ def _lindblad_to(params, rows0, used, delta):
     lattice_steps = used.n_steps - (delta > 0)
     rhs = _stepwise_lindblad(params)
     y = rows0
-    for y in dynamics._rk4_steps(rhs, rows0, used.t_start, used.dt, lattice_steps):
+    for y in rk4_steps(rhs, rows0, used.t_start, used.dt, lattice_steps):
         pass
     if delta > 0:
-        [y] = dynamics._rk4_steps(rhs, y, used.t_start + lattice_steps * used.dt, delta, 1)
+        [y] = rk4_steps(rhs, y, used.t_start + lattice_steps * used.dt, delta, 1)
     return y
 
 
@@ -624,25 +671,26 @@ class TestOffLatticeEnd:
 
 
 class TestHalfPeriodWork:
-    """Each invariant block takes m/2 RK4 steps of h, plus at most one
+    """Each invariant block forms m/2 RK4 step maps of h, plus at most one
     shorter step that ends an off-lattice window."""
 
     @pytest.fixture
     def rk4_calls(self, monkeypatch):
         calls = []
-        steps = dynamics._rk4_steps
+        step_maps = dynamics._step_maps
 
-        def counted(rhs, y0, t0, dt, n_steps, **kwargs):
-            calls.append((dt, n_steps))
-            return steps(rhs, y0, t0, dt, n_steps, **kwargs)
+        def counted(kernels, omega, t0, h, n_steps):
+            calls.append((h, n_steps))
+            return step_maps(kernels, omega, t0, h, n_steps)
 
-        monkeypatch.setattr(dynamics, "_rk4_steps", counted)
+        monkeypatch.setattr(dynamics, "_step_maps", counted)
         return calls
 
     @staticmethod
     def _steps(params, grid, rows0, calls, *, density):
-        """RK4 steps the calls take on ``grid``'s lattice, after checking
-        that each block took m/2 of them plus at most one shorter step."""
+        """RK4 step maps the calls form on ``grid``'s lattice, after
+        checking that each block formed m/2 of them plus at most one shorter
+        step."""
         used = dynamics.stroboscopic_grid(params, grid)
         m = round(2.0 * np.pi / params.omega / used.dt)
         a0, a1, _ = dynamics._generator(params, density=density)

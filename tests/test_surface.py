@@ -17,6 +17,8 @@ def test_public_surface():
     for module in (rabsim, dynamics, models):
         for name in ("lindblad_rhs", "hamiltonian_cz", "hamiltonian_cnot"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # Steps are formed from the RK4 kernels; plain RK4 is the tests' reference.
+    assert not hasattr(dynamics, "_rk4_steps")
     build = inspect.signature(dynamics.TimeGrid.build).parameters
     assert "dt" not in build and "t_start" not in build
     # One default step divisor, in the library and on the command line.
@@ -30,8 +32,9 @@ def test_public_surface():
 
 
 def test_the_package_imports_only_the_standard_library_and_numpy():
-    # numpy is the one dependency that pyproject.toml declares.
-    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    # numpy is the one dependency that pyproject.toml declares, and every
+    # scenario runs in one process.
+    allowed = (set(sys.stdlib_module_names) | {"numpy"}) - {"concurrent", "multiprocessing"}
     seen = set()
     for path in sorted(Path(rabsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
