@@ -118,22 +118,25 @@ def _fbar_of_images(images: np.ndarray, u: np.ndarray):
     (..., 4, 4, 4, 4) as in :attr:`ProcessMap.images`: one time, or several
     stacked on the leading axes, with one fidelity returned per leading
     index.  ``u`` must map the qubit subspace into itself; U|Psi> then lies
-    in it, so the qubit block of each image is all that enters.  With
-    rho(t) = sum_ij c_i c_j image(|q_i><q_j|) for the input amplitudes c and
-    U|Psi> = U c, the integrand is linear in that block and quartic in c,
-    so the average is taken once, over the moments E[c_i c_j c_k c_l], into
-    a complex 16x16 weight W on the matrix units (ij, ab).  On the real
-    coordinates the fidelity is the real part of that contraction, the
-    contraction with the real weight Re(T W T^dagger)
-    (:func:`hilbert.real_superoperator`): every image then costs one
-    256-term real sum, all of them in one call.
+    in it, so the qubit block of each image is all that enters.  The
+    coordinates are those of an orthonormal basis, so with
+    |Psi><Psi| = sum_x coord_x(|Psi><Psi|) B_x the integrand is
+    sum_xy coord_x(|Psi><Psi|) image(B_x)_y coord_y(U|Psi><Psi|U^dag): one
+    real contraction of the images with the weight
+    E[coord_x(|Psi><Psi|) coord_y(U|Psi><Psi|U^dag)].  The amplitudes c of
+    Psi are real and the coordinates real-linear, so both factors are
+    quadratic forms in c, read off the coordinates of the matrix units
+    |q_i><q_j| and U|q_i><q_j|U^dag, and the weight takes the moments
+    E[c_i c_j c_k c_l] between them.  Every image then costs one 256-term
+    real sum, all of them in one call.
     """
     q = list(QUBIT_INDICES)
     u_qubit = u[np.ix_(q, q)]
     if not np.allclose(np.linalg.norm(u_qubit, axis=0), np.linalg.norm(u[:, q], axis=0)):
         raise ValueError("the target must map the qubit subspace into itself")
-    weight = hilbert.real_superoperator(
-        np.einsum("ijkl,ak,bl->ijab", _MOMENTS, u_qubit.conj(), u_qubit).reshape(16, 16))
+    units = np.eye(16).reshape(16, 4, 4)
+    weight = (hilbert.real_coordinates(units).T @ _MOMENTS.reshape(16, 16)
+              @ hilbert.real_coordinates(u_qubit @ units @ u_qubit.conj().T))
     # (sample, ij, ab) is a view of the stored blocks: nothing is copied.
     stack = images.reshape((-1, 16, 16))
     values = np.einsum("sxy,xy->s", stack, weight)

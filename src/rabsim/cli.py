@@ -1,7 +1,7 @@
 """Scenario runner: named experiments mapped onto the analysis layer.
 
-Subcommands
------------
+Scenarios
+---------
 rab-populations    |11>/|rr> population inversion under the matched drive
 heatmap            |rr> population over the (V, omega) plane
 gate-fidelity      time-resolved average gate fidelity for CZ or CNOT
@@ -44,8 +44,6 @@ EXIT_VALIDATION = 2
 EXIT_INTEGRATOR = 3
 EXIT_IO = 4
 
-_TIME_FMT = "{:.12g}"
-
 
 class ValidationError(ValueError):
     """One or more configuration fields failed validation."""
@@ -83,13 +81,9 @@ class ScenarioConfig:
 
     def drive_params(self) -> DriveParams:
         omega_m = cyclic_to_angular(self.omega_m_mhz, 1e6)
-        omega = self.omega_ratio * omega_m
-        gamma = cyclic_to_angular(self.gamma_khz, 1e3)
-        if self.v_over_om is None:
-            v = models.rri_condition(omega_m, omega, self.gate)
-        else:
-            v = self.v_over_om * omega_m
-        return DriveParams(omega_m=omega_m, omega=omega, v=v, gamma=gamma, gate=self.gate)
+        return DriveParams.from_ratio(
+            omega_m, self.omega_ratio, gamma=cyclic_to_angular(self.gamma_khz, 1e3),
+            gate=self.gate, v=None if self.v_over_om is None else self.v_over_om * omega_m)
 
 
 # Per-scenario defaults where they differ from the dataclass baseline: the
@@ -147,25 +141,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rabsim",
         description="Two-atom Rydberg antiblockade and gate-fidelity scenarios.",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--gate", choices=["cz", "cnot"], default=None)
-        p.add_argument("--omega-m-mhz", type=float, default=None,
-                       help="peak Rabi amplitude, cyclic MHz (default 2)")
-        p.add_argument("--omega-ratio", type=float, default=None,
-                       help="modulation frequency over Omega_m (default 7.5)")
-        p.add_argument("--gamma-khz", type=float, default=None,
-                       help="decay rate, cyclic kHz (fidelity-vs-gamma: sweep maximum)")
-        p.add_argument("--v-over-om", type=float, default=None,
-                       help="override the RRI strength, units of Omega_m "
-                            "(default: matched condition for the gate)")
-        p.add_argument("--dt-divisor", type=int, default=None,
-                       help="integration steps per fastest period "
-                            f"(default {dynamics.DEFAULT_DT_DIVISOR})")
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key = value config file; flags override it")
+    parser.add_argument("scenario", choices=SCENARIOS, help="the scenario to run")
+    parser.add_argument("--gate", choices=["cz", "cnot"], default=None)
+    parser.add_argument("--omega-m-mhz", type=float, default=None,
+                        help="peak Rabi amplitude, cyclic MHz (default 2)")
+    parser.add_argument("--omega-ratio", type=float, default=None,
+                        help="modulation frequency over Omega_m (default 7.5)")
+    parser.add_argument("--gamma-khz", type=float, default=None,
+                        help="decay rate, cyclic kHz (fidelity-vs-gamma: sweep maximum)")
+    parser.add_argument("--v-over-om", type=float, default=None,
+                        help="override the RRI strength, units of Omega_m "
+                             "(default: matched condition for the gate)")
+    parser.add_argument("--dt-divisor", type=int, default=None,
+                        help="integration steps per fastest period "
+                             f"(default {dynamics.DEFAULT_DT_DIVISOR})")
+    parser.add_argument("--out", type=str, default=None, help="output CSV path")
+    parser.add_argument("--config", type=str, default=None,
+                        help="flat key = value config file; flags override it")
     return parser
 
 
@@ -254,12 +246,12 @@ def _validate(config: ScenarioConfig) -> None:
         raise ValidationError("invalid configuration: " + "; ".join(problems))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], table) -> None:
+    """Write the rows of ``table`` (one column per header name) as CSV, each
+    value to 12 significant digits."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_TIME_FMT.format(x) for x in row])
+        np.savetxt(fh, table, fmt="%.12g", delimiter=",", header=",".join(header),
+                   comments="", newline="\r\n")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -320,8 +312,7 @@ def _run_rab_populations(config: ScenarioConfig, out: Path) -> dict:
     traj = dynamics.propagate_density(params, rho0, grid)
     p11 = traj.basis_populations(hilbert.index_of(hilbert.G1, hilbert.G1))
     prr = traj.basis_populations(hilbert.index_of(hilbert.RYD, hilbert.RYD))
-    _write_csv(out, ["t_us", "p_11", "p_rr"],
-               zip(traj.times * 1e6, p11, prr))
+    _write_csv(out, ["t_us", "p_11", "p_rr"], np.column_stack([traj.times * 1e6, p11, prr]))
     check = dynamics.convergence_check(
         params, traj, grid, lambda rho: float(np.real(rho[8, 8]))
     )
@@ -340,11 +331,9 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         resolution=config.resolution,
         dt_divisor=config.dt_divisor,
     )
-    rows = []
-    for i, v in enumerate(grid_result.v_axis):
-        for j, w in enumerate(grid_result.w_axis):
-            rows.append((v, w, grid_result.p_rr[i, j]))
-    _write_csv(out, ["v_over_om", "w_over_om", "p_rr"], rows)
+    v, w = np.meshgrid(grid_result.v_axis, grid_result.w_axis, indexing="ij")
+    _write_csv(out, ["v_over_om", "w_over_om", "p_rr"],
+               np.column_stack([v.ravel(), w.ravel(), grid_result.p_rr.ravel()]))
     # Convergence probe at the configured operating point; the sidecar's
     # grid block records its grid.
     ridge_grid = TimeGrid.build(
@@ -370,7 +359,7 @@ def _run_gate_fidelity(config: ScenarioConfig, out: Path) -> dict:
     params = config.drive_params()
     grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=config.dt_divisor)
     report = analysis.fidelity_time_series(params, grid)
-    _write_csv(out, ["t_us", "fbar"], zip(report.times * 1e6, report.fbar))
+    _write_csv(out, ["t_us", "fbar"], np.column_stack([report.times * 1e6, report.fbar]))
     payload = _base_payload(config, params, grid)
     # final_fbar belongs to the pulse end grid.t_end_s, not to gate_time_s.
     payload["gate_time_s"] = models.gate_time(params)
@@ -387,7 +376,7 @@ def _run_fidelity_vs_gamma(config: ScenarioConfig, out: Path) -> dict:
     gammas = [cyclic_to_angular(g, 1e3) for g in gamma_khz_values]
     points = analysis.fidelity_vs_gamma(params, gammas, dt_divisor=config.dt_divisor)
     _write_csv(out, ["gamma_khz", "fbar_final"],
-               zip(gamma_khz_values, [f for _, f in points]))
+               np.column_stack([gamma_khz_values, [f for _, f in points]]))
     payload = _base_payload(config, params, grid)
     payload["gate_time_s"] = models.gate_time(params)
     payload["fbar_final"] = {f"{g:.6g}": f for g, f in zip(gamma_khz_values, (f for _, f in points))}
@@ -423,9 +412,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:
         return run_scenario(config)
-    except ValidationError as exc:
-        print(f"rabsim: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"rabsim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

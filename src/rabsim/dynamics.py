@@ -189,10 +189,6 @@ class TimeGrid:
             steps = np.append(steps, self.n_steps)
         return steps
 
-    @property
-    def sample_times(self) -> np.ndarray:
-        return self.t_start + self.dt * self.sample_steps
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -313,39 +309,35 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
         yield from chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
 
 
-def _add_sandwich(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale: complex) -> None:
-    """out += scale * (superoperator of X -> left X right) on the row-major
-    vec(X), i.e. scale * kron(left, right^T)."""
-    view = out.reshape((DIM,) * 4)
-    view += (scale * left)[:, None, :, None] * right.T[None, :, None, :]
-
-
 @functools.cache
 def _density_terms(gate) -> np.ndarray:
     """The density generator's terms per unit rate on the real coordinates of
     rho, stacked and read-only: the dissipator at gamma = 1, -i[X, rho] for
     the drive structure X of ``gate``, and -i[|rr><rr|, rho].
 
-    Each is built on vec(rho) from its sandwich terms X -> left X right and
-    taken to the real coordinates with :func:`hilbert.real_superoperator`.
+    Each term is applied to the 81 Hermitian basis matrices
+    (:func:`hilbert.hermitian_matrices` of the coordinate units), and the
+    real coordinates of the images are read back as its columns: column k
+    is the term applied to basis matrix k.  Every term maps Hermitian
+    matrices to Hermitian matrices, so these columns are the whole term.
     """
-    eye = np.eye(DIM)
+    basis = hilbert.hermitian_matrices(np.eye(DIM * DIM))
     collapse = models.collapse_operators(1.0)
     half_rate = 0.5 * sum(hilbert.dagger(op) @ op for op in collapse)
-    x = models.drive_structure(gate)
     rr = hilbert.projector(hilbert.RYD, hilbert.RYD)
-    sandwiches = (
-        [(half_rate, eye, -1.0), (eye, half_rate, -1.0)]
-        + [(op, hilbert.dagger(op), 1.0) for op in collapse],
-        [(x, eye, -1j), (eye, x, 1j)],
-        [(rr, eye, -1j), (eye, rr, 1j)],
-    )
-    terms = np.empty((len(sandwiches), DIM * DIM, DIM * DIM))
-    for term, parts in zip(terms, sandwiches):
-        superoperator = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-        for left, right, scale in parts:
-            _add_sandwich(superoperator, left, right, scale)
-        term[...] = hilbert.real_superoperator(superoperator)
+    # One term at a time, in one buffer of images: fewer live temporaries
+    # leave the heap smaller for the propagation that follows.
+    terms = np.empty((3, DIM * DIM, DIM * DIM))
+    images = -(half_rate @ basis)
+    images -= basis @ half_rate
+    for op in collapse:
+        images += op @ basis @ hilbert.dagger(op)
+    terms[0] = hilbert.real_coordinates(images).T
+    for term, x in zip(terms[1:], (models.drive_structure(gate), rr)):
+        np.matmul(x, basis, out=images)
+        images -= basis @ x
+        images *= -1j
+        term[...] = hilbert.real_coordinates(images).T
     terms.flags.writeable = False
     return terms
 
@@ -357,15 +349,14 @@ def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray
     replace ``params.v`` by an array of RRI strengths, which gives A0 those
     leading batch axes (a heatmap column runs |11> over its V axis that
     way).  For density matrices y holds the real coordinates of rho
-    (:func:`hilbert.real_coordinates`: rho_aa at 9a + a, and for a < b
-    sqrt2 Re rho_ab at 9a + b and sqrt2 Im rho_ab at 9b + a) and A(t) is the
-    real 81x81 Liouvillian on them, with the decay in A0: the Lindblad
-    generator maps Hermitian matrices to Hermitian matrices.  It is
-    assembled from the per-gate terms of :func:`_density_terms`, scaled by
-    gamma, Omega_m and V, and is never batched.  ``parity`` is the diagonal
-    of Pi, (-1)^n_r on the 9 basis states and (-1)^(n_r(a) + n_r(b)) at
-    index 9a + b (and so at 9b + a) of the density coordinates; it gives
-    Pi A0 Pi = A0 and Pi A1 Pi = -A1.
+    (:func:`hilbert.real_coordinates`) and A(t) is the real 81x81
+    Liouvillian on them, with the decay in A0: the Lindblad generator maps
+    Hermitian matrices to Hermitian matrices.  It is assembled from the
+    per-gate terms of :func:`_density_terms`, scaled by gamma, Omega_m and
+    V, and is never batched.  ``parity`` is the diagonal of Pi, (-1)^n_r on
+    the 9 basis states and (-1)^(n_r(a) + n_r(b)) at index 9a + b (and so at
+    9b + a) of the density coordinates; it gives Pi A0 Pi = A0 and
+    Pi A1 Pi = -A1.
     """
     is_rydberg = (np.arange(hilbert.N_LEVELS) == hilbert.RYD).astype(int)
     parity = (-1.0) ** np.add.outer(is_rydberg, is_rydberg).ravel()

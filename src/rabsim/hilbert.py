@@ -122,49 +122,20 @@ def hermitian_matrices(coordinates: np.ndarray) -> np.ndarray:
     return out.reshape(coordinates.shape[:-1] + (n, n))
 
 
-def real_superoperator(s: np.ndarray) -> np.ndarray:
-    """Real part of T s T^dagger, for s acting on the row-major vec(X) of
-    n x n matrices (last two axes n*n x n*n) and T the unitary that takes
-    vec(X) to the real coordinates of a Hermitian X.
-
-    For a Hermiticity-preserving s (a Lindblad generator) T s T^dagger is
-    real, the matrix of s on the real coordinates.  For any s and real
-    coordinates x, y, Re(y . T s T^dagger x) is this real matrix's form, so
-    a real contraction with it reads the real part of a complex one.  Built
-    by gathers over the transposed index pairs: T has two entries per row.
-    """
-    n = round(np.sqrt(s.shape[-1]))
-    swap, upper, lower = _hermitian_pairs(n)
-    # T y = scale * (w_self * y + w_swap * y[swap]), scale 1/sqrt2 off the
-    # diagonal; the scales enter once per side, as exact products.
-    w_self = np.where(lower, 1j, 1.0)
-    w_swap = np.where(upper, 1.0, np.where(lower, -1j, 0.0))
-    rows = w_self[:, np.newaxis] * s
-    swapped = s[..., swap, :]
-    swapped *= w_swap[:, np.newaxis]
-    rows += swapped
-    both = rows * w_self.conj()
-    np.take(rows, swap, axis=-1, out=swapped, mode="clip")
-    swapped *= w_swap.conj()
-    both += swapped
-    off = upper | lower
-    both *= np.where(off[:, np.newaxis] & off, 0.5,
-                     np.where(off[:, np.newaxis] | off, np.sqrt(0.5), 1.0))
-    return np.ascontiguousarray(both.real)
+#: Tolerances of :func:`check_density_matrix`: the largest entry of
+#: rho - rho^dagger, the distance of the trace from 1, and how far below zero
+#: the smallest eigenvalue may lie.
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-8
+EIG_TOL = 1e-8
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-8,
-    eig_tol: float = 1e-8,
-) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Validate the density-matrix invariants, raising ValueError on failure.
 
     Checks finiteness, Hermiticity (max entry of rho - rho^dagger within
-    ``herm_tol``), unit trace within ``trace_tol`` and positive
-    semidefiniteness (smallest eigenvalue >= -``eig_tol``).
+    :data:`HERM_TOL`), unit trace within :data:`TRACE_TOL` and positive
+    semidefiniteness (smallest eigenvalue >= -:data:`EIG_TOL`).
     """
     rho = np.asarray(rho)
     if rho.shape != (DIM, DIM):
@@ -172,11 +143,11 @@ def check_density_matrix(
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has a non-finite entry")
     herm_err = float(np.max(np.abs(rho - dagger(rho))))
-    if not herm_err <= herm_tol:
+    if not herm_err <= HERM_TOL:
         raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
     trace_err = abs(np.trace(rho) - 1.0)
-    if not trace_err <= trace_tol:
+    if not trace_err <= TRACE_TOL:
         raise ValueError(f"density matrix trace off unity by {trace_err:.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))[0])
-    if not min_eig >= -eig_tol:
+    if not min_eig >= -EIG_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")

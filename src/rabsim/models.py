@@ -315,24 +315,25 @@ def rotating_frame_harmonics(params: DriveParams) -> list[HarmonicTerm]:
     ]
 
 
-def derive_effective_hamiltonian(
-    terms: list[HarmonicTerm],
-    *,
-    resonance_rtol: float = 1e-9,
-) -> np.ndarray:
+#: Relative tolerance of :func:`derive_effective_hamiltonian`: two
+#: frequencies within it are resonant, and one within it of zero is static.
+RESONANCE_RTOL = 1e-9
+
+
+def derive_effective_hamiltonian(terms: list[HarmonicTerm]) -> np.ndarray:
     """Second-order time-averaged Hamiltonian of a list of harmonic terms.
 
     Keeps the static part of the second-order expansion: every resonant pair
-    (freq_m == freq_n within ``resonance_rtol`` relatively) contributes
+    (freq_m == freq_n within :data:`RESONANCE_RTOL` relatively) contributes
 
         (1/2) (1/freq_m + 1/freq_n) * [op_m^dagger, op_n]
 
     Terms with negative frequency are first normalized to (op^dagger, -freq),
     which leaves their time dependence unchanged, so the result does not
     depend on the caller's sign convention.  A frequency within
-    ``resonance_rtol`` of zero (relative to the largest magnitude present)
-    raises :class:`DegenerateFrequencyError`: static terms must be split off
-    before calling.
+    :data:`RESONANCE_RTOL` of zero (relative to the largest magnitude
+    present) raises :class:`DegenerateFrequencyError`: static terms must be
+    split off before calling.
     """
     h_eff = np.zeros((DIM, DIM), dtype=complex)
     if not terms:
@@ -347,16 +348,16 @@ def derive_effective_hamiltonian(
         ops.append(op)
         freqs.append(freq)
     freq_scale = max(freqs)
-    cutoff = resonance_rtol * freq_scale
+    cutoff = RESONANCE_RTOL * freq_scale
     low = [f for f in freqs if f <= cutoff]
     if low:
         raise DegenerateFrequencyError(
-            f"harmonic frequency {low[0]:.3e} is within {resonance_rtol:g} of zero "
+            f"harmonic frequency {low[0]:.3e} is within {RESONANCE_RTOL:g} of zero "
             f"(scale {freq_scale:.3e}); split static terms off before deriving"
         )
     for op_m, freq_m in zip(ops, freqs):
         for op_n, freq_n in zip(ops, freqs):
-            if abs(freq_m - freq_n) <= resonance_rtol * max(freq_m, freq_n):
+            if abs(freq_m - freq_n) <= RESONANCE_RTOL * max(freq_m, freq_n):
                 weight = 0.5 * (1.0 / freq_m + 1.0 / freq_n)
                 h_eff += weight * hilbert.commutator(hilbert.dagger(op_m), op_n)
     return h_eff

@@ -150,7 +150,7 @@ def rk4_steps(rhs, y0, t0, dt, n_steps):
 
 
 def rk4_run(rhs, y0, grid, *, hermitize):
-    """Step-by-step RK4 over the grid, returning (sample_times, samples).
+    """Step-by-step RK4 over the grid, returning (sample times, samples).
 
     Each step is one step of :func:`rk4_steps`; with ``hermitize`` the state
     is replaced by its Hermitian part 0.5 (y + y^dagger) after it.
@@ -167,7 +167,7 @@ def rk4_run(rhs, y0, grid, *, hermitize):
         if sample_pos < len(sample_steps) and step == sample_steps[sample_pos]:
             samples[sample_pos] = y
             sample_pos += 1
-    return grid.sample_times, samples
+    return grid.t_start + grid.dt * sample_steps, samples
 
 
 QUBIT_UNITS = [9 * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]

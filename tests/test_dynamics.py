@@ -110,7 +110,7 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 1.0, 0.1, 10, 3)
         assert grid.sample_steps[0] == 0
         assert grid.sample_steps[-1] == 10
-        times = grid.sample_times
+        times = grid.t_start + grid.dt * grid.sample_steps
         assert np.all(np.diff(times) > 0)
 
     def test_default_sampling_caps_storage(self, cz_params):
@@ -467,6 +467,21 @@ class TestStroboscopicMatchesStepwise:
         target = {GateKind.CZ: 0.9911, GateKind.CNOT: 0.9935}[params.gate]
         [(_, fbar)] = analysis.fidelity_vs_gamma(params, [params.gamma], dt_divisor=400)
         assert abs(fbar - target) <= 1e-4
+
+
+@pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
+@pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ, 3e6])
+def test_density_generator_is_the_lindbladian_on_coordinates(gate, gamma, rng):
+    # The generator that the density runs read, against the Lindblad
+    # right-hand side on complex rho, at instants spread over a drive period.
+    params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
+    a0, a1, _ = dynamics._generator(params, density=True)
+    collapse = models.collapse_operators(gamma)
+    rho = random_hermitian(rng)
+    for t in np.array([0.0, 0.3, 0.8]) * 2.0 * np.pi / params.omega:
+        found = (a0 + math.cos(params.omega * t) * a1) @ hilbert.real_coordinates(rho)
+        expected = coordinates_of(lindblad_rhs(rho, models.hamiltonian(params, t), collapse))
+        assert np.max(np.abs(found - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestRealCoordinates:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import rabsim
-from rabsim import analysis, cli, dynamics, models
+from rabsim import analysis, cli, dynamics, hilbert, models
 
 
 def test_public_surface():
@@ -19,6 +19,9 @@ def test_public_surface():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     # Steps are formed from the RK4 kernels; plain RK4 is the tests' reference.
     assert not hasattr(dynamics, "_rk4_steps")
+    # The real-coordinate operators are read off the Hermitian basis.
+    assert not hasattr(hilbert, "real_superoperator")
+    assert not hasattr(dynamics, "_add_sandwich")
     build = inspect.signature(dynamics.TimeGrid.build).parameters
     assert "dt" not in build and "t_start" not in build
     # One default step divisor, in the library and on the command line.
