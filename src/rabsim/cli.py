@@ -10,13 +10,14 @@ fidelity-vs-gamma  final average fidelity across a range of decay rates
 Every run writes one CSV (documented per-scenario column contract) plus a
 JSON sidecar with the fully resolved parameters in angular units, the
 integration step, convergence deltas, wall time and the versions that made
-the run.  Rates cross the CLI boundary in cyclic units (MHz / kHz) to match
+the run; a failed run writes neither.  Rates cross the CLI boundary in cyclic units (MHz / kHz) to match
 how they are usually quoted; all internal math is angular, and the
 conversion happens in exactly one place (:func:`cyclic_to_angular`).
 
 Exit codes: 0 success, 2 validation/usage error (including non-finite
-input), 3 integrator health error or another arithmetic failure, 4 I/O
-error.
+input and a config file's content), 3 integrator health error or another
+arithmetic failure, 4 I/O error (including a config file that cannot be
+read).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,27 +98,21 @@ _SCENARIO_GAMMA_DEFAULTS = {
     "fidelity-vs-gamma": 2.0,
 }
 
-_CONFIG_FILE_KEYS = {
-    "gate": str,
-    "omega_m_mhz": float,
-    "omega_ratio": float,
-    "gamma_khz": float,
-    "v_over_om": float,
-    "dt_divisor": int,
-    "v_min": float,
-    "v_max": float,
-    "w_min": float,
-    "w_max": float,
-    "resolution": int,
-    "gamma_points": int,
-    "out": str,
-}
+# Every field of ScenarioConfig but the scenario is a config-file key, read
+# as a float unless it has a reader here.
+_NON_FLOAT_READERS = {"gate": str.lower, "dt_divisor": int, "resolution": int,
+                      "gamma_points": int, "out": str}
+_CONFIG_FILE_KEYS = {f.name: _NON_FLOAT_READERS.get(f.name, float)
+                     for f in fields(ScenarioConfig) if f.name != "scenario"}
 
 
 def _read_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file; ``#`` starts a comment."""
     values: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,60 +132,52 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Options left out of argv are left out of the namespace, so that only
+    # the flags given override the config file.
     parser = argparse.ArgumentParser(
         prog="rabsim",
         description="Two-atom Rydberg antiblockade and gate-fidelity scenarios.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("scenario", choices=SCENARIOS, help="the scenario to run")
-    parser.add_argument("--gate", choices=["cz", "cnot"], default=None)
-    parser.add_argument("--omega-m-mhz", type=float, default=None,
+    parser.add_argument("--gate", type=str.lower, choices=[g.value for g in GateKind])
+    parser.add_argument("--omega-m-mhz", type=float,
                         help="peak Rabi amplitude, cyclic MHz (default 2)")
-    parser.add_argument("--omega-ratio", type=float, default=None,
+    parser.add_argument("--omega-ratio", type=float,
                         help="modulation frequency over Omega_m (default 7.5)")
-    parser.add_argument("--gamma-khz", type=float, default=None,
+    parser.add_argument("--gamma-khz", type=float,
                         help="decay rate, cyclic kHz (fidelity-vs-gamma: sweep maximum)")
-    parser.add_argument("--v-over-om", type=float, default=None,
+    parser.add_argument("--v-over-om", type=float,
                         help="override the RRI strength, units of Omega_m "
                              "(default: matched condition for the gate)")
-    parser.add_argument("--dt-divisor", type=int, default=None,
+    parser.add_argument("--dt-divisor", type=int,
                         help="integration steps per fastest period "
                              f"(default {dynamics.DEFAULT_DT_DIVISOR})")
-    parser.add_argument("--out", type=str, default=None, help="output CSV path")
-    parser.add_argument("--config", type=str, default=None,
+    parser.add_argument("--out", type=str, help="output CSV path")
+    parser.add_argument("--config", type=str,
                         help="flat key = value config file; flags override it")
     return parser
 
 
 def parse_config(argv=None) -> ScenarioConfig:
     """Resolve a ScenarioConfig from argv: flags > config file > defaults."""
-    args = _build_parser().parse_args(argv)
-    config = ScenarioConfig(scenario=args.scenario)
-    config.gamma_khz = _SCENARIO_GAMMA_DEFAULTS[args.scenario]
-    config.out = args.scenario.replace("-", "_") + ".csv"
-
-    if args.config is not None:
-        for key, value in _read_config_file(args.config).items():
-            if key == "gate":
-                value = _parse_gate(value)
-            setattr(config, key, value)
-    flag_fields = ("gate", "omega_m_mhz", "omega_ratio", "gamma_khz",
-                   "v_over_om", "dt_divisor", "out")
-    for key in flag_fields:
-        value = getattr(args, key)
-        if value is not None:
-            if key == "gate":
-                value = _parse_gate(value)
-            setattr(config, key, value)
-
+    flags = vars(_build_parser().parse_args(argv))
+    scenario = flags["scenario"]
+    values = {"gamma_khz": _SCENARIO_GAMMA_DEFAULTS[scenario],
+              "out": scenario.replace("-", "_") + ".csv"}
+    if "config" in flags:
+        values.update(_read_config_file(flags.pop("config")))
+    values.update(flags)
+    if "gate" in values:
+        values["gate"] = _parse_gate(values["gate"])
+    config = ScenarioConfig(**values)
     _validate(config)
     return config
 
 
-def _parse_gate(value) -> GateKind:
-    if isinstance(value, GateKind):
-        return value
+def _parse_gate(value: str) -> GateKind:
     try:
-        return GateKind(str(value).lower())
+        return GateKind(value)
     except ValueError:
         raise ValidationError(f"gate must be 'cz' or 'cnot', got {value!r}") from None
 
@@ -227,6 +214,8 @@ def _validate(config: ScenarioConfig) -> None:
         problems.append(f"gamma_points must be >= 2 (got {config.gamma_points})")
     if not config.out:
         problems.append("out path must not be empty")
+    elif Path(config.out).suffix == ".json":
+        problems.append(f"out must not be its own JSON sidecar (got {config.out!r})")
     if not problems:
         # Finite fields can still combine into unusable angular parameters:
         # an overflowing omega, a matched V below zero, or a gate time that
@@ -261,12 +250,6 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
         header = next(reader)
         rows = [[float(x) for x in row] for row in reader if row]
     return header, np.array(rows)
-
-
-def _write_sidecar(csv_path: Path, payload: dict) -> Path:
-    sidecar = csv_path.with_suffix(".json")
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return sidecar
 
 
 def _run_record() -> dict:
@@ -304,7 +287,14 @@ def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -
     }
 
 
-def _run_rab_populations(config: ScenarioConfig, out: Path) -> dict:
+def _p_rr_convergence(params: DriveParams, trajectory, grid: TimeGrid) -> dict:
+    """The dt-halving record of P_rr = rho[8, 8] at the end of ``trajectory``."""
+    check = dynamics.convergence_check(params, trajectory, grid,
+                                       lambda rho: float(np.real(rho[8, 8])))
+    return {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
+
+
+def _run_rab_populations(config: ScenarioConfig):
     params = config.drive_params()
     t_end = models.gate_time(params)
     grid = TimeGrid.build(params, t_end, dt_divisor=config.dt_divisor)
@@ -312,17 +302,13 @@ def _run_rab_populations(config: ScenarioConfig, out: Path) -> dict:
     traj = dynamics.propagate_density(params, rho0, grid)
     p11 = traj.basis_populations(hilbert.index_of(hilbert.G1, hilbert.G1))
     prr = traj.basis_populations(hilbert.index_of(hilbert.RYD, hilbert.RYD))
-    _write_csv(out, ["t_us", "p_11", "p_rr"], np.column_stack([traj.times * 1e6, p11, prr]))
-    check = dynamics.convergence_check(
-        params, traj, grid, lambda rho: float(np.real(rho[8, 8]))
-    )
-    payload = _base_payload(config, params, grid)
-    payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
-    payload["peak_p_rr"] = float(np.max(prr))
-    return payload
+    return params, grid, {"t_us": traj.times * 1e6, "p_11": p11, "p_rr": prr}, {
+        "convergence": _p_rr_convergence(params, traj, grid),
+        "peak_p_rr": float(np.max(prr)),
+    }
 
 
-def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
+def _run_heatmap(config: ScenarioConfig):
     params = config.drive_params()
     grid_result = analysis.sweep_heatmap(
         params,
@@ -332,8 +318,6 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         dt_divisor=config.dt_divisor,
     )
     v, w = np.meshgrid(grid_result.v_axis, grid_result.w_axis, indexing="ij")
-    _write_csv(out, ["v_over_om", "w_over_om", "p_rr"],
-               np.column_stack([v.ravel(), w.ravel(), grid_result.p_rr.ravel()]))
     # Convergence probe at the configured operating point; the sidecar's
     # grid block records its grid.
     ridge_grid = TimeGrid.build(
@@ -344,45 +328,44 @@ def _run_heatmap(config: ScenarioConfig, out: Path) -> dict:
         params, hilbert.projector(hilbert.G1, hilbert.G1),
         replace(ridge_grid, sample_stride=10**9),
     )
-    check = dynamics.convergence_check(
-        params, probe, ridge_grid, lambda rho: float(np.real(rho[8, 8])),
-    )
-    payload = _base_payload(config, params, ridge_grid)
-    payload["convergence"] = {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
-    payload["failed_cells"] = int(np.count_nonzero(~np.isfinite(grid_result.p_rr)))
-    payload["health"] = {"max_norm_loss": grid_result.max_norm_loss,
-                         "norm_gain_tol": analysis.NORM_GAIN_TOL}
-    return payload
+    columns = {"v_over_om": v.ravel(), "w_over_om": w.ravel(), "p_rr": grid_result.p_rr.ravel()}
+    return params, ridge_grid, columns, {
+        "convergence": _p_rr_convergence(params, probe, ridge_grid),
+        "failed_cells": int(np.count_nonzero(~np.isfinite(grid_result.p_rr))),
+        "health": {"max_norm_loss": grid_result.max_norm_loss,
+                   "norm_gain_tol": analysis.NORM_GAIN_TOL},
+    }
 
 
-def _run_gate_fidelity(config: ScenarioConfig, out: Path) -> dict:
+def _run_gate_fidelity(config: ScenarioConfig):
     params = config.drive_params()
     grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=config.dt_divisor)
     report = analysis.fidelity_time_series(params, grid)
-    _write_csv(out, ["t_us", "fbar"], np.column_stack([report.times * 1e6, report.fbar]))
-    payload = _base_payload(config, params, grid)
     # final_fbar belongs to the pulse end grid.t_end_s, not to gate_time_s.
-    payload["gate_time_s"] = models.gate_time(params)
-    payload["final_fbar"] = report.final_fbar
-    return payload
+    return params, grid, {"t_us": report.times * 1e6, "fbar": report.fbar}, {
+        "gate_time_s": models.gate_time(params),
+        "final_fbar": report.final_fbar,
+    }
 
 
-def _run_fidelity_vs_gamma(config: ScenarioConfig, out: Path) -> dict:
+def _run_fidelity_vs_gamma(config: ScenarioConfig):
     params = config.drive_params().with_gamma(0.0)
     # The grid every gamma point runs on; fidelities belong to its t_end_s.
     grid = TimeGrid.build(params, models.pulse_end_time(params),
                           dt_divisor=config.dt_divisor, sample_stride=10**9)
     gamma_khz_values = np.linspace(0.0, config.gamma_khz, config.gamma_points)
     gammas = [cyclic_to_angular(g, 1e3) for g in gamma_khz_values]
-    points = analysis.fidelity_vs_gamma(params, gammas, dt_divisor=config.dt_divisor)
-    _write_csv(out, ["gamma_khz", "fbar_final"],
-               np.column_stack([gamma_khz_values, [f for _, f in points]]))
-    payload = _base_payload(config, params, grid)
-    payload["gate_time_s"] = models.gate_time(params)
-    payload["fbar_final"] = {f"{g:.6g}": f for g, f in zip(gamma_khz_values, (f for _, f in points))}
-    return payload
+    fbars = [f for _, f in analysis.fidelity_vs_gamma(params, gammas,
+                                                       dt_divisor=config.dt_divisor)]
+    return params, grid, {"gamma_khz": gamma_khz_values, "fbar_final": fbars}, {
+        "gate_time_s": models.gate_time(params),
+        "fbar_final": {f"{g:.6g}": f for g, f in zip(gamma_khz_values, fbars)},
+    }
 
 
+# Each runner returns (params, grid, columns, extras): the parameters and
+# grid of the sidecar's base payload, the CSV as an ordered
+# {header: column} mapping, and the sidecar entries of its own scenario.
 _RUNNERS = {
     "rab-populations": _run_rab_populations,
     "heatmap": _run_heatmap,
@@ -392,35 +375,38 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig) -> int:
-    """Execute the configured scenario, writing the CSV and JSON sidecar."""
+    """Execute the configured scenario, then write the CSV and JSON sidecar.
+
+    Both files are written once the run has finished, and a sidecar that
+    cannot be written takes the CSV with it, so a failed run leaves neither.
+    """
     out = Path(config.out)
     started = time.perf_counter()
-    payload = _RUNNERS[config.scenario](config, out)
-    payload["wall_time_s"] = time.perf_counter() - started
-    payload["csv"] = str(out)
-    _write_sidecar(out, payload)
+    params, grid, columns, extras = _RUNNERS[config.scenario](config)
+    _write_csv(out, list(columns), np.column_stack(list(columns.values())))
+    payload = {**_base_payload(config, params, grid), **extras, "csv": str(out),
+               "wall_time_s": time.perf_counter() - started}
+    try:
+        out.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        out.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
-    except ValidationError as exc:
-        print(f"rabsim: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SystemExit as exc:  # argparse usage errors
+        return run_scenario(parse_config(argv))
+    except SystemExit as exc:  # argparse: --help and usage errors
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
-    try:
-        return run_scenario(config)
-    except ValueError as exc:
-        print(f"rabsim: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except ValueError as exc:  # validation, including a config file's content
+        code, message = EXIT_VALIDATION, exc
     except (IntegratorHealthError, ArithmeticError) as exc:
-        print(f"rabsim: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+        code, message = EXIT_INTEGRATOR, exc
     except OSError as exc:
-        print(f"rabsim: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, exc
+    print(f"rabsim: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

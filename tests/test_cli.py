@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -95,6 +96,40 @@ class TestParseConfig:
         assert main(["gate-fidelity", "--config", str(config_file)]) == EXIT_VALIDATION
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, default, from_file, from_flag", [
+        ("gate", GateKind.CZ, GateKind.CNOT, GateKind.CZ),
+        ("omega_m_mhz", 2.0, 3.0, 2.5),
+        ("omega_ratio", 7.5, 6.0, 7.0),
+        ("gamma_khz", 1.5, 1.0, 0.5),
+        ("v_over_om", None, 14.0, 16.0),
+        ("dt_divisor", dynamics.DEFAULT_DT_DIVISOR, 100, 120),
+        ("out", "gate_fidelity.csv", "file.csv", "flag.csv"),
+    ])
+    def test_flag_overrides_file_overrides_scenario_default(
+            self, key, default, from_file, from_flag, tmp_path):
+        def text(value):
+            return value.value if isinstance(value, GateKind) else str(value)
+
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"{key} = {text(from_file)}\n")
+        flag = ["--" + key.replace("_", "-"), text(from_flag)]
+        assert getattr(parse_config(["gate-fidelity"]), key) == default
+        with_file = ["gate-fidelity", "--config", str(config_file)]
+        assert getattr(parse_config(with_file), key) == from_file
+        assert getattr(parse_config([*with_file, *flag]), key) == from_flag
+        assert getattr(parse_config([*flag, *with_file]), key) == from_flag
+
+    def test_config_file_keys_are_the_scenario_fields(self):
+        names = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"scenario"}
+        assert set(cli._CONFIG_FILE_KEYS) == names
+
+    @pytest.mark.parametrize("spelling", ["cnot", "CNOT", "Cnot"])
+    def test_gate_is_read_in_any_case_from_flag_and_file(self, spelling, tmp_path):
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"gate = {spelling}\n")
+        assert parse_config(["gate-fidelity", "--gate", spelling]).gate is GateKind.CNOT
+        assert parse_config(["gate-fidelity", "--config", str(config_file)]).gate is GateKind.CNOT
+
     def test_config_file_bad_value(self, tmp_path):
         config_file = tmp_path / "bad.conf"
         config_file.write_text("dt_divisor = many\n")
@@ -111,6 +146,40 @@ class TestExitCodes:
     def test_unknown_scenario_or_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_VALIDATION
         capsys.readouterr()
+
+    @pytest.mark.parametrize("gate", ["xyz", ""])
+    def test_unknown_gate_exits_2_from_flag_or_file(self, gate, tmp_path, capsys):
+        assert main(["gate-fidelity", "--gate", gate]) == EXIT_VALIDATION
+        assert "--gate" in capsys.readouterr().err
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"gate = {gate}\n")
+        assert main(["gate-fidelity", "--config", str(config_file)]) == EXIT_VALIDATION
+        assert "gate must be 'cz' or 'cnot'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["result.json", "nested/result.json"])
+    def test_out_that_is_its_own_sidecar_is_validation_error(self, name, tmp_path, capsys):
+        out = tmp_path / name
+        out.parent.mkdir(exist_ok=True)
+        assert main(["rab-populations", *FAST, "--out", str(out)]) == EXIT_VALIDATION
+        assert "sidecar" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.*")) == []
+
+    @pytest.mark.parametrize("make, code", [
+        (lambda path: None, EXIT_IO),  # missing
+        (lambda path: path.mkdir(), EXIT_IO),  # a directory
+        (lambda path: path.write_bytes(b"gate = c\xffz\n"), EXIT_VALIDATION),  # not UTF-8
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_config_file_errors_take_the_documented_exit_code(
+            self, make, code, tmp_path, capsys):
+        config_file = tmp_path / "run.conf"
+        make(config_file)
+        out = tmp_path / "x.csv"
+        assert main(["rab-populations", "--config", str(config_file),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("rabsim: ") and err.count("\n") == 1
+        assert str(config_file) in err
+        assert not out.exists()
 
     def test_zero_drive_rejected(self, capsys):
         code = main(["gate-fidelity", "--gate", "cz", "--gamma-khz", "0",
@@ -196,6 +265,25 @@ class TestExitCodes:
         code = main(["rab-populations", *FAST, "--out", str(out)])
         assert code == cli.EXIT_INTEGRATOR
         capsys.readouterr()
+
+    def test_failed_convergence_check_writes_neither_file(self, tmp_path, monkeypatch, capsys):
+        from rabsim.dynamics import IntegratorHealthError
+
+        def broken(*args, **kwargs):
+            raise IntegratorHealthError("norm drifted on the dt/2 run")
+
+        monkeypatch.setattr("rabsim.cli.dynamics.convergence_check", broken)
+        out = tmp_path / "x.csv"
+        assert main(["rab-populations", *FAST, "--out", str(out)]) == cli.EXIT_INTEGRATOR
+        assert "dt/2 run" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sidecar_takes_the_csv_with_it(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.with_suffix(".json").mkdir()
+        assert main(["rab-populations", *FAST, "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("rabsim: ")
+        assert not out.exists()
 
 
 class TestScenarios:
@@ -333,6 +421,13 @@ def test_python_m_rabsim_runs_without_warning():
     assert result.returncode == 0
     assert "usage: rabsim" in result.stdout
     assert "RuntimeWarning" not in result.stderr
+    # A config-file error takes its exit code (I/O: 4) and one message line.
+    result = subprocess.run(
+        [sys.executable, "-m", "rabsim", "rab-populations", "--config", "missing.conf"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_IO
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("rabsim: ") and "missing.conf" in result.stderr
 
 
 def test_csv_round_trip(tmp_path):
