@@ -17,7 +17,7 @@ conversion happens in exactly one place (:func:`cyclic_to_angular`).
 Exit codes: 0 success, 2 validation/usage error (including non-finite
 input and a config file's content), 3 integrator health error or another
 arithmetic failure, 4 I/O error (including a config file that cannot be
-read).
+read and an ``out`` directory that does not exist).
 """
 
 from __future__ import annotations
@@ -237,10 +237,13 @@ def _validate(config: ScenarioConfig) -> None:
 
 def _write_csv(path: Path, header: list[str], table) -> None:
     """Write the rows of ``table`` (one column per header name) as CSV, each
-    value to 12 significant digits."""
+    value to 12 significant digits, with one string format over the whole
+    table."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.12g", delimiter=",", header=",".join(header),
-                   comments="", newline="\r\n")
+        fh.write(",".join(header) + "\r\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -379,8 +382,11 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     Both files are written once the run has finished, and a sidecar that
     cannot be written takes the CSV with it, so a failed run leaves neither.
+    An ``out`` whose directory does not exist fails before the run.
     """
     out = Path(config.out)
+    if not out.parent.is_dir():
+        raise OSError(f"cannot write {out}: {out.parent} is not a directory")
     started = time.perf_counter()
     params, grid, columns, extras = _RUNNERS[config.scenario](config)
     _write_csv(out, list(columns), np.column_stack(list(columns.values())))

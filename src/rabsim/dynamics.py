@@ -28,11 +28,12 @@ s < P/2 and y(kP) G Phi(s - P/2) Pi after that.  A window that ends off the
 step lattice is read at its last lattice step and advanced to t_end by one
 RK4 step of the remainder, so every run ends exactly at t_end.  Each
 invariant block (below) thus takes at most m/2 RK4 steps of P/m, plus at
-most one short step, however long the window; the kept maps cost at most
-one map of the block's size per distinct in-period sample offset.  In exact
-arithmetic this is the same product of RK4 step maps as stepping through
-the lattice and then the short step, which the step-by-step references of
-the tests do.
+most one short step, however long the window.  The kept columns of the
+prefix maps that samples read sit in one stack, and the samples are one
+batched product of it with the starts y(kP) and y(kP) G, both factors
+gathered per sample.  In exact arithmetic this is the same product of RK4
+step maps as stepping through the lattice and then the short step, which
+the step-by-step references of the tests do.
 
 Each step is applied as its map.  On rows (y' = y B with B = A^T =
 b0 + c(t) b1), one RK4 step of h from t is y -> y M with
@@ -509,9 +510,10 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     maps (:func:`_step_maps`), into Phi(P/2), and
     Phi(P) = G G with G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
-    Phi(s) only for s < P/2: the same pass keeps Phi(s) at each offset s
-    that a sample reads, at most one map of the block's size (times the
-    batch axes of ``a0``) per distinct offset.  A window that ends off the
+    Phi(s) only for s < P/2: the same pass stacks the kept columns of Phi(s)
+    at each offset s that a sample reads, and the samples are one batched
+    product of their origins y(kP) or y(kP) G with their maps, both
+    gathered from the stacks.  A window that ends off the
     step lattice is read at its last lattice step and advanced to t_end by
     one RK4 step of the remainder.
 
@@ -561,25 +563,38 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
                        lattice: _SampleLattice, columns=None):
     """Samples (n_samples, ..., c, k) of one run on the lattice: the
     coordinates ``columns`` of the d it runs on, or all of them when None."""
-    t0, m, n, h, slot = lattice.t0, lattice.m, lattice.n, lattice.h, lattice.slot
-    half = m // 2
+    t0, m, n, h = lattice.t0, lattice.m, lattice.n, lattice.h
+    half, d = m // 2, a0.shape[-1]
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
+    # The kept coordinates: a view of all of them when none are picked.
+    keep = slice(None) if columns is None else columns
+    width = d if columns is None else len(columns)
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
     glide = lattice.j >= half
     j = np.where(glide, lattice.j - half, lattice.j)
+    # The kept columns of the prefix maps Phi(j h) at the offsets that the
+    # samples read, in one stack whose batch axes line up with the starts';
+    # the identity at offset 0.
+    read, which = np.unique(j, return_inverse=True)
+    maps = np.empty((len(read),) + (1,) * (rows0.ndim - a0.ndim) + a0.shape[:-2] + (d, width),
+                    dtype=dtype)
+    maps[read == 0] = np.eye(d, dtype=dtype)[:, keep]
+    stacked = dict(zip(read.tolist(), maps))
     # One pass over half a period (or up to the last offset read, when no
-    # sample needs the half-period map) keeps the prefix maps Phi(j h).
+    # sample needs the half-period map) fills the stack.  An off-lattice end
+    # keeps its full-width prefix map.
     needs_half = n > 0 or glide.any()
-    offsets = set(j.tolist()) - {0}
-    partial_maps = {}
-    prefix = np.broadcast_to(np.eye(a0.shape[-1], dtype=dtype), a0.shape)
-    last = half if needs_half else int(j.max())
+    prefix = np.broadcast_to(np.eye(d, dtype=dtype), a0.shape)
+    last = half if needs_half else int(read[-1])
     for step, step_map in enumerate(_step_maps(_rk4_kernels(b0, b1, h), omega, t0, h, last), 1):
         prefix = prefix @ step_map
-        if step in offsets:
-            partial_maps[step] = prefix
-    starts = np.empty((len(lattice.start_slots),) + rows0.shape, dtype=dtype)
+        if step in stacked:
+            stacked[step][...] = prefix[..., keep]
+        if step == j[-1]:
+            end_map = prefix
+    n_starts = len(lattice.start_slots)
+    starts = np.empty((n_starts,) + rows0.shape, dtype=dtype)
     state = rows0
     if needs_half:
         glide_map = prefix * parity
@@ -590,45 +605,29 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
         if period in lattice.start_slots:
             starts[lattice.start_slots[period]] = state
     # Where each sample continues from: its period start y(kP), or y(kP) G
-    # in a second half.  The two halves take separate products: merged, the
-    # product of a densely sampled run outgrows the size at which OpenBLAS
-    # starts a second thread, which on these small blocks burns more CPU
-    # than it saves.
-    halves = [(starts, ~glide)]
+    # in a second half, stacked after the plain starts.
     if glide.any():
-        halves.append((starts @ glide_map, glide))
-
-    # The kept coordinates: a view of all of them when none are picked.
-    keep = slice(None) if columns is None else columns
+        starts = np.concatenate([starts, starts @ glide_map])
+    origin = lattice.slot + n_starts * glide
+    # Each sample is its origin times its map, both gathered, a chunk of
+    # samples per product so that the gathered copies stay small.
+    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=dtype)
+    chunk = max(1, 2**13 // maps[0].size)
+    for a in range(0, len(out), chunk):
+        np.matmul(starts[origin[a:a + chunk]], maps[which[a:a + chunk]], out=out[a:a + chunk])
+    out[glide] *= parity[keep]
     if lattice.delta:
         # An off-lattice end: the last sample is formed at full width, takes
         # its short step, and is cut afterwards.
-        y = halves[1][0][slot[-1]] if glide[-1] else starts[slot[-1]]
+        y = starts[origin[-1]]
         if j[-1]:
-            y = y @ partial_maps[j[-1]]
+            y = y @ end_map
         if glide[-1]:
             y = y * parity
         t_last = lattice.times[-1] - lattice.delta
         [short] = _step_maps(_rk4_kernels(b0, b1, lattice.delta), omega, t_last,
                              lattice.delta, 1)
-        final = (y @ short)[..., keep]
-    width = rows0.shape[-1] if columns is None else len(columns)
-    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=dtype)
-    for origins, group in halves:
-        on_start = group & (j == 0)
-        out[on_start] = origins[slot[on_start]][..., keep]
-    for step in sorted(offsets):
-        partial_map = partial_maps.pop(step)[..., keep]
-        for origins, group in halves:
-            hit = group & (j == step)
-            if hit.any():
-                picked = origins[slot[hit]]
-                # Unbatched: one matrix product over all picked rows at once.
-                flat = picked.reshape(-1, picked.shape[-1]) if partial_map.ndim == 2 else picked
-                out[hit] = (flat @ partial_map).reshape(picked.shape[:-1] + (width,))
-    out[glide] *= parity[keep]
-    if lattice.delta:
-        out[-1] = final
+        out[-1] = (y @ short)[..., keep]
     return out
 
 

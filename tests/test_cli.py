@@ -266,6 +266,21 @@ class TestExitCodes:
         assert code == cli.EXIT_INTEGRATOR
         capsys.readouterr()
 
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("")],
+                             ids=["missing", "a file"])
+    def test_out_directory_is_checked_before_the_run(self, make, tmp_path, monkeypatch,
+                                                     capsys):
+        def run(config):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "heatmap", run)
+        make(tmp_path / "nodir")
+        before = list(tmp_path.iterdir())
+        assert main(["heatmap", "--out", str(tmp_path / "nodir" / "x.csv")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("rabsim: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == before
+
     def test_failed_convergence_check_writes_neither_file(self, tmp_path, monkeypatch, capsys):
         from rabsim.dynamics import IntegratorHealthError
 
@@ -428,6 +443,17 @@ def test_python_m_rabsim_runs_without_warning():
     assert result.returncode == EXIT_IO
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("rabsim: ") and "missing.conf" in result.stderr
+
+
+def test_csv_is_written_as_savetxt_writes_it(tmp_path):
+    table = np.array([[np.nan, np.inf, -0.0], [-np.inf, 0.0, 1e300],
+                      [1.0 / 3.0, -2.5e-7, 123456789012345.0]])
+    path, reference = tmp_path / "x.csv", tmp_path / "ref.csv"
+    cli._write_csv(path, ["a", "b", "c"], table)
+    with reference.open("w", newline="") as fh:
+        np.savetxt(fh, table, fmt="%.12g", delimiter=",", header="a,b,c", comments="",
+                   newline="\r\n")
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_csv_round_trip(tmp_path):

@@ -685,6 +685,55 @@ class TestOffLatticeEnd:
         assert np.max(np.abs(images[-1] - reference)) <= 1e-10
 
 
+class TestBatchedSamples:
+    """Every sample is its origin times its prefix map, both gathered from
+    their stacks in one batched product."""
+
+    def test_v_batched_run_matches_the_unbatched_runs(self, cz_params):
+        v = np.array([10.0, 15.0, 20.0]) * OMEGA_M
+        grid = TimeGrid.build(cz_params, 3.37123 * 2.0 * np.pi / cz_params.omega,
+                              dt_divisor=50, sample_stride=7)
+        lattice = dynamics._sample_lattice(cz_params.omega, grid)
+        # Glided second halves, and an off-lattice end.
+        assert np.any(lattice.j >= lattice.m // 2) and lattice.delta > 0
+        psi = _qubit_psi()
+        a0, a1, parity = dynamics._generator(cz_params, density=False, v=v)
+        times, batched = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega,
+                                                    np.broadcast_to(psi, (3, 1, 9)), grid)
+        assert batched.shape == (len(times), 3, 1, 9) and len(times) > 40
+        for i, v_i in enumerate(v):
+            a0, a1, parity = dynamics._generator(cz_params, density=False, v=v_i)
+            single_times, single = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega,
+                                                              psi[np.newaxis], grid)
+            assert np.array_equal(single_times, times)
+            assert np.max(np.abs(batched[:, i] - single)) <= 1e-14
+        # One generator, unbatched, on a batch of initial states.
+        rows0 = np.stack([psi, hilbert.ket(G1, G1)])[:, np.newaxis]
+        _, both = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, rows0, grid)
+        for k, row in enumerate(rows0):
+            _, single = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, row, grid)
+            assert np.max(np.abs(both[:, k] - single)) <= 1e-14
+
+    def test_samples_only_at_period_starts(self, cz_decay_params):
+        # m = 100 steps per period and a sample every 100 steps: only
+        # offset 0 is read, and its map is the identity.
+        params = cz_decay_params
+        period = 2.0 * np.pi / params.omega
+        grid = TimeGrid(0.0, 3.0 * period, period / 100, 300, 100)
+        lattice = dynamics._sample_lattice(params.omega, grid)
+        assert (lattice.m, lattice.n, lattice.delta) == (100, 3, 0.0)
+        assert lattice.j.tolist() == [0, 0, 0, 0]
+        columns = np.array(QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)])
+        a0, a1, parity = dynamics._generator(params, density=True)
+        times, kept = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(),
+                                                 grid, columns)
+        assert np.array_equal(kept[0], _qubit_rows()[:, columns])
+        ref_times, reference = rk4_run(_stepwise_lindblad(params), matrices_of(_qubit_rows()),
+                                       grid, hermitize=False)
+        np.testing.assert_allclose(times, ref_times, rtol=1e-12)
+        assert np.max(np.abs(kept - coordinates_of(reference)[..., columns])) <= 1e-10
+
+
 class TestHalfPeriodWork:
     """Each invariant block forms m/2 RK4 step maps of h, plus at most one
     shorter step that ends an off-lattice window."""
