@@ -27,7 +27,6 @@ from .dynamics import (
     propagate_density,
     propagate_process,
     propagate_state,
-    stroboscopic_grid,
 )
 from .models import (
     DegenerateFrequencyError,
@@ -86,7 +85,6 @@ __all__ = [
     "rotating_frame_harmonics",
     "rri_condition",
     "single_atom_oracle",
-    "stroboscopic_grid",
     "sweep_heatmap",
     "target_unitary",
 ]

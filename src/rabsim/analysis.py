@@ -172,9 +172,8 @@ def _heatmap_column(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, d
     stiffest = DriveParams(omega_m=omega_m, omega=omega, v=float(v_values.max()),
                            gate=params.gate)
     grid = TimeGrid.build(stiffest, t_end, dt_divisor=dt_divisor, sample_stride=10**9)
-    a0, a1, parity = dynamics._generator(stiffest, density=False, v=v_values)
     rows0 = np.broadcast_to(hilbert.ket(hilbert.G1, hilbert.G1), (len(v_values), 1, hilbert.DIM))
-    _, states = dynamics._stroboscopic_run(a0, a1, parity, omega, rows0, grid)
+    _, states = dynamics._propagate(stiffest, rows0, grid, density=False, v=v_values)
     final = states[-1, :, 0]
     # Per-cell health.  Below its stability bound RK4 only loses norm, by
     # truncation (1.1e-4 of <psi|psi> on the default extent at divisor 50),
@@ -222,14 +221,6 @@ def sweep_heatmap(
                        max_norm_loss=max(loss for _, loss in columns))
 
 
-def _gamma_point(params: DriveParams, dt_divisor: int) -> float:
-    grid = TimeGrid.build(
-        params, models.pulse_end_time(params), dt_divisor=dt_divisor, sample_stride=10**9
-    )
-    process = dynamics.propagate_process(params, grid)
-    return average_gate_fidelity(process, models.target_unitary(params.gate)).final_fbar
-
-
 def fidelity_vs_gamma(
     params: DriveParams,
     gammas,
@@ -240,7 +231,8 @@ def fidelity_vs_gamma(
 
     The pulse ends at :func:`models.pulse_end_time`, the first drive-envelope
     node at or after the gate time.  Runs one process-map propagation per
-    gamma, one after another in this process, and returns
+    gamma, one after another in this process, all on one grid (the decay
+    rate sets neither the window nor the fastest frequency), and returns
     [(gamma, final_fbar), ...] in input order.  Each propagation is m/2
     RK4 step maps (400 at the default divisor) on each invariant block of
     the process map, in real arithmetic on the real coordinates of density
@@ -250,4 +242,9 @@ def fidelity_vs_gamma(
     gammas = [float(g) for g in gammas]
     if not all(0.0 <= g < math.inf for g in gammas):
         raise ValueError(f"decay rates must be finite and >= 0, got {gammas}")
-    return [(g, _gamma_point(params.with_gamma(g), dt_divisor)) for g in gammas]
+    grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=dt_divisor,
+                          sample_stride=10**9)
+    target = models.target_unitary(params.gate)
+    return [(g, average_gate_fidelity(dynamics.propagate_process(params.with_gamma(g), grid),
+                                      target).final_fbar)
+            for g in gammas]

@@ -267,7 +267,6 @@ def _run_record() -> dict:
 
 
 def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -> dict:
-    used = dynamics.stroboscopic_grid(params, grid)
     return {
         "run": _run_record(),
         "scenario": config.scenario,
@@ -282,10 +281,10 @@ def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -
         },
         "gate": params.gate.value,
         "grid": {
-            "dt_s": used.dt,
-            "n_steps": used.n_steps,
-            "t_end_s": used.t_end,
-            "sample_stride": used.sample_stride,
+            "dt_s": grid.dt,
+            "n_steps": grid.n_steps,
+            "t_end_s": grid.t_end,
+            "sample_stride": grid.sample_stride,
         },
     }
 

@@ -18,10 +18,10 @@ Pi A1 Pi = -A1.  As cos(omega (t + P/2)) =
 -cos(omega t), A(t + P/2) = Pi A(t) Pi: the second half of every drive
 period is the first half conjugated by a sign flip.
 
-The propagation is stroboscopic.  It integrates half a drive period once
-with fixed-step classical RK4 (generator evaluated at the step edges and
-midpoint, on the step P/m, m even and at least ceil(P/dt), so never coarser
-than the grid asks for) into Phi(P/2), and keeps on the way the prefix map
+The propagation is stroboscopic, on the lattice of a :class:`TimeGrid`: m
+steps of h = P/m per drive period, m even.  It integrates half a drive
+period once with fixed-step classical RK4 (generator evaluated at the step
+edges and midpoint) into Phi(P/2), and keeps on the way the prefix map
 Phi(s) at each in-period offset s that a sample reads.  On rows,
 Phi(P) = G G with G = Phi(P/2) Pi; a state at kP + s is y(kP) Phi(s) for
 s < P/2 and y(kP) G Phi(s - P/2) Pi after that.  A window that ends off the
@@ -108,36 +108,39 @@ def fastest_angular_frequency(params: DriveParams) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform integration grid hitting ``t_end`` exactly.
+    """The step lattice of one run from 0 to ``t_end``: ``m`` steps of
+    h = P/m (``dt``) per drive period P = 2 pi/``omega``, m even so that P/2
+    falls on a step.
 
-    Construct through :meth:`build`, which derives dt from the model's
-    fastest frequency and enforces the step ceiling.  Direct construction
-    skips the ceiling check (used by convergence tests that deliberately
-    under-resolve).  ``n_steps`` and ``sample_stride`` must be integers
-    >= 1 (a bool is not one).
+    The run takes ``lattice_steps`` steps of h, the last one at or before
+    ``t_end`` (within 1e-9 of a step), and then, when the window ends off
+    the lattice, one step of the remainder ``delta`` < h to ``t_end``
+    (``delta`` is 0 otherwise).  ``n_steps`` counts both, and
+    ``sample_steps`` indexes them.  Construct through :meth:`build`, which
+    sizes m from the model's fastest frequency and enforces the step
+    ceiling.  Direct construction skips the ceiling check (used by tests
+    that deliberately under-resolve).  ``m`` must be an even integer >= 2
+    and ``sample_stride`` an integer >= 1 (a bool is neither).
     """
 
-    t_start: float
     t_end: float
-    dt: float
-    n_steps: int
+    omega: float
+    m: int
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
-            raise ValueError(
-                f"t_start, t_end and dt must be finite, got {self.t_start}, {self.t_end}, {self.dt}"
-            )
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
-        if not (self.n_steps >= 1 and self.sample_stride >= 1):
-            raise ValueError("n_steps and sample_stride must be positive")
-        for name in ("n_steps", "sample_stride"):
+        for name in ("t_end", "omega"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("m", "sample_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (self.m >= 2 and self.m % 2 == 0):
+            raise ValueError(f"m must be even and >= 2, got {self.m}")
+        if not self.sample_stride >= 1:
+            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
     @classmethod
     def build(
@@ -149,13 +152,18 @@ class TimeGrid:
         sample_stride: int | None = None,
         max_samples: int = MAX_SAMPLES_DEFAULT,
     ) -> "TimeGrid":
-        """Grid from 0 to ``t_end`` with dt = (fastest period)/dt_divisor,
-        adjusted downward so an integer number of steps lands exactly on
-        ``t_end``.
+        """Lattice from 0 to ``t_end`` under the drive of ``params``, with a
+        step no longer than (fastest period)/dt_divisor.
 
-        A non-finite or non-positive ``t_end``, a ``dt_divisor`` that is not
-        finite or lies below the ceiling of :data:`MIN_STEPS_PER_PERIOD` steps
-        per fastest period, and a ``max_samples`` below 1 are rejected.
+        That step is first shortened to the longest one that lands on
+        ``t_end`` in whole steps, and m is the even number at or above the
+        drive period over it: h = P/m never exceeds the requested step, and
+        equals the shortened one when that divides P/2.  Without
+        ``sample_stride``, every ceil(n_steps/max_samples)-th step of the
+        lattice is stored.  A non-finite or non-positive ``t_end``, a
+        ``dt_divisor`` that is not finite or lies below the ceiling of
+        :data:`MIN_STEPS_PER_PERIOD` steps per fastest period, and a
+        ``max_samples`` below 1 are rejected.
         """
         if not 0.0 < t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -166,21 +174,35 @@ class TimeGrid:
         if not max_samples >= 1:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         dt = 2.0 * math.pi / fastest_angular_frequency(params) / dt_divisor
-        n_steps = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
+        dt = t_end / max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
+        m = max(1, math.ceil(2.0 * math.pi / params.omega / dt * (1.0 - 1e-9)))
+        grid = cls(t_end, params.omega, m + m % 2)
         if sample_stride is None:
-            sample_stride = max(1, math.ceil(n_steps / max_samples))
-        return cls(t_start=0.0, t_end=t_end, dt=t_end / n_steps, n_steps=n_steps,
-                   sample_stride=sample_stride)
+            sample_stride = max(1, math.ceil(grid.n_steps / max_samples))
+        return replace(grid, sample_stride=sample_stride)
+
+    @property
+    def dt(self) -> float:
+        """The lattice step h = P/m."""
+        return 2.0 * math.pi / self.omega / self.m
+
+    @functools.cached_property
+    def lattice_steps(self) -> int:
+        return math.floor(self.t_end / self.dt + 1e-9)
+
+    @functools.cached_property
+    def delta(self) -> float:
+        delta = self.t_end - self.lattice_steps * self.dt
+        return 0.0 if self.lattice_steps and abs(delta) <= 1e-9 * self.dt else delta
+
+    @property
+    def n_steps(self) -> int:
+        return self.lattice_steps + (self.delta > 0)
 
     def halved(self) -> "TimeGrid":
-        """Same window with twice the steps (for convergence checks)."""
-        return TimeGrid(
-            t_start=self.t_start,
-            t_end=self.t_end,
-            dt=self.dt / 2.0,
-            n_steps=self.n_steps * 2,
-            sample_stride=self.sample_stride * 2,
-        )
+        """Same window on the lattice of half the step, m -> 2m (for
+        convergence checks)."""
+        return replace(self, m=2 * self.m, sample_stride=2 * self.sample_stride)
 
     @property
     def sample_steps(self) -> np.ndarray:
@@ -197,7 +219,7 @@ class Trajectory:
 
     ``states`` has shape (n_samples, 9) for state vectors or
     (n_samples, 9, 9) for density matrices, aligned with ``times``; ``dt``
-    is the step the propagation took (:func:`stroboscopic_grid`).
+    is the lattice step of the grid it ran on (:attr:`TimeGrid.dt`).
     """
 
     times: np.ndarray
@@ -409,89 +431,9 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     return blocks
 
 
-def _period_lattice(omega: float, grid: TimeGrid) -> tuple[int, int, int, float, float]:
-    """Steps of the stroboscopic propagation over the window of ``grid``.
-
-    Returns (m, n, r, h, delta): m steps of h = P/m per drive period
-    P = 2 pi/omega, with m the even number at or above ceil(P/grid.dt) so
-    that h <= grid.dt and P/2 falls on a step; n whole periods and r < m
-    further steps of h, the last lattice step at or before t_end (within
-    1e-9 of a step); then one step of the remainder delta < h that ends at
-    t_end, or delta = 0 when the window ends on the lattice.  A grid whose
-    dt already divides P/2 gets h = dt.
-    """
-    period = 2.0 * math.pi / omega
-    m = max(1, math.ceil(period / grid.dt * (1.0 - 1e-9)))
-    m += m % 2
-    h = period / m
-    span = grid.t_end - grid.t_start
-    steps = math.floor(span / h + 1e-9)
-    delta = span - steps * h
-    if steps and abs(delta) <= 1e-9 * h:
-        delta = 0.0
-    n, r = divmod(steps, m)
-    return m, n, r, h, delta
-
-
-def stroboscopic_grid(params: DriveParams, grid: TimeGrid) -> TimeGrid:
-    """The step grid the propagators actually run on for ``grid``'s window.
-
-    Its ``dt`` is the step P/m of the whole drive periods, with m even
-    (equal to ``grid.dt`` when that divides half the period P = 2 pi/omega,
-    finer otherwise).  When the window does not end on that lattice, one
-    last step, shorter than ``dt``, takes the run from the last lattice step
-    to ``t_end``.  ``n_steps`` is the length of the lattice from ``t_start``
-    to ``t_end``, that short step included, not the number of RK4 steps
-    integrated: only half a period per invariant block, plus the short
-    step, is.
-    """
-    m, n, r, h, delta = _period_lattice(params.omega, grid)
-    return TimeGrid(grid.t_start, grid.t_end, h, n * m + r + (delta > 0), grid.sample_stride)
-
-
-@dataclass(frozen=True)
-class _SampleLattice:
-    """Where the samples of one stroboscopic run fall, for every block of it.
-
-    ``times`` are the sample instants.  A sample is step ``j`` of its period
-    and continues from the period start held in slot ``slot`` of the
-    starts, one slot per period in ``start_slots``.  When ``delta`` > 0 the
-    window ends off the lattice: the last sample is read at the last lattice
-    step and then advanced by one step of ``delta`` to ``times[-1]``.
-    """
-
-    t0: float
-    m: int
-    n: int
-    h: float
-    delta: float
-    times: np.ndarray
-    j: np.ndarray
-    slot: np.ndarray
-    start_slots: dict
-
-
-def _sample_lattice(omega: float, grid: TimeGrid) -> _SampleLattice:
-    m, n, r, h, delta = _period_lattice(omega, grid)
-    t0 = grid.t_start
-    lattice_steps = n * m + r
-    steps = TimeGrid(t0, grid.t_end, h, lattice_steps + (delta > 0),
-                     grid.sample_stride).sample_steps
-    # An off-lattice end starts its short step from the last lattice step.
-    steps = np.minimum(steps, lattice_steps)
-    times = t0 + steps * h
-    times[-1] = grid.t_end
-    # Each sample continues from the state at the start of its period; keep
-    # only those.
-    k, j = np.divmod(steps, m)
-    start_slots = {period: i for i, period in enumerate(sorted(set(k.tolist())))}
-    slot = np.array([start_slots[period] for period in k.tolist()])
-    return _SampleLattice(t0, m, n, h, delta, times, j, slot, start_slots)
-
-
-def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: TimeGrid,
-                      columns=None):
-    """Propagate under dy/dt = (A0 + cos(omega t) A1) y by half drive periods.
+def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None):
+    """Propagate under dy/dt = (A0 + cos(omega t) A1) y, omega = ``grid.omega``,
+    by half drive periods on the lattice of ``grid``.
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
     ``a0`` may carry the same leading batch axes.  ``parity`` is the
@@ -508,22 +450,21 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
     every map, start and sample takes their common dtype.  Within a block,
     half a period is integrated once with RK4, as the product of its step
     maps (:func:`_step_maps`), into Phi(P/2), and
-    Phi(P) = G G with G = Phi(P/2) Pi.  A state at t_start + kP + s is y(kP) Phi(s) for
+    Phi(P) = G G with G = Phi(P/2) Pi.  A state at kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
     Phi(s) only for s < P/2: the same pass stacks the kept columns of Phi(s)
     at each offset s that a sample reads, and the samples are one batched
     product of their origins y(kP) or y(kP) G with their maps, both
-    gathered from the stacks.  A window that ends off the
-    step lattice is read at its last lattice step and advanced to t_end by
-    one RK4 step of the remainder.
+    gathered from the stacks.  A window that ends off the lattice is read at
+    its last lattice step and advanced to t_end by one RK4 step of
+    ``grid.delta``.
 
     ``columns`` (an index array into the d coordinates) keeps only those
     output coordinates, k = len(columns) of them in that order; None keeps
     all d.  A sample then costs c x d x k multiply-adds instead of
     c x d x d, and a block with no kept coordinate is not propagated.
 
-    Returns (times, samples) at the sample stride of ``grid`` on the lattice
-    of :func:`stroboscopic_grid`.
+    Returns (times, samples) at ``grid.sample_steps``.
     """
     same = parity[:, np.newaxis] == parity
     # abs(x) > 0 is False for NaN: a non-finite generator is left to the
@@ -533,9 +474,11 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
             "the generator lacks the glide symmetry of the drive: A0 must couple only "
             "coordinates of equal parity and A1 only coordinates of opposite parity"
         )
-    lattice = _sample_lattice(omega, grid)
+    # An off-lattice end is read at the last lattice step and ends at t_end.
+    times = np.minimum(grid.sample_steps, grid.lattice_steps) * grid.dt
+    times[-1] = grid.t_end
     width = rows0.shape[-1] if columns is None else len(columns)
-    out = np.zeros((len(lattice.times),) + rows0.shape[:-1] + (width,),
+    out = np.zeros((len(times),) + rows0.shape[:-1] + (width,),
                    dtype=np.result_type(a0, a1, rows0))
     for block in _blocks(a0, a1, rows0):
         # Where the block's part goes in the output, and which of its own
@@ -554,25 +497,26 @@ def _stroboscopic_run(a0, a1, parity, omega: float, rows0: np.ndarray, grid: Tim
         # One block's part at a time, written straight into the output.
         out[..., rows, kept] = _stroboscopic_core(
             a0[..., block[:, np.newaxis], block], a1[..., block[:, np.newaxis], block],
-            parity[block], omega, rows0[..., rows, block], lattice, local,
+            parity[block], rows0[..., rows, block], grid, local,
         )
-    return lattice.times, out
+    return times, out
 
 
-def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
-                       lattice: _SampleLattice, columns=None):
-    """Samples (n_samples, ..., c, k) of one run on the lattice: the
-    coordinates ``columns`` of the d it runs on, or all of them when None."""
-    t0, m, n, h = lattice.t0, lattice.m, lattice.n, lattice.h
-    half, d = m // 2, a0.shape[-1]
+def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None):
+    """Samples (n_samples, ..., c, k) of one run on the lattice of ``grid``:
+    the coordinates ``columns`` of the d it runs on, or all of them when None."""
+    half, h, d = grid.m // 2, grid.dt, a0.shape[-1]
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     # The kept coordinates: a view of all of them when none are picked.
     keep = slice(None) if columns is None else columns
     width = d if columns is None else len(columns)
+    # A sample is step j of period k and continues from the state y(kP) at
+    # the start of it; an off-lattice end is read at the last lattice step.
+    k, j = np.divmod(np.minimum(grid.sample_steps, grid.lattice_steps), grid.m)
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
-    glide = lattice.j >= half
-    j = np.where(glide, lattice.j - half, lattice.j)
+    glide = j >= half
+    j = np.where(glide, j - half, j)
     # The kept columns of the prefix maps Phi(j h) at the offsets that the
     # samples read, in one stack whose batch axes line up with the starts';
     # the identity at offset 0.
@@ -584,39 +528,37 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
     # One pass over half a period (or up to the last offset read, when no
     # sample needs the half-period map) fills the stack.  An off-lattice end
     # keeps its full-width prefix map.
-    needs_half = n > 0 or glide.any()
+    needs_half = k[-1] > 0 or glide.any()
     prefix = np.broadcast_to(np.eye(d, dtype=dtype), a0.shape)
     last = half if needs_half else int(read[-1])
-    for step, step_map in enumerate(_step_maps(_rk4_kernels(b0, b1, h), omega, t0, h, last), 1):
+    for step, step_map in enumerate(_step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h,
+                                               last), 1):
         prefix = prefix @ step_map
         if step in stacked:
             stacked[step][...] = prefix[..., keep]
         if step == j[-1]:
             end_map = prefix
-    n_starts = len(lattice.start_slots)
-    starts = np.empty((n_starts,) + rows0.shape, dtype=dtype)
-    state = rows0
+    # The period starts y(kP) that samples read and, stacked after them,
+    # y(kP) G for the samples in a second half.
+    chain = [np.asarray(rows0, dtype=dtype)]
     if needs_half:
         glide_map = prefix * parity
         period_map = glide_map @ glide_map
-    for period in range(n + 1):
-        if period:
-            state = state @ period_map
-        if period in lattice.start_slots:
-            starts[lattice.start_slots[period]] = state
-    # Where each sample continues from: its period start y(kP), or y(kP) G
-    # in a second half, stacked after the plain starts.
+    for _ in range(k[-1]):
+        chain.append(chain[-1] @ period_map)
+    periods, slot = np.unique(k, return_inverse=True)
+    starts = np.stack([chain[period] for period in periods])
+    origin = slot + len(starts) * glide
     if glide.any():
         starts = np.concatenate([starts, starts @ glide_map])
-    origin = lattice.slot + n_starts * glide
     # Each sample is its origin times its map, both gathered, a chunk of
     # samples per product so that the gathered copies stay small.
-    out = np.empty((len(lattice.times),) + rows0.shape[:-1] + (width,), dtype=dtype)
+    out = np.empty((len(k),) + rows0.shape[:-1] + (width,), dtype=dtype)
     chunk = max(1, 2**13 // maps[0].size)
     for a in range(0, len(out), chunk):
         np.matmul(starts[origin[a:a + chunk]], maps[which[a:a + chunk]], out=out[a:a + chunk])
     out[glide] *= parity[keep]
-    if lattice.delta:
+    if grid.delta:
         # An off-lattice end: the last sample is formed at full width, takes
         # its short step, and is cut afterwards.
         y = starts[origin[-1]]
@@ -624,11 +566,22 @@ def _stroboscopic_core(a0, a1, parity, omega: float, rows0: np.ndarray,
             y = y @ end_map
         if glide[-1]:
             y = y * parity
-        t_last = lattice.times[-1] - lattice.delta
-        [short] = _step_maps(_rk4_kernels(b0, b1, lattice.delta), omega, t_last,
-                             lattice.delta, 1)
+        [short] = _step_maps(_rk4_kernels(b0, b1, grid.delta), grid.omega,
+                             grid.t_end - grid.delta, grid.delta, 1)
         out[-1] = (y @ short)[..., keep]
     return out
+
+
+def _propagate(params, rows0: np.ndarray, grid: TimeGrid, *, density: bool, v=None,
+               columns=None):
+    """(times, samples) of :func:`_stroboscopic_run` under the generator of
+    ``params`` (:func:`_generator`), on a grid of its drive: a grid whose
+    ``omega`` is not ``params.omega`` raises ``ValueError``."""
+    if grid.omega != params.omega:
+        raise ValueError(
+            f"the grid is for the drive omega = {grid.omega}, not params.omega = {params.omega}"
+        )
+    return _stroboscopic_run(*_generator(params, density=density, v=v), rows0, grid, columns)
 
 
 def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -641,25 +594,22 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
     norm = np.linalg.norm(psi0)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"initial state norm is {norm:.12f}, expected 1")
-    a0, a1, parity = _generator(params, density=False)
-    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, psi0[np.newaxis], grid)
+    times, rows = _propagate(params, psi0[np.newaxis], grid, density=False)
     states = rows[:, 0]
-    dt = stroboscopic_grid(params, grid).dt
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
     if not drift <= 1e-6:
         raise IntegratorHealthError(
             f"state norm drifted by {drift:.3e} (> 1e-6); reduce dt "
-            f"(current dt = {dt:.3e} s)"
+            f"(current dt = {grid.dt:.3e} s)"
         )
-    return Trajectory(times=times, states=states, dt=dt)
+    return Trajectory(times=times, states=states, dt=grid.dt)
 
 
 def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid):
     """Density-matrix samples (times, (n_samples, 9, 9)), Hermitian by
     construction: the run is on the real coordinates of rho."""
-    a0, a1, parity = _generator(params, density=True)
     rows0 = hilbert.real_coordinates(rho0)[np.newaxis]
-    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
+    times, rows = _propagate(params, rows0, grid, density=True)
     return times, hilbert.hermitian_matrices(rows[:, 0])
 
 
@@ -686,7 +636,7 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
         raise IntegratorHealthError(
             f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"
         )
-    return Trajectory(times=times, states=states, dt=stroboscopic_grid(params, grid).dt)
+    return Trajectory(times=times, states=states, dt=grid.dt)
 
 
 def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
@@ -706,9 +656,8 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
     """
     units = [DIM * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
     diagonals = [(DIM + 1) * a for a in range(DIM) if a not in QUBIT_INDICES]
-    a0, a1, parity = _generator(params, density=True)
-    times, rows = _stroboscopic_run(a0, a1, parity, params.omega, np.eye(DIM * DIM)[units],
-                                    grid, np.array(units + diagonals))
+    times, rows = _propagate(params, np.eye(DIM * DIM)[units], grid, density=True,
+                             columns=np.array(units + diagonals))
     images = rows[..., :len(units)].reshape(len(times), 4, 4, 4, 4)
     # The Lindblad increments are exactly traceless, so the image of unit
     # (i, j) keeps the unit's trace delta_ij; drift flags a broken run.
@@ -733,17 +682,16 @@ def convergence_check(
     """Compare ``observable`` of the final state at dt and at dt/2.
 
     ``trajectory`` is the density-matrix run on ``grid`` that the caller
-    already holds (:func:`propagate_density`); only the run at dt/2, from
-    its first state, is propagated here.  ``observable`` maps a 9x9 density
-    matrix to a float.  The check passes when the two values agree within
-    1e-6.  Health gates are skipped on the dt/2 run: the point of the check
-    is to measure the error of whatever grid it is handed, including
-    deliberately coarse ones.  A trajectory that does not end at
-    ``grid.t_end`` on the step of :func:`stroboscopic_grid` raises
-    ``ValueError``.
+    already holds (:func:`propagate_density`); only the run at dt/2, on
+    ``grid.halved()`` (2m steps per period) from its first state, is
+    propagated here.  ``observable`` maps a 9x9 density matrix to a float.
+    The check passes when the two values agree within 1e-6.  Health gates
+    are skipped on the dt/2 run: the point of the check is to measure the
+    error of whatever grid it is handed, including deliberately coarse ones.
+    A trajectory that does not end at ``grid.t_end`` with step ``grid.dt``
+    raises ``ValueError``.
     """
-    if not (trajectory.times[-1] == grid.t_end
-            and trajectory.dt == stroboscopic_grid(params, grid).dt):
+    if not (trajectory.times[-1] == grid.t_end and trajectory.dt == grid.dt):
         raise ValueError("the trajectory was not propagated on the grid it is checked on")
     halved = replace(grid.halved(), sample_stride=10**9)
     final_halved = _propagate_rho(params, trajectory.states[0], halved)[1][-1]

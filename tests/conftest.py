@@ -150,24 +150,27 @@ def rk4_steps(rhs, y0, t0, dt, n_steps):
 
 
 def rk4_run(rhs, y0, grid, *, hermitize):
-    """Step-by-step RK4 over the grid, returning (sample times, samples).
+    """Step-by-step RK4 over the lattice of the grid, returning (sample
+    times, samples).
 
-    Each step is one step of :func:`rk4_steps`; with ``hermitize`` the state
-    is replaced by its Hermitian part 0.5 (y + y^dagger) after it.
+    Each step is one step of :func:`rk4_steps`: ``grid.lattice_steps``
+    steps of ``grid.dt``, then one of ``grid.delta`` when the window ends
+    off the lattice.  With ``hermitize`` the state is replaced by its
+    Hermitian part 0.5 (y + y^dagger) after each step.
     """
     sample_steps = grid.sample_steps
     samples = np.empty((len(sample_steps),) + np.shape(y0), dtype=complex)
     samples[0] = y = y0
     sample_pos = 1
     for step in range(1, grid.n_steps + 1):
-        t = grid.t_start + (step - 1) * grid.dt
-        y = next(rk4_steps(rhs, y, t, grid.dt, 1))
+        dt = grid.dt if step <= grid.lattice_steps else grid.delta
+        y = next(rk4_steps(rhs, y, (step - 1) * grid.dt, dt, 1))
         if hermitize:
             y = 0.5 * (y + hilbert.dagger(y))
         if sample_pos < len(sample_steps) and step == sample_steps[sample_pos]:
             samples[sample_pos] = y
             sample_pos += 1
-    return grid.t_start + grid.dt * sample_steps, samples
+    return np.minimum(grid.dt * sample_steps, grid.t_end), samples
 
 
 QUBIT_UNITS = [9 * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
@@ -213,9 +216,7 @@ def real_process(params, grid):
     makes, with every output coordinate kept and without its health gates:
     the real coordinates (n_samples, 16, 81) of the images of the 16
     Hermitian qubit basis matrices."""
-    a0, a1, parity = dynamics._generator(params, density=True)
-    return dynamics._stroboscopic_run(a0, a1, parity, params.omega, np.eye(81)[QUBIT_UNITS],
-                                      grid)
+    return dynamics._propagate(params, np.eye(81)[QUBIT_UNITS], grid, density=True)
 
 
 def full_process(params, grid):

@@ -9,6 +9,7 @@ drop = gamma * T / 4.  The measured values, and the fidelity maxima over the
 last few envelope periods, are printed for inspection.
 """
 
+import math
 import time
 
 import numpy as np
@@ -242,23 +243,24 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
     results["c-health"] = trace_drift <= 1e-8 and min_eig >= -1e-8
 
     # (d) RK4 order under step halving against a dt/8 reference.
-    def final_state(divisor):
-        g = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=divisor, sample_stride=10**9)
+    def final_state(g):
         return conftest.rk4_run(
             conftest.schrodinger_rhs(cz_params), hilbert.ket(G1, G1), g, hermitize=False,
         )[1][-1]
 
-    reference = final_state(400)
-    factor = (np.linalg.norm(final_state(50) - reference)
-              / np.linalg.norm(final_state(100) - reference))
+    coarse = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=50, sample_stride=10**9)
+    reference = final_state(coarse.halved().halved().halved())
+    factor = (np.linalg.norm(final_state(coarse) - reference)
+              / np.linalg.norm(final_state(coarse.halved()) - reference))
     results["d-rk4-order"] = 12.0 <= factor <= 20.0
 
     # (e) pure-decay law with the Hamiltonian switched off.
     decay_params = DriveParams(omega_m=1e-3, omega=1.0, v=0.0, gamma=GAMMA_15KHZ)
     t_end = 1e-4
+    # About 2000 steps: m even and at least the period over t_end/2000.
+    m = 2 * math.ceil(np.pi / decay_params.omega / (t_end / 2000))
     decay = dynamics.propagate_density(
-        decay_params, hilbert.projector(RYD, RYD),
-        TimeGrid(0.0, t_end, t_end / 2000, 2000, 20),
+        decay_params, hilbert.projector(RYD, RYD), TimeGrid(t_end, decay_params.omega, m, 20),
     )
     law_dev = float(np.max(np.abs(
         decay.basis_populations(8) - np.exp(-2.0 * decay_params.gamma * decay.times)

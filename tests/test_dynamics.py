@@ -42,7 +42,8 @@ class TestTimeGrid:
 
     def test_build_hits_t_end_exactly(self, cz_params):
         grid = TimeGrid.build(cz_params, 3.75e-6, dt_divisor=400)
-        np.testing.assert_allclose(grid.t_start + grid.n_steps * grid.dt, 3.75e-6, rtol=1e-15)
+        assert grid.delta == 0.0
+        np.testing.assert_allclose(grid.n_steps * grid.dt, 3.75e-6, rtol=1e-15)
 
     def test_build_adjusts_dt_downward(self, cz_params):
         requested = 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
@@ -69,53 +70,127 @@ class TestTimeGrid:
             TimeGrid.build(cz_params, 1e-6, max_samples=max_samples)
 
     def test_direct_construction_bypasses_ceiling(self):
-        grid = TimeGrid(0.0, 1.0, 0.25, 4, 1)
-        assert grid.n_steps == 4
+        # A drive period of 1 in 4 steps.
+        grid = TimeGrid(1.0, 2.0 * np.pi, 4, 1)
+        assert (grid.dt, grid.n_steps) == (0.25, 4)
 
     def test_basic_invariants_enforced(self):
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, -0.1, 10, 1)
+            TimeGrid(1.0, -2.0 * np.pi, 10, 1)
         with pytest.raises(ValueError):
-            TimeGrid(1.0, 0.5, 0.1, 5, 1)
+            TimeGrid(-0.5, 2.0 * np.pi, 10, 1)
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 0.1, 10, 0)
+            TimeGrid(1.0, 2.0 * np.pi, 10, 0)
 
-    @pytest.mark.parametrize("n_steps, sample_stride", [(np.nan, 1), (10, np.nan), (0.5, 1)])
-    def test_step_counts_below_one_or_nan_rejected(self, n_steps, sample_stride):
-        with pytest.raises(ValueError, match="n_steps and sample_stride"):
-            TimeGrid(0.0, 1.0, 0.1, n_steps, sample_stride)
+    @pytest.mark.parametrize("m, sample_stride", [(np.nan, 1), (10, np.nan), (0.5, 1),
+                                                  (0, 1), (10, 0)])
+    def test_step_counts_below_one_or_nan_rejected(self, m, sample_stride):
+        with pytest.raises(ValueError, match="^(m|sample_stride) must be"):
+            TimeGrid(1.0, 2.0 * np.pi, m, sample_stride)
+
+    def test_odd_steps_per_period_rejected(self):
+        # Half a drive period must fall on a step.
+        with pytest.raises(ValueError, match="^m must be even"):
+            TimeGrid(1.0, 2.0 * np.pi, 11)
 
     # A fractional step count sampled past t_end and then backwards.
     @pytest.mark.parametrize("args, name", [
-        ((0.0, 1.0, 0.4, 2.5), "n_steps"),
-        ((0.0, 1.0, 0.1, 10, 2.5), "sample_stride"),
-        ((0.0, 1.0, 0.1, True), "n_steps"),
-        ((0.0, 1.0, 0.1, 10, np.True_), "sample_stride"),
-        ((0.0, 1.0, 0.1, 10.0), "n_steps"),
+        ((1.0, 2.0 * np.pi, 2.5), "m"),
+        ((1.0, 2.0 * np.pi, 10, 2.5), "sample_stride"),
+        ((1.0, 2.0 * np.pi, True), "m"),
+        ((1.0, 2.0 * np.pi, 10, np.True_), "sample_stride"),
+        ((1.0, 2.0 * np.pi, 10.0), "m"),
     ])
     def test_non_integral_or_bool_step_counts_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             TimeGrid(*args)
 
     def test_numpy_integer_step_counts_accepted(self):
-        grid = TimeGrid(0.0, 1.0, 0.1, np.int64(10), np.int32(3))
+        grid = TimeGrid(1.0, 2.0 * np.pi, np.int64(10), np.int32(3))
         assert grid.sample_steps.tolist() == [0, 3, 6, 9, 10]
 
-    @pytest.mark.parametrize("t_end, dt", [(np.nan, 1e-9), (1.0, np.nan), (np.inf, 0.1)])
-    def test_non_finite_window_rejected(self, t_end, dt):
+    @pytest.mark.parametrize("t_end, omega", [(np.nan, 1e-9), (1.0, np.nan), (np.inf, 0.1)])
+    def test_non_finite_window_rejected(self, t_end, omega):
         with pytest.raises(ValueError, match="finite"):
-            TimeGrid(0.0, t_end, dt, 10)
+            TimeGrid(t_end, omega, 10)
 
     def test_sample_steps_include_endpoint(self, cz_params):
-        grid = TimeGrid(0.0, 1.0, 0.1, 10, 3)
+        grid = TimeGrid(1.0, 2.0 * np.pi, 10, 3)
         assert grid.sample_steps[0] == 0
         assert grid.sample_steps[-1] == 10
-        times = grid.t_start + grid.dt * grid.sample_steps
+        times = grid.dt * grid.sample_steps
         assert np.all(np.diff(times) > 0)
+
+    def test_off_lattice_end_is_the_remainder(self, cz_params):
+        t_end = 3.37123 * 2.0 * np.pi / cz_params.omega
+        grid = TimeGrid.build(cz_params, t_end, dt_divisor=50)
+        assert 0.0 < grid.delta < grid.dt
+        assert grid.n_steps == grid.lattice_steps + 1
+        np.testing.assert_allclose(grid.lattice_steps * grid.dt + grid.delta, t_end, rtol=1e-15)
+
+    def test_halved_halves_the_step_off_the_lattice(self):
+        # The heatmap's probe at divisor 50: 2812.5 steps of P/100 do not
+        # fill its window, so build takes m = 102, and the halved lattice
+        # is m = 204, at exactly half the step.
+        params = cli.parse_config(["heatmap"]).drive_params()
+        grid = TimeGrid.build(params, np.pi * params.omega / params.omega_m**2, dt_divisor=50)
+        halved = grid.halved()
+        assert grid.delta > 0.0
+        assert (grid.m, halved.m) == (102, 204)
+        assert halved.dt == grid.dt / 2
+        assert (halved.t_end, halved.omega) == (grid.t_end, grid.omega)
 
     def test_default_sampling_caps_storage(self, cz_params):
         grid = TimeGrid.build(cz_params, 3.75e-6, dt_divisor=400)
         assert len(grid.sample_steps) <= 2002
+
+
+OPERATING_POINT = ["--omega-m-mhz", "2", "--omega-ratio", "7.5"]
+
+
+# The lattice of every scenario default and of the four workloads of
+# bench/run.py: the grid that the sidecar records, always on the lattice.
+# Then two columns of the default 60x60 heatmap, where build's rule (the even
+# ceiling of P over t_end/ceil(t_end/dt)) and the direct even ceiling of
+# divisor * fastest/omega (1180 and 944) part.
+@pytest.mark.parametrize("argv, column, m, n_steps, delta_over_h", [
+    (["rab-populations"], None, 800, 45000, 0.0),
+    (["gate-fidelity", "--gate", "cz"], None, 800, 45200, 0.0),
+    (["gate-fidelity", "--gate", "cnot"], None, 800, 32000, 0.0),
+    (["fidelity-vs-gamma", "--gate", "cz"], None, 800, 45200, 0.0),
+    (["fidelity-vs-gamma", "--gate", "cnot"], None, 800, 32000, 0.0),
+    (["heatmap", "--gate", "cz"], None, 800, 22500, 0.0),
+    (["heatmap", "--gate", "cnot"], None, 800, 22500, 0.0),
+    (["gate-fidelity", *OPERATING_POINT, "--gate", "cz", "--gamma-khz", "1.5",
+      "--dt-divisor", "50"], None, 100, 5650, 0.0),
+    (["fidelity-vs-gamma", *OPERATING_POINT, "--gate", "cnot", "--gamma-khz", "2",
+      "--dt-divisor", "50"], None, 100, 4000, 0.0),
+    (["heatmap", *OPERATING_POINT, "--gamma-khz", "0", "--dt-divisor", "100"], None, 200, 5625,
+     0.0),
+    (["rab-populations", *OPERATING_POINT, "--gamma-khz", "0"], None, 800, 45000, 0.0),
+    (["heatmap", "--gate", "cz"], 21, 1182, 27165, 0.6078713013448731),
+    (["heatmap", "--gate", "cnot"], 41, 946, 33971, 0.12352772190240341),
+], ids=["rab-populations", "gate-fidelity-cz", "gate-fidelity-cnot", "fidelity-vs-gamma-cz",
+        "fidelity-vs-gamma-cnot", "heatmap-cz", "heatmap-cnot", "bench-gate-cz",
+        "bench-gamma-sweep-cnot", "bench-heatmap", "bench-populations",
+        "heatmap-cz-column-21", "heatmap-cnot-column-41"])
+def test_scenario_lattice(argv, column, m, n_steps, delta_over_h):
+    config = cli.parse_config(argv)
+    params = config.drive_params()
+    if column is not None:
+        # The column's grid, sized by its stiffest cell (V = v_max).
+        omega = np.linspace(config.w_min, config.w_max, config.resolution)[column] * OMEGA_M
+        params = DriveParams(omega_m=OMEGA_M, omega=omega, v=config.v_max * OMEGA_M,
+                             gate=params.gate)
+    if config.scenario == "rab-populations":
+        t_end = models.gate_time(params)
+    elif config.scenario == "heatmap":
+        t_end = np.pi * params.omega / params.omega_m**2
+    else:
+        t_end = models.pulse_end_time(params)
+    grid = TimeGrid.build(params, t_end, dt_divisor=config.dt_divisor)
+    assert (grid.m, grid.n_steps) == (m, n_steps)
+    assert grid.delta == pytest.approx(delta_over_h * grid.dt, rel=1e-9, abs=0.0)
 
 
 class TestLindbladRhs:
@@ -173,6 +248,20 @@ class TestPropagateState:
         with pytest.raises(IntegratorHealthError, match="norm"):
             propagate_state(cz_params, hilbert.ket(G1, G1), grid)
 
+    def test_a_grid_of_another_drive_is_rejected(self, cz_params):
+        grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
+        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
+        other = DriveParams.from_ratio(OMEGA_M, 5.0)
+        runs = [
+            lambda: propagate_state(other, hilbert.ket(G1, G1), grid),
+            lambda: propagate_density(other, hilbert.projector(G1, G1), grid),
+            lambda: propagate_process(other, grid),
+            lambda: convergence_check(other, traj, grid, lambda rho: 0.0),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="not params.omega"):
+                run()
+
     def test_deterministic(self, cz_params):
         grid = TimeGrid.build(cz_params, 5e-7, dt_divisor=100)
         a = propagate_state(cz_params, hilbert.ket(G1, G1), grid)
@@ -203,7 +292,9 @@ class TestPropagateDensity:
         # dynamics reduce to pure two-atom decay, P_rr(t) = exp(-2 gamma t).
         params = DriveParams(omega_m=1e-3, omega=1.0, v=0.0, gamma=GAMMA_15KHZ)
         t_end = 1e-4
-        grid = TimeGrid(0.0, t_end, t_end / 2000, 2000, 20)
+        # About 2000 steps: m even and at least the period over t_end/2000.
+        m = 2 * math.ceil(np.pi / params.omega / (t_end / 2000))
+        grid = TimeGrid(t_end, params.omega, m, 20)
         traj = propagate_density(params, hilbert.projector(RYD, RYD), grid)
         expected = np.exp(-2.0 * params.gamma * traj.times)
         assert np.max(np.abs(traj.basis_populations(8) - expected)) <= 1e-6
@@ -214,10 +305,11 @@ class TestPropagateDensity:
             propagate_density(cz_params, np.eye(9), grid)
 
     def test_unstable_step_raises_health_error(self, cz_params):
-        cap = 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
-        dt = 30.0 * cap
-        n = 200
-        grid = TimeGrid(0.0, n * dt, dt, n, 50)
+        # 4 steps per drive period: 25x the step ceiling's P/100, over 60 periods.
+        period = 2.0 * np.pi / cz_params.omega
+        assert 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0 == pytest.approx(
+            period / 100)
+        grid = TimeGrid(60.0 * period, cz_params.omega, 4, 50)
         with pytest.raises(IntegratorHealthError):
             propagate_density(cz_params, hilbert.projector(G1, G1), grid)
 
@@ -229,14 +321,14 @@ class TestRk4Order:
         t_end = 1.875e-6
         psi0 = hilbert.ket(G1, G1)
 
-        def final_state(divisor):
-            grid = TimeGrid.build(cz_params, t_end, dt_divisor=divisor, sample_stride=10**9)
+        def final_state(grid):
             _, states = rk4_run(schrodinger_rhs(cz_params), psi0, grid, hermitize=False)
             return states[-1]
 
-        reference = final_state(400)
-        err_coarse = np.linalg.norm(final_state(50) - reference)
-        err_half = np.linalg.norm(final_state(100) - reference)
+        coarse = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=10**9)
+        reference = final_state(coarse.halved().halved().halved())
+        err_coarse = np.linalg.norm(final_state(coarse) - reference)
+        err_half = np.linalg.norm(final_state(coarse.halved()) - reference)
         assert 12.0 <= err_coarse / err_half <= 20.0
 
 
@@ -290,7 +382,7 @@ class TestRk4Kernels:
 class TestProcessMap:
     def test_identity_map_without_drive_or_decay(self):
         stub = SimpleNamespace(omega_m=0.0, omega=1.0, v=3.0, gamma=0.0, gate=GateKind.CZ)
-        grid = TimeGrid(0.0, 1.0, 0.01, 100, 100)
+        grid = TimeGrid(1.0, 1.0, 630, 100)
         process = propagate_process(stub, grid)
         assert process.images.dtype == np.float64
         np.testing.assert_allclose(process.images[-1], np.eye(16).reshape(4, 4, 4, 4),
@@ -341,12 +433,11 @@ class TestKeptCoordinates:
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
         a0, a1, parity = dynamics._generator(params, density=True)
-        times, full = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(),
-                                                 grid)
+        times, full = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
         process = QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)]
         for columns in (np.array(process), rng.permutation(81)[:30]):
-            kept_times, kept = dynamics._stroboscopic_run(a0, a1, parity, params.omega,
-                                                          _qubit_rows(), grid, columns)
+            kept_times, kept = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid,
+                                                          columns)
             assert np.array_equal(kept_times, times)
             assert kept.shape == full.shape[:-1] + (len(columns),)
             assert np.max(np.abs(kept - full[..., columns])) <= 1e-14
@@ -383,11 +474,9 @@ class TestConvergenceCheck:
         assert report.delta == 0.0
 
     def test_reports_failure_on_deliberately_coarse_grid(self, cz_params):
-        # 10x the step ceiling: must report a failing delta, not raise.
-        cap = 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
-        t_end = 1.875e-6
-        n = max(1, math.ceil(t_end / (10.0 * cap)))
-        grid = TimeGrid(0.0, t_end, t_end / n, n, 10**9)
+        # 12 steps per drive period, 8.3x the step ceiling's P/100: must
+        # report a failing delta, not raise.
+        grid = TimeGrid(1.875e-6, cz_params.omega, 12, 10**9)
         traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
         report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
         assert not report.passed
@@ -430,7 +519,7 @@ class TestStroboscopicMatchesStepwise:
     def grid(self, request, params):
         period = 2.0 * np.pi / params.omega
         grid = TimeGrid.build(params, request.param * period, dt_divisor=50, sample_stride=7)
-        assert dynamics.stroboscopic_grid(params, grid).dt == pytest.approx(grid.dt, rel=1e-12)
+        assert (grid.m, grid.delta) == (100, 0.0)
         return grid
 
     def test_process_images(self, params, grid):
@@ -497,7 +586,7 @@ class TestRealCoordinates:
     def grid(self, request, params):
         grid = TimeGrid.build(params, request.param * 2.0 * np.pi / params.omega,
                               dt_divisor=50, sample_stride=7)
-        assert dynamics.stroboscopic_grid(params, grid).dt == pytest.approx(grid.dt, rel=1e-12)
+        assert (grid.m, grid.delta) == (100, 0.0)
         return grid
 
     def test_coordinates_are_those_of_the_hermitian_basis(self, rng):
@@ -539,20 +628,17 @@ class TestRealCoordinates:
 
 class TestStroboscopicLattice:
     def test_times_of_an_unaligned_window(self, cz_params):
-        # dt does not divide the drive period: the step shrinks to P/m and the
-        # window ends with one step shorter than that.
+        # The requested step does not divide the window: the step shrinks to
+        # P/m and the window ends with one step shorter than that.
         t_end = 3.37123 * 2.0 * np.pi / cz_params.omega
         grid = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=3)
-        used = dynamics.stroboscopic_grid(cz_params, grid)
-        assert used.dt < grid.dt
-        assert (2.0 * np.pi / cz_params.omega / used.dt) == pytest.approx(
-            round(2.0 * np.pi / cz_params.omega / used.dt), abs=1e-9
-        )
+        assert grid.dt < 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
+        assert 0.0 < grid.delta < grid.dt
         traj = propagate_state(cz_params, hilbert.ket(G0, G1), grid)
-        assert traj.times[0] == grid.t_start
+        assert traj.times[0] == 0.0
         assert traj.times[-1] == grid.t_end
         assert np.all(np.diff(traj.times) > 0)
-        assert traj.dt == used.dt
+        assert traj.dt == grid.dt
         # The single-driven-atom block is known in closed form at every sample.
         for t, state in zip(traj.times, traj.states):
             u = analysis.single_atom_oracle(cz_params, t)
@@ -596,7 +682,7 @@ class TestGlideSymmetry:
     def test_process_images_match_stepwise(self, params, periods):
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
-        assert dynamics.stroboscopic_grid(params, grid).n_steps == grid.n_steps
+        assert (grid.m, grid.delta) == (100, 0.0)
         process_times, images = full_process(params, grid)
         times, reference = rk4_run(
             _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
@@ -610,15 +696,16 @@ class TestGlideSymmetry:
         params = DriveParams(omega_m=OMEGA_M, omega=7.5 * OMEGA_M, v=18.1 * OMEGA_M,
                              gamma=GAMMA_15KHZ, gate=GateKind.CZ)
         period = 2.0 * np.pi / params.omega
+        requested = 2.0 * np.pi / fastest_angular_frequency(params) / 50
+        raw = 3.5 * period / math.ceil(3.5 * period / requested)
+        assert math.ceil(period / raw) == 121
         grid = TimeGrid.build(params, 3.5 * period, dt_divisor=50, sample_stride=7)
-        assert math.ceil(period / grid.dt) == 121
-        used = dynamics.stroboscopic_grid(params, grid)
-        assert period / used.dt == pytest.approx(122, abs=1e-9)
-        assert used.n_steps == 3 * 122 + 61
+        assert grid.m == 122
+        assert (grid.n_steps, grid.delta) == (3 * 122 + 61, 0.0)
         rho0 = _qubit_rho()
         traj = propagate_density(params, rho0, grid)
-        assert traj.dt == used.dt
-        times, reference = rk4_run(_stepwise_lindblad(params), rho0, used, hermitize=True)
+        assert traj.dt == grid.dt
+        times, reference = rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=True)
         np.testing.assert_allclose(traj.times, times, rtol=1e-12)
         assert np.max(np.abs(traj.states - reference)) <= 1e-10
 
@@ -635,20 +722,7 @@ class TestGlideSymmetry:
             a1[i, i] = 1.0
         grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
         with pytest.raises(ValueError, match="glide symmetry"):
-            dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, _qubit_rows(), grid)
-
-
-def _lindblad_to(params, rows0, used, delta):
-    """Stepwise reference: RK4 over the lattice of ``used`` and then one
-    step of ``delta`` (when it is > 0) to the end of the window."""
-    lattice_steps = used.n_steps - (delta > 0)
-    rhs = _stepwise_lindblad(params)
-    y = rows0
-    for y in rk4_steps(rhs, rows0, used.t_start, used.dt, lattice_steps):
-        pass
-    if delta > 0:
-        [y] = rk4_steps(rhs, y, used.t_start + lattice_steps * used.dt, delta, 1)
-    return y
+            dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
 
 
 class TestOffLatticeEnd:
@@ -663,26 +737,23 @@ class TestOffLatticeEnd:
     def test_process_images_match_stepwise(self, params, periods):
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=10**9)
-        used = dynamics.stroboscopic_grid(params, grid)
-        delta = grid.t_end - (used.n_steps - 1) * used.dt
-        assert 0.0 < delta < used.dt
+        assert 0.0 < grid.delta < grid.dt
         times, images = full_process(params, grid)
         assert times[-1] == grid.t_end
-        reference = _lindblad_to(params, _qubit_units(), used, delta)
-        assert np.max(np.abs(images[-1] - reference)) <= 1e-10
+        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
+                               hermitize=False)
+        assert np.max(np.abs(images[-1] - reference[-1])) <= 1e-10
 
     def test_window_shorter_than_one_step(self, params):
-        # dt = P/100 gives 100 steps per period; the window is 0.4 of one.
-        step = 2.0 * np.pi / params.omega / 100
-        grid = TimeGrid(0.0, 0.4 * step, step, 1)
-        m, n, r, h, delta = dynamics._period_lattice(params.omega, grid)
-        assert (m, n, r) == (100, 0, 0)
-        assert delta == pytest.approx(0.4 * h, rel=1e-12)
+        # 100 steps per period; the window is 0.4 of one.
+        grid = TimeGrid(0.4 * 2.0 * np.pi / params.omega / 100, params.omega, 100)
+        assert (grid.lattice_steps, grid.n_steps) == (0, 1)
+        assert grid.delta == pytest.approx(0.4 * grid.dt, rel=1e-12)
         times, images = full_process(params, grid)
         np.testing.assert_array_equal(times, [0.0, grid.t_end])
-        reference = _lindblad_to(params, _qubit_units(),
-                                 dynamics.stroboscopic_grid(params, grid), delta)
-        assert np.max(np.abs(images[-1] - reference)) <= 1e-10
+        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
+                               hermitize=False)
+        assert np.max(np.abs(images[-1] - reference[-1])) <= 1e-10
 
 
 class TestBatchedSamples:
@@ -693,25 +764,24 @@ class TestBatchedSamples:
         v = np.array([10.0, 15.0, 20.0]) * OMEGA_M
         grid = TimeGrid.build(cz_params, 3.37123 * 2.0 * np.pi / cz_params.omega,
                               dt_divisor=50, sample_stride=7)
-        lattice = dynamics._sample_lattice(cz_params.omega, grid)
         # Glided second halves, and an off-lattice end.
-        assert np.any(lattice.j >= lattice.m // 2) and lattice.delta > 0
+        assert np.any(grid.sample_steps % grid.m >= grid.m // 2) and grid.delta > 0
         psi = _qubit_psi()
         a0, a1, parity = dynamics._generator(cz_params, density=False, v=v)
-        times, batched = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega,
+        times, batched = dynamics._stroboscopic_run(a0, a1, parity,
                                                     np.broadcast_to(psi, (3, 1, 9)), grid)
         assert batched.shape == (len(times), 3, 1, 9) and len(times) > 40
         for i, v_i in enumerate(v):
             a0, a1, parity = dynamics._generator(cz_params, density=False, v=v_i)
-            single_times, single = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega,
-                                                              psi[np.newaxis], grid)
+            single_times, single = dynamics._stroboscopic_run(a0, a1, parity, psi[np.newaxis],
+                                                              grid)
             assert np.array_equal(single_times, times)
             assert np.max(np.abs(batched[:, i] - single)) <= 1e-14
         # One generator, unbatched, on a batch of initial states.
         rows0 = np.stack([psi, hilbert.ket(G1, G1)])[:, np.newaxis]
-        _, both = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, rows0, grid)
+        _, both = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
         for k, row in enumerate(rows0):
-            _, single = dynamics._stroboscopic_run(a0, a1, parity, cz_params.omega, row, grid)
+            _, single = dynamics._stroboscopic_run(a0, a1, parity, row, grid)
             assert np.max(np.abs(both[:, k] - single)) <= 1e-14
 
     def test_samples_only_at_period_starts(self, cz_decay_params):
@@ -719,14 +789,12 @@ class TestBatchedSamples:
         # offset 0 is read, and its map is the identity.
         params = cz_decay_params
         period = 2.0 * np.pi / params.omega
-        grid = TimeGrid(0.0, 3.0 * period, period / 100, 300, 100)
-        lattice = dynamics._sample_lattice(params.omega, grid)
-        assert (lattice.m, lattice.n, lattice.delta) == (100, 3, 0.0)
-        assert lattice.j.tolist() == [0, 0, 0, 0]
+        grid = TimeGrid(3.0 * period, params.omega, 100, 100)
+        assert (grid.n_steps, grid.delta) == (300, 0.0)
+        assert (grid.sample_steps % grid.m).tolist() == [0, 0, 0, 0]
         columns = np.array(QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)])
         a0, a1, parity = dynamics._generator(params, density=True)
-        times, kept = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(),
-                                                 grid, columns)
+        times, kept = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid, columns)
         assert np.array_equal(kept[0], _qubit_rows()[:, columns])
         ref_times, reference = rk4_run(_stepwise_lindblad(params), matrices_of(_qubit_rows()),
                                        grid, hermitize=False)
@@ -755,14 +823,12 @@ class TestHalfPeriodWork:
         """RK4 step maps the calls form on ``grid``'s lattice, after
         checking that each block formed m/2 of them plus at most one shorter
         step."""
-        used = dynamics.stroboscopic_grid(params, grid)
-        m = round(2.0 * np.pi / params.omega / used.dt)
         a0, a1, _ = dynamics._generator(params, density=density)
         blocks = len(dynamics._blocks(a0, a1, rows0))
-        on_lattice = [n for dt, n in calls if dt == used.dt]
-        short = [n for dt, n in calls if dt < used.dt]
+        on_lattice = [n for dt, n in calls if dt == grid.dt]
+        short = [n for dt, n in calls if dt < grid.dt]
         assert len(on_lattice) + len(short) == len(calls)
-        assert on_lattice == [m // 2] * blocks
+        assert on_lattice == [grid.m // 2] * blocks
         assert len(short) <= blocks and set(short) <= {1}
         return sum(on_lattice) + sum(short)
 
@@ -780,7 +846,7 @@ class TestHalfPeriodWork:
         rows0 = coordinates_of(hilbert.projector(G1, G1))[np.newaxis]
         # The trajectory on the grid, and the convergence check's run at
         # dt/2; both windows end on the lattice.
-        h = dynamics.stroboscopic_grid(params, grid).dt
+        h = grid.dt
         whole = self._steps(params, grid, rows0,
                             [c for c in rk4_calls if c[0] == h], density=True)
         halved = self._steps(params, grid.halved(), rows0,
@@ -792,10 +858,24 @@ class TestHalfPeriodWork:
                               dt_divisor=50, sample_stride=3)
         psi = hilbert.ket(G0, G1)
         propagate_state(cz_params, psi, grid)
-        used = dynamics.stroboscopic_grid(cz_params, grid)
-        m = round(2.0 * np.pi / cz_params.omega / used.dt)
         assert self._steps(cz_params, grid, psi[np.newaxis], rk4_calls, density=False) \
-            == m // 2 + 1
+            == grid.m // 2 + 1
+
+    def test_halved_run_of_an_off_lattice_probe(self, rk4_calls):
+        # The heatmap's convergence probe at divisor 50 ends off its lattice
+        # of m = 102.  The check's run takes m steps of exactly dt/2 per
+        # block, half the period of 2m, and one short step.
+        params = cli.parse_config(["heatmap", "--dt-divisor", "50"]).drive_params()
+        grid = TimeGrid.build(params, np.pi * params.omega / params.omega_m**2, dt_divisor=50,
+                              sample_stride=10**9)
+        assert grid.m == 102 and grid.delta > 0.0
+        rho0 = hilbert.projector(G1, G1)
+        traj = propagate_density(params, rho0, grid)
+        rk4_calls.clear()
+        convergence_check(params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
+        assert grid.halved().dt == grid.dt / 2
+        assert self._steps(params, grid.halved(), coordinates_of(rho0)[np.newaxis], rk4_calls,
+                           density=True) == grid.m + 1
 
 
 class TestHealthGatesTripOnNan:
@@ -910,14 +990,13 @@ class TestInvariantBlocks:
         a0, a1, parity, rows0 = problem
         grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
                               sample_stride=7)
-        times, out = dynamics._stroboscopic_run(a0, a1, parity, params.omega, rows0, grid)
-        lattice = dynamics._sample_lattice(params.omega, grid)
+        times, out = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
         reach = np.sort(np.concatenate(dynamics._blocks(a0, a1, rows0)))
         unsplit = dynamics._stroboscopic_core(
             a0[..., reach[:, np.newaxis], reach], a1[reach[:, np.newaxis], reach],
-            parity[reach], params.omega, rows0[..., reach], lattice,
+            parity[reach], rows0[..., reach], grid,
         )
-        assert np.array_equal(times, lattice.times)
+        assert times[-1] == grid.t_end and len(times) == len(unsplit)
         assert np.max(np.abs(out[..., reach] - unsplit)) <= 1e-12
         assert not np.any(np.delete(out, reach, axis=-1))
 
@@ -945,7 +1024,7 @@ class TestInvariantBlocks:
         assert not set(block.tolist()) & {10 * a for a in range(9)}
         grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
         a0, a1, parity = dynamics._generator(params, density=True)
-        _, rows = dynamics._stroboscopic_run(a0, a1, parity, params.omega, _qubit_rows(), grid)
+        _, rows = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
         assert 0 < np.isnan(rows).any(axis=(0, 1)).sum() <= len(block)
         assert np.all(np.isfinite(np.delete(rows, block, axis=-1)))
         with pytest.raises(IntegratorHealthError, match="non-finite"):

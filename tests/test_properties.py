@@ -126,16 +126,16 @@ def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, re
     # 20 steps per drive period: windows end in either half of a period, on
     # a half-period node, or short of the first period.
     omega = 2.0 * math.pi
-    grid = TimeGrid(0.0, 0.05 * steps, 0.05, steps, 5)
+    grid = TimeGrid(0.05 * steps, omega, 20, 5)
     blocks = dynamics._blocks(a0, a1, rows0)
     assert [block.tolist() for block in blocks] == reference_blocks(a0, a1, rows0)
     covered = np.concatenate([np.zeros(0, dtype=int), *blocks])
     assert len(set(covered.tolist())) == len(covered)
 
-    times, out = dynamics._stroboscopic_run(a0, a1, parity, omega, rows0, grid)
-    lattice = dynamics._sample_lattice(omega, grid)
-    whole = dynamics._stroboscopic_core(a0, a1, parity, omega, rows0, lattice)
-    assert np.array_equal(times, lattice.times)
+    times, out = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
+    whole = dynamics._stroboscopic_core(a0, a1, parity, rows0, grid)
+    assert (grid.n_steps, grid.delta) == (steps, 0.0)
+    assert np.array_equal(times, grid.dt * grid.sample_steps)
     assert out.dtype == whole.dtype == (np.float64 if real else np.complex128)
     scale = max(1.0, np.max(np.abs(whole)))
     assert np.max(np.abs(out - whole)) <= 1e-12 * scale

@@ -1,6 +1,7 @@
 """rabsim's public surface: what the CLI, the benchmark and the oracles read."""
 
 import ast
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -24,6 +25,12 @@ def test_public_surface():
     assert not hasattr(dynamics, "_add_sandwich")
     build = inspect.signature(dynamics.TimeGrid.build).parameters
     assert "dt" not in build and "t_start" not in build
+    # TimeGrid is the lattice that is integrated; no second grid is derived.
+    assert [f.name for f in dataclasses.fields(dynamics.TimeGrid)] == [
+        "t_end", "omega", "m", "sample_stride"]
+    for name in ("stroboscopic_grid", "_period_lattice", "_sample_lattice", "_SampleLattice"):
+        assert not hasattr(dynamics, name), name
+        assert not hasattr(rabsim, name), name
     # One default step divisor, in the library and on the command line.
     defaults = [
         build["dt_divisor"].default,
