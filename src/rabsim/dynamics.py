@@ -62,6 +62,14 @@ amplitudes (CZ) or 6 (CNOT).  A run may keep only some output coordinates:
 the maps are cut to them before the samples are formed.  A process map keeps
 21 of the 81, the qubit block and the diagonal.
 
+A0 is linear in the static rates V and gamma, and a run may carry a batch
+of them on leading axes of A0: a heatmap column runs its V axis that way,
+and the decay sweep its rates, in one process-map run whose blocks are
+those of the whole batch (a gamma = 0 entry runs on the decay blocks).
+Each block takes the batch a slice of its first axis at a time, so that the
+twelve kernels of a slice stay within 2**16 elements: two rates a slice on
+the CNOT block of 45, and the whole V axis of a default heatmap column.
+
 Runs are deterministic, so step-halving convergence checks stay meaningful.
 Density matrices are Hermitian by construction but never renormalized, so
 trace drift stays visible as a health metric (the Lindblad generator is
@@ -269,6 +277,9 @@ class ProcessMap:
 #: Powers (a, b, e) of (c1, c2, c4) that kernel 6a + 2b + e carries.
 _KERNEL_POWERS = np.indices((2, 3, 2)).reshape(3, -1)
 
+#: Elements that the RK4 kernels of one batch slice of one block may hold.
+_KERNEL_BUDGET = 2**16
+
 
 def _rk4_kernels(b0: np.ndarray, b1: np.ndarray, h: float) -> np.ndarray:
     """The 12 kernels (12, ..., d, d) of an RK4 step of ``h`` on rows under
@@ -317,8 +328,12 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
     The maps are the cosine monomials of the steps contracted with the
     kernels, a few steps at a time, so that each product stays below the
     size at which OpenBLAS starts a second thread, which on these small
-    blocks burns more CPU than it saves.  Complex kernels are contracted as
-    their real and imaginary parts side by side.
+    blocks burns more CPU than it saves.  Each product takes at least two
+    steps: OpenBLAS hands a one-row product to another kernel, which rounds
+    differently, and with two or more every map is the same whatever batch
+    its kernels carry, so that a batched run reproduces the unbatched runs
+    of its entries bit for bit.  Complex kernels are contracted as their
+    real and imaginary parts side by side.
     """
     t = t0 + h * np.arange(n_steps)
     cosines = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
@@ -326,7 +341,7 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
     flat = kernels.reshape(len(kernels), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
-    rows = max(1, 2**16 // kernels.size)
+    rows = max(2, 2**16 // kernels.size)
     for start in range(0, n_steps, rows):
         chunk = monomials[start:start + rows] @ flat
         yield from chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
@@ -365,34 +380,39 @@ def _density_terms(gate) -> np.ndarray:
     return terms
 
 
-def _generator(params, *, density: bool, v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generator(params, *, density: bool, v=None, gamma=None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A0, A1, parity) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
 
-    For pure states y is the 9-vector and A(t) = -i H(t), complex; ``v`` may
-    replace ``params.v`` by an array of RRI strengths, which gives A0 those
-    leading batch axes (a heatmap column runs |11> over its V axis that
-    way).  For density matrices y holds the real coordinates of rho
+    A0 is linear in the static rates, and ``v`` and ``gamma`` may replace
+    ``params.v`` and ``params.gamma`` by arrays of them, which give A0
+    their broadcast shape as leading batch axes: a heatmap column runs |11>
+    over its V axis that way, and the decay sweep its process map over its
+    rates.  For pure states y is the 9-vector and A(t) = -i H(t), complex;
+    they carry no decay, so ``gamma`` is rejected there.  For density
+    matrices y holds the real coordinates of rho
     (:func:`hilbert.real_coordinates`) and A(t) is the real 81x81
     Liouvillian on them, with the decay in A0: the Lindblad generator maps
     Hermitian matrices to Hermitian matrices.  It is assembled from the
     per-gate terms of :func:`_density_terms`, scaled by gamma, Omega_m and
-    V, and is never batched.  ``parity`` is the diagonal of Pi, (-1)^n_r on
-    the 9 basis states and (-1)^(n_r(a) + n_r(b)) at index 9a + b (and so at
-    9b + a) of the density coordinates; it gives Pi A0 Pi = A0 and
-    Pi A1 Pi = -A1.
+    V.  ``parity`` is the diagonal of Pi, (-1)^n_r on the 9 basis states and
+    (-1)^(n_r(a) + n_r(b)) at index 9a + b (and so at 9b + a) of the
+    density coordinates; it gives Pi A0 Pi = A0 and Pi A1 Pi = -A1.
     """
     is_rydberg = (np.arange(hilbert.N_LEVELS) == hilbert.RYD).astype(int)
     parity = (-1.0) ** np.add.outer(is_rydberg, is_rydberg).ravel()
+    v = np.asarray(params.v if v is None else v)
     if not density:
-        v = params.v if v is None else np.asarray(v)
-        h0 = np.zeros(np.shape(v) + (DIM, DIM), dtype=complex)
+        if gamma is not None:
+            raise ValueError("pure states carry no decay: only the density generator "
+                             "batches over gamma")
+        h0 = np.zeros(v.shape + (DIM, DIM), dtype=complex)
         h0[..., 8, 8] = v
         return -1j * h0, (-1j * params.omega_m) * models.drive_structure(params.gate), parity
-    if v is not None:
-        raise ValueError("only the pure-state generator batches over V")
+    gamma = np.asarray(params.gamma if gamma is None else gamma)
     decay, drive, rr = _density_terms(params.gate)
-    return (params.gamma * decay + params.v * rr, params.omega_m * drive,
-            np.outer(parity, parity).ravel())
+    a0 = gamma[..., np.newaxis, np.newaxis] * decay + v[..., np.newaxis, np.newaxis] * rr
+    return a0, params.omega_m * drive, np.outer(parity, parity).ravel()
 
 
 def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -436,7 +456,12 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     by half drive periods on the lattice of ``grid``.
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
-    ``a0`` may carry the same leading batch axes.  ``parity`` is the
+    ``a0`` may carry leading batch axes that broadcast with those of
+    ``rows0`` into the batch axes ... of the output (``a1`` carries none).
+    Per block, the batch runs a slice of the first axis of ``a0`` at a
+    time, sized so that the slice's twelve RK4 kernels hold at most
+    :data:`_KERNEL_BUDGET` elements: the run's peak memory then stays that
+    of a few entries however long the batch.  ``parity`` is the
     diagonal of Pi: A0 may couple only coordinates of equal parity and A1
     only coordinates of opposite parity, so that Pi A0 Pi = A0 and
     Pi A1 Pi = -A1; a generator with another pattern raises ``ValueError``.
@@ -478,8 +503,13 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     times = np.minimum(grid.sample_steps, grid.lattice_steps) * grid.dt
     times[-1] = grid.t_end
     width = rows0.shape[-1] if columns is None else len(columns)
+    rows0 = np.broadcast_to(rows0, np.broadcast_shapes(a0.shape[:-2], rows0.shape[:-2])
+                            + rows0.shape[-2:])
     out = np.zeros((len(times),) + rows0.shape[:-1] + (width,),
                    dtype=np.result_type(a0, a1, rows0))
+    # The slices cut A0's first batch axis, which is axis ``lead`` of the rows.
+    lead = rows0.ndim - a0.ndim
+    n = a0.shape[0] if a0.ndim > 2 else 1
     for block in _blocks(a0, a1, rows0):
         # Where the block's part goes in the output, and which of its own
         # coordinates those are (all, in order, when none are picked).
@@ -493,12 +523,18 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
                 continue
             local = local[kept]
         support = np.any(rows0[..., block] != 0, axis=tuple(range(rows0.ndim - 2)) + (-1,))
-        rows = np.flatnonzero(support)[:, np.newaxis]
-        # One block's part at a time, written straight into the output.
-        out[..., rows, kept] = _stroboscopic_core(
-            a0[..., block[:, np.newaxis], block], a1[..., block[:, np.newaxis], block],
-            parity[block], rows0[..., rows, block], grid, local,
-        )
+        rows, cut = np.flatnonzero(support)[:, np.newaxis], block[:, np.newaxis]
+        per_entry = _KERNEL_POWERS.shape[1] * len(block) ** 2 * math.prod(a0.shape[1:-2])
+        size = max(1, _KERNEL_BUDGET // per_entry)
+        for start in range(0, n, size):
+            part = (slice(start, start + size),) if a0.ndim > 2 else ()
+            at = (slice(None),) * lead + part
+            # One block's part of one slice at a time, written straight
+            # into the output.
+            out[(slice(None),) + at][..., rows, kept] = _stroboscopic_core(
+                a0[part][..., cut, block], a1[..., cut, block], parity[block],
+                rows0[at][..., rows, block], grid, local,
+            )
     return times, out
 
 
@@ -573,7 +609,7 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
 
 
 def _propagate(params, rows0: np.ndarray, grid: TimeGrid, *, density: bool, v=None,
-               columns=None):
+               gamma=None, columns=None):
     """(times, samples) of :func:`_stroboscopic_run` under the generator of
     ``params`` (:func:`_generator`), on a grid of its drive: a grid whose
     ``omega`` is not ``params.omega`` raises ``ValueError``."""
@@ -581,7 +617,8 @@ def _propagate(params, rows0: np.ndarray, grid: TimeGrid, *, density: bool, v=No
         raise ValueError(
             f"the grid is for the drive omega = {grid.omega}, not params.omega = {params.omega}"
         )
-    return _stroboscopic_run(*_generator(params, density=density, v=v), rows0, grid, columns)
+    return _stroboscopic_run(*_generator(params, density=density, v=v, gamma=gamma), rows0,
+                             grid, columns)
 
 
 def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -639,7 +676,7 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
     return Trajectory(times=times, states=states, dt=grid.dt)
 
 
-def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
+def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> ProcessMap:
     """Propagate the 16 Hermitian basis matrices of the qubit subspace in one run.
 
     They are the real coordinate units at the indices of the qubit matrix
@@ -653,24 +690,45 @@ def propagate_process(params: DriveParams, grid: TimeGrid) -> ProcessMap:
     sample.  The finiteness gate reads those 21 coordinates: every
     invariant block of the run holds the unit it starts from, so a NaN
     anywhere in a block reaches a kept coordinate.
+
+    ``gamma``, a 1-D array of decay rates in rad/s, replaces
+    ``params.gamma``: the units then run once for all rates, broadcast
+    over them as a batch axis of the generator (:func:`_generator`), and
+    ``images`` has shape (n_samples, n_rates, 4, 4, 4, 4), the rates in
+    input order.  An empty array, or a rate that is negative or not
+    finite, raises ``ValueError`` before any propagation.  Both gates judge
+    every rate, and their message names the worst one.
     """
+    rates = np.array([params.gamma]) if gamma is None else np.asarray(gamma, dtype=float)
+    if not (rates.ndim == 1 and rates.size and np.all((rates >= 0.0) & (rates < math.inf))):
+        raise ValueError(
+            f"gamma must be a non-empty 1-D array of finite decay rates >= 0, got {gamma}"
+        )
     units = [DIM * a + b for a in QUBIT_INDICES for b in QUBIT_INDICES]
     diagonals = [(DIM + 1) * a for a in range(DIM) if a not in QUBIT_INDICES]
     times, rows = _propagate(params, np.eye(DIM * DIM)[units], grid, density=True,
-                             columns=np.array(units + diagonals))
-    images = rows[..., :len(units)].reshape(len(times), 4, 4, 4, 4)
+                             gamma=rates, columns=np.array(units + diagonals))
+    shape = (len(times), len(rates), 4, 4)
+    images = rows[..., :len(units)].reshape(shape + (4, 4))
     # The Lindblad increments are exactly traceless, so the image of unit
-    # (i, j) keeps the unit's trace delta_ij; drift flags a broken run.
-    traces = np.einsum("sijaa->sij", images) + rows[..., len(units):].sum(axis=-1).reshape(
-        len(times), 4, 4)
-    drift = np.max(np.abs(traces - np.eye(4)))
-    if not drift <= 1e-6:
+    # (i, j) keeps the unit's trace delta_ij; drift flags a broken run.  Each
+    # gate takes its worst over the samples and units of every rate.
+    traces = np.einsum("srijaa->srij", images) + rows[..., len(units):].sum(axis=-1).reshape(
+        shape)
+    drift = np.max(np.abs(traces - np.eye(4)), axis=(0, 2, 3))
+    worst = int(np.argmax(np.where(np.isnan(drift), math.inf, drift)))
+    if not drift[worst] <= 1e-6:
         raise IntegratorHealthError(
-            f"process-basis trace drifted by {drift:.3e} (> 1e-6); reduce dt"
+            f"process-basis trace drifted by {drift[worst]:.3e} (> 1e-6) at gamma = "
+            f"{rates[worst]:.6g} rad/s; reduce dt"
         )
-    if not np.all(np.isfinite(rows)):
-        raise IntegratorHealthError("process images became non-finite; reduce dt")
-    return ProcessMap(times=times, images=images)
+    finite = np.all(np.isfinite(rows), axis=(0, 2, 3))
+    if not finite.all():
+        raise IntegratorHealthError(
+            f"process images became non-finite at gamma = {rates[np.argmin(finite)]:.6g} "
+            "rad/s; reduce dt"
+        )
+    return ProcessMap(times=times, images=images if gamma is not None else images[:, 0])
 
 
 def convergence_check(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,22 @@ class TestSweepHeatmap:
 
 
 class TestFidelityVsGamma:
+    RATES = list(np.linspace(0.0, 2.0 * np.pi * 2e3, 9))
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The gamma arguments of every propagate_process call, through the
+        module attribute that the benchmark's spans wrap."""
+        calls = []
+        run = dynamics.propagate_process
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("gamma"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate_process", recorded)
+        return calls
+
     def test_returns_input_order(self, gamma_sweep):
         gammas, points = gamma_sweep
         assert [g for g, _ in points] == gammas
@@ -331,11 +348,53 @@ class TestFidelityVsGamma:
         fbars = [f for _, f in points]
         assert all(b <= a + 1e-6 for a, b in zip(fbars, fbars[1:]))
 
-    def test_rejects_negative_rates(self, cz_params):
+    def test_rejects_negative_rates(self, cz_params, runs):
         with pytest.raises(ValueError):
             fidelity_vs_gamma(cz_params, [-1.0])
+        assert runs == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rates(self, cz_params, bad):
+    def test_rejects_non_finite_rates(self, cz_params, bad, runs):
         with pytest.raises(ValueError, match="finite"):
             fidelity_vs_gamma(cz_params, [0.0, bad])
+        assert runs == []
+
+    def test_empty_sweep_is_empty(self, cz_params, runs):
+        assert fidelity_vs_gamma(cz_params, []) == []
+        assert runs == []
+
+    # The operating point at the benchmark's divisor, gamma = 0 included.
+    @pytest.mark.parametrize("gate", list(GateKind))
+    def test_one_batched_run_matches_the_per_rate_runs(self, gate, runs, monkeypatch):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=50,
+                              sample_stride=10**9)
+        target = models.target_unitary(gate)
+        single = [average_gate_fidelity(dynamics.propagate_process(params.with_gamma(g), grid),
+                                        target).final_fbar for g in self.RATES]
+        del runs[:]
+        points = fidelity_vs_gamma(params, self.RATES, dt_divisor=50)
+        assert len(runs) == 1 and list(runs[0]) == self.RATES
+        assert [g for g, _ in points] == self.RATES
+        fbars = np.array([f for _, f in points])
+        assert all(type(f) is float for _, f in points)
+        assert np.max(np.abs(fbars - single)) <= 1e-13
+        # One rate per slice.
+        monkeypatch.setattr(dynamics, "_KERNEL_BUDGET", 1)
+        sliced = np.array([f for _, f in fidelity_vs_gamma(params, self.RATES, dt_divisor=50)])
+        assert np.max(np.abs(sliced - fbars)) <= 1e-13
+
+    def test_sweep_memory_stays_bounded(self):
+        # The batch is sliced so that its RK4 kernels stay small: the traced
+        # peak of the 9-rate CNOT sweep read 0.67 MB per rate in series,
+        # 4.74 MB with the batch unsliced and 1.84 MB sliced.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=GateKind.CNOT)
+        dynamics._density_terms(params.gate)
+        fidelity_vs_gamma(params, self.RATES[:2], dt_divisor=50)
+        tracemalloc.start()
+        try:
+            fidelity_vs_gamma(params, self.RATES, dt_divisor=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6

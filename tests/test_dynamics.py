@@ -457,6 +457,90 @@ class TestKeptCoordinates:
         assert process.images.shape == (len(process.times), 4, 4, 4, 4)
 
 
+class TestRateBatch:
+    """propagate_process(..., gamma=rates) runs every rate in one batch."""
+
+    RATES = np.linspace(0.0, 2.0 * np.pi * 2e3, 9)
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gate=request.param)
+
+    def test_batch_matches_the_per_rate_runs(self, params, monkeypatch):
+        # Glided second halves, and an off-lattice end.
+        grid = TimeGrid.build(params, 3.37123 * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        assert np.any(grid.sample_steps % grid.m >= grid.m // 2) and grid.delta > 0
+        single = np.stack([propagate_process(params.with_gamma(g), grid).images
+                           for g in self.RATES], axis=1)
+        batched = propagate_process(params, grid, gamma=self.RATES)
+        assert batched.images.shape == (len(batched.times), 9, 4, 4, 4, 4)
+        assert np.max(np.abs(batched.images - single)) <= 1e-13
+        # The whole batch, gamma = 0 included, runs on the blocks under decay.
+        assert [len(b) for b in dynamics._blocks(
+            *dynamics._generator(params, density=True, gamma=self.RATES)[:2],
+            _qubit_rows())] == [len(b) for b in dynamics._blocks(
+                *dynamics._generator(params.with_gamma(1.0), density=True)[:2], _qubit_rows())]
+        # One rate per slice.
+        monkeypatch.setattr(dynamics, "_KERNEL_BUDGET", 1)
+        sliced = propagate_process(params, grid, gamma=self.RATES)
+        assert np.max(np.abs(sliced.images - batched.images)) <= 1e-13
+
+    def test_slices_hold_the_kernels_within_the_budget(self, params, monkeypatch):
+        # Kernels of 12 d^2 per rate: for CNOT's block of 45, two rates a
+        # slice; the last slice holds the odd one.
+        sizes = []
+        kernels = dynamics._rk4_kernels
+
+        def recorded(b0, b1, h):
+            out = kernels(b0, b1, h)
+            sizes.append(out.shape[:2] + (out.size,))
+            return out
+
+        monkeypatch.setattr(dynamics, "_rk4_kernels", recorded)
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50, sample_stride=10**9)
+        propagate_process(params, grid, gamma=self.RATES)
+        assert all(size <= dynamics._KERNEL_BUDGET for _, _, size in sizes)
+        if params.gate is GateKind.CNOT:
+            assert [rates for _, rates, _ in sizes] == [2, 2, 2, 2, 1, 4, 4, 1]
+
+    def test_a_two_axis_batch_matches_its_entries(self, params, monkeypatch):
+        # A (gamma, V) batch, one gamma a slice.
+        monkeypatch.setattr(dynamics, "_KERNEL_BUDGET", 1)
+        gamma = self.RATES[[0, 4, 8], np.newaxis]
+        v = np.array([10.0, 20.0]) * OMEGA_M
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50, sample_stride=10**9)
+        a0, a1, parity = dynamics._generator(params, density=True, v=v, gamma=gamma)
+        _, batched = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
+        assert batched.shape == (2, 3, 2, 16, 81)
+        for i, j in np.ndindex(3, 2):
+            _, single = dynamics._stroboscopic_run(a0[i, j], a1, parity, _qubit_rows(), grid)
+            assert np.max(np.abs(batched[:, i, j] - single)) <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [[], [[1.0]], [-1.0], [0.0, np.nan], [np.inf]])
+    def test_bad_rates_are_rejected_before_propagation(self, params, gamma, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(dynamics, "_propagate", fail)
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
+        with pytest.raises(ValueError, match="gamma must be"):
+            propagate_process(params, grid, gamma=gamma)
+
+    def test_gates_judge_every_rate(self, params):
+        # At divisor 50, 1e12 rad/s puts gamma h near 670, far beyond RK4's
+        # stability bound: that rate, and only that one, blows up.
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50, sample_stride=10**9)
+        assert 1e12 * grid.dt == pytest.approx(667, rel=0.01)
+        healthy = list(self.RATES)
+        propagate_process(params, grid, gamma=healthy)
+        # The unbatched run names its rate too.
+        for run, gamma in [(params, healthy + [1e12]), (params.with_gamma(1e12), None)]:
+            with np.errstate(all="ignore"), pytest.raises(IntegratorHealthError,
+                                                          match=r"at gamma = 1e\+12 rad/s"):
+                propagate_process(run, grid, gamma=gamma)
+
+
 class TestConvergenceCheck:
     def test_passes_at_scenario_resolution(self, cz_params):
         t_end = 1.875e-6
@@ -980,9 +1064,22 @@ class TestInvariantBlocks:
                                             v=np.linspace(10.0, 20.0, 4) * OMEGA_M)
             assert [len(b) for b in dynamics._blocks(a0, a1, rows0)] == [size]
 
-    def test_density_generator_takes_no_v_batch(self, cz_params):
-        with pytest.raises(ValueError, match="pure-state"):
-            dynamics._generator(cz_params, density=True, v=np.array([10.0, 20.0]) * OMEGA_M)
+    def test_density_generator_batches_over_its_rates(self, params):
+        # Each entry of a (gamma, V) batch is the generator of its own rates.
+        gamma = np.array([0.0, 1.0, 2.0])[:, np.newaxis] * GAMMA_15KHZ
+        v = np.array([10.0, 20.0]) * OMEGA_M
+        a0, a1, parity = dynamics._generator(params, density=True, v=v, gamma=gamma)
+        assert a0.shape == (3, 2, 81, 81)
+        for i, j in np.ndindex(3, 2):
+            entry = DriveParams(omega_m=params.omega_m, omega=params.omega, v=v[j],
+                                gamma=gamma[i, 0], gate=params.gate)
+            single = dynamics._generator(entry, density=True)
+            assert np.array_equal(a0[i, j], single[0])
+            assert np.array_equal(a1, single[1]) and np.array_equal(parity, single[2])
+
+    def test_pure_generator_takes_no_gamma(self, cz_params):
+        with pytest.raises(ValueError, match="no decay"):
+            dynamics._generator(cz_params, density=False, gamma=np.array([0.0, 1.0]))
 
     # Whole drive periods, and a window ending 0.3 into a period.
     @pytest.mark.parametrize("periods", [3.0, 3.3])
