@@ -161,17 +161,29 @@ def fidelity_time_series(params: DriveParams, grid: TimeGrid) -> FidelityReport:
     return FidelityReport(times=process.times, fbar=fbar, final_fbar=float(fbar[-1]))
 
 
+def _heatmap_grid(params: DriveParams, dt_divisor: int, sample_stride=None) -> TimeGrid:
+    """The lattice from 0 to the heatmap's instant t = pi omega/Omega_m^2
+    under the drive of ``params`` (:meth:`TimeGrid.build`)."""
+    t_end = math.pi * params.omega / (params.omega_m * params.omega_m)
+    return TimeGrid.build(params, t_end, dt_divisor=dt_divisor, sample_stride=sample_stride)
+
+
+def _column_grid(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, dt_divisor: int
+                 ) -> tuple[DriveParams, TimeGrid]:
+    """The stiffest cell of a heatmap column (omega = ``w_ratio`` Omega_m,
+    V the largest of ``v_ratios`` Omega_m) and the grid, sized for it, that
+    every cell of the column runs on, storing only its final sample."""
+    omega_m = params.omega_m
+    stiffest = DriveParams(omega_m=omega_m, omega=w_ratio * omega_m,
+                           v=float(np.max(v_ratios)) * omega_m, gate=params.gate)
+    return stiffest, _heatmap_grid(stiffest, dt_divisor, sample_stride=10**9)
+
+
 def _heatmap_column(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, dt_divisor: int):
     """(p_rr, norm loss) of one column: its cells with NaN for a failed one,
     and the largest 1 - <psi|psi> over the others."""
-    omega_m = params.omega_m
-    omega = w_ratio * omega_m
-    v_values = v_ratios * omega_m
-    t_end = math.pi * omega / (omega_m * omega_m)
-    # One grid per column, sized for the stiffest cell it contains.
-    stiffest = DriveParams(omega_m=omega_m, omega=omega, v=float(v_values.max()),
-                           gate=params.gate)
-    grid = TimeGrid.build(stiffest, t_end, dt_divisor=dt_divisor, sample_stride=10**9)
+    v_values = v_ratios * params.omega_m
+    stiffest, grid = _column_grid(params, w_ratio, v_ratios, dt_divisor)
     rows0 = np.broadcast_to(hilbert.ket(hilbert.G1, hilbert.G1), (len(v_values), 1, hilbert.DIM))
     _, states = dynamics._propagate(stiffest, rows0, grid, density=False, v=v_values)
     final = states[-1, :, 0]

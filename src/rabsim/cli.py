@@ -296,10 +296,27 @@ def _p_rr_convergence(params: DriveParams, trajectory, grid: TimeGrid) -> dict:
     return {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
 
 
+def _scenario_grid(config: ScenarioConfig, params: DriveParams) -> TimeGrid:
+    """The lattice that the runner of ``config``'s scenario integrates on
+    under ``params``, and that its sidecar records: the window ends at the
+    gate time (``rab-populations``), at the pulse end (the fidelity
+    scenarios; the decay sweep stores only its final sample), or at the
+    heatmap's instant pi omega/Omega_m^2 (``heatmap``: the convergence
+    probe at the operating point, while each column runs on a grid of its
+    own, sized for its stiffest cell)."""
+    if config.scenario == "heatmap":
+        return analysis._heatmap_grid(params, config.dt_divisor)
+    if config.scenario == "rab-populations":
+        t_end = models.gate_time(params)
+    else:
+        t_end = models.pulse_end_time(params)
+    stride = 10**9 if config.scenario == "fidelity-vs-gamma" else None
+    return TimeGrid.build(params, t_end, dt_divisor=config.dt_divisor, sample_stride=stride)
+
+
 def _run_rab_populations(config: ScenarioConfig):
     params = config.drive_params()
-    t_end = models.gate_time(params)
-    grid = TimeGrid.build(params, t_end, dt_divisor=config.dt_divisor)
+    grid = _scenario_grid(config, params)
     rho0 = hilbert.projector(hilbert.G1, hilbert.G1)
     traj = dynamics.propagate_density(params, rho0, grid)
     p11 = traj.basis_populations(hilbert.index_of(hilbert.G1, hilbert.G1))
@@ -322,10 +339,7 @@ def _run_heatmap(config: ScenarioConfig):
     v, w = np.meshgrid(grid_result.v_axis, grid_result.w_axis, indexing="ij")
     # Convergence probe at the configured operating point; the sidecar's
     # grid block records its grid.
-    ridge_grid = TimeGrid.build(
-        params, math.pi * params.omega / (params.omega_m * params.omega_m),
-        dt_divisor=config.dt_divisor,
-    )
+    ridge_grid = _scenario_grid(config, params)
     probe = dynamics.propagate_density(
         params, hilbert.projector(hilbert.G1, hilbert.G1),
         replace(ridge_grid, sample_stride=10**9),
@@ -341,7 +355,7 @@ def _run_heatmap(config: ScenarioConfig):
 
 def _run_gate_fidelity(config: ScenarioConfig):
     params = config.drive_params()
-    grid = TimeGrid.build(params, models.pulse_end_time(params), dt_divisor=config.dt_divisor)
+    grid = _scenario_grid(config, params)
     report = analysis.fidelity_time_series(params, grid)
     # final_fbar belongs to the pulse end grid.t_end_s, not to gate_time_s.
     return params, grid, {"t_us": report.times * 1e6, "fbar": report.fbar}, {
@@ -353,8 +367,7 @@ def _run_gate_fidelity(config: ScenarioConfig):
 def _run_fidelity_vs_gamma(config: ScenarioConfig):
     params = config.drive_params().with_gamma(0.0)
     # The grid every gamma point runs on; fidelities belong to its t_end_s.
-    grid = TimeGrid.build(params, models.pulse_end_time(params),
-                          dt_divisor=config.dt_divisor, sample_stride=10**9)
+    grid = _scenario_grid(config, params)
     gamma_khz_values = np.linspace(0.0, config.gamma_khz, config.gamma_points)
     gammas = [cyclic_to_angular(g, 1e3) for g in gamma_khz_values]
     fbars = [f for _, f in analysis.fidelity_vs_gamma(params, gammas,

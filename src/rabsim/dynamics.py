@@ -26,14 +26,14 @@ Phi(s) at each in-period offset s that a sample reads.  On rows,
 Phi(P) = G G with G = Phi(P/2) Pi; a state at kP + s is y(kP) Phi(s) for
 s < P/2 and y(kP) G Phi(s - P/2) Pi after that.  A window that ends off the
 step lattice is read at its last lattice step and advanced to t_end by one
-RK4 step of the remainder, so every run ends exactly at t_end.  Each
-invariant block (below) thus takes at most m/2 RK4 steps of P/m, plus at
-most one short step, however long the window.  The kept columns of the
-prefix maps that samples read sit in one stack, and the samples are one
-batched product of it with the starts y(kP) and y(kP) G, both factors
-gathered per sample.  In exact arithmetic this is the same product of RK4
-step maps as stepping through the lattice and then the short step, which
-the step-by-step references of the tests do.
+plain RK4 step of the remainder on its rows, so every run ends exactly at
+t_end.  Each invariant block (below) thus takes at most m/2 RK4 steps of
+P/m, plus at most one short step, however long the window.  The kept
+columns of the prefix maps that samples read sit in one stack, and the
+samples are one batched product of it with the starts y(kP) and y(kP) G,
+both factors gathered per sample.  In exact arithmetic this is the same
+product of RK4 step maps as stepping through the lattice and then the
+short step, which the step-by-step references of the tests do.
 
 Each step is applied as its map.  On rows (y' = y B with B = A^T =
 b0 + c(t) b1), one RK4 step of h from t is y -> y M with
@@ -46,10 +46,22 @@ appears at most once, c2 = c(t + h/2) at most twice and c4 = c(t + h) at
 most once, so M = sum c1^a c2^b c4^e K_abe over twelve fixed kernels K.
 They are formed once per block and step size from the 30 words of length
 1 to 4 in (h b0, h b1) (:func:`_rk4_kernels`).  The step maps of a pass are
-then one product of cosine monomials with the kernels, taken a few steps at
-a time (:func:`_step_maps`), and each step costs one product of the prefix
-map with its step map: 12 d^2 + d^3 multiply-adds on a block of d, where
-four generator products take 4 d^3.
+then one product of cosine monomials with the kernels per chunk of steps
+(:func:`_step_maps`): 12 d^2 multiply-adds a step on a block of d.
+
+The maps are multiplied only where the samples need them.  A prefix map
+is formed only at the offsets that samples read, at the end of the pass
+and at the end of each chunk; the n step maps between two such points are
+multiplied pairwise in order, (M1 M2)(M3 M4)..., in ceil(log2 n) batched
+calls (:func:`_ordered_product`).  The period starts y(kP) are formed only
+for the periods that samples read, each gap between two of them crossed by
+the binary powers Phi(P)^(2^b) of its bits, each power squared once when
+first needed.  The products stay d^3 multiply-adds a step, but a run that
+stores only its final state makes about log2 r numpy calls per chunk of r
+steps instead of r, and about 2 log2 K for K periods instead of K: on
+these small blocks most of a product's time is the call.  A run that reads
+every offset and every period takes one product per step and per period,
+in the order of a plain pass.
 
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
@@ -320,20 +332,21 @@ def _rk4_kernels(b0: np.ndarray, b1: np.ndarray, h: float) -> np.ndarray:
 
 
 def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: int):
-    """Yield the RK4 step maps (..., d, d) of ``n_steps`` steps of ``h`` from
-    ``t0`` under c(t) = cos(omega t), in order, from the kernels of
+    """Yield the RK4 step maps of ``n_steps`` steps of ``h`` from ``t0``
+    under c(t) = cos(omega t), in order, from the kernels of
     :func:`_rk4_kernels` for that ``h``: y after step k is y before it times
-    map k.
+    map k.  They come in chunks (r, ..., d, d) of r consecutive maps.
 
-    The maps are the cosine monomials of the steps contracted with the
-    kernels, a few steps at a time, so that each product stays below the
-    size at which OpenBLAS starts a second thread, which on these small
-    blocks burns more CPU than it saves.  Each product takes at least two
-    steps: OpenBLAS hands a one-row product to another kernel, which rounds
-    differently, and with two or more every map is the same whatever batch
-    its kernels carry, so that a batched run reproduces the unbatched runs
-    of its entries bit for bit.  Complex kernels are contracted as their
-    real and imaginary parts side by side.
+    A chunk of r = max(2, 2**16 // kernels.size) steps is the cosine
+    monomials of its steps contracted with the kernels in one product, so
+    that each product stays below the size at which OpenBLAS starts a
+    second thread, which on these small blocks burns more CPU than it
+    saves.  Each product takes at least two steps: OpenBLAS hands a one-row
+    product to another kernel, which rounds differently, and with two or
+    more every map is the same whatever batch its kernels carry, so that a
+    batched run reproduces the unbatched runs of its entries bit for bit.
+    Complex kernels are contracted as their real and imaginary parts side
+    by side.
     """
     t = t0 + h * np.arange(n_steps)
     cosines = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
@@ -344,7 +357,7 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
     rows = max(2, 2**16 // kernels.size)
     for start in range(0, n_steps, rows):
         chunk = monomials[start:start + rows] @ flat
-        yield from chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
+        yield chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
 
 
 @functools.cache
@@ -480,9 +493,14 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     Phi(s) only for s < P/2: the same pass stacks the kept columns of Phi(s)
     at each offset s that a sample reads, and the samples are one batched
     product of their origins y(kP) or y(kP) G with their maps, both
-    gathered from the stacks.  A window that ends off the lattice is read at
-    its last lattice step and advanced to t_end by one RK4 step of
-    ``grid.delta``.
+    gathered from the stacks.  The pass forms the prefix map only at those
+    offsets, at its end and at the end of each chunk of step maps, and
+    multiplies the step maps in between pairwise; the starts y(kP) are
+    formed only for the periods that samples read, by binary powers of
+    Phi(P).  A run that stores only its final sample thus makes a few
+    calls per chunk and per doubling of the window.  A window that ends off
+    the lattice is read at its last lattice step and advanced to t_end by
+    one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`).
 
     ``columns`` (an index array into the d coordinates) keeps only those
     output coordinates, k = len(columns) of them in that order; None keeps
@@ -538,6 +556,29 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     return times, out
 
 
+def _ordered_product(maps: np.ndarray) -> np.ndarray:
+    """The product M_1 M_2 ... M_n of a stack of maps (n, ..., d, d), taken
+    pairwise in order, (M_1 M_2)(M_3 M_4)... with an odd last map carried to
+    the next round: n - 1 products in ceil(log2 n) batched calls."""
+    while len(maps) > 1:
+        paired = maps[0:-1:2] @ maps[1::2]
+        maps = np.concatenate([paired, maps[-1:]]) if len(maps) % 2 else paired
+    return maps[0]
+
+
+def _rk4_step(rows: np.ndarray, b0, b1, omega: float, t: float, h: float) -> np.ndarray:
+    """One classical RK4 step of ``h`` from ``t`` of ``rows`` under
+    y' = y (b0 + cos(omega t) b1): four generator products, the generator
+    taken at t, t + h/2 and t + h.  ``b0`` may carry leading batch axes that
+    broadcast with those of ``rows``."""
+    start, mid, end = (b0 + math.cos(omega * s) * b1 for s in (t, t + 0.5 * h, t + h))
+    k1 = rows @ start
+    k2 = (rows + (0.5 * h) * k1) @ mid
+    k3 = (rows + (0.5 * h) * k2) @ mid
+    k4 = (rows + h * k3) @ end
+    return rows + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None):
     """Samples (n_samples, ..., c, k) of one run on the lattice of ``grid``:
     the coordinates ``columns`` of the d it runs on, or all of them when None."""
@@ -562,28 +603,47 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
     maps[read == 0] = np.eye(d, dtype=dtype)[:, keep]
     stacked = dict(zip(read.tolist(), maps))
     # One pass over half a period (or up to the last offset read, when no
-    # sample needs the half-period map) fills the stack.  An off-lattice end
-    # keeps its full-width prefix map.
+    # sample needs the half-period map) fills the stack.  The prefix map is
+    # formed only at the offsets read, at the end of the pass and at the
+    # end of each chunk of step maps; the step maps between two of these
+    # are multiplied pairwise in order.  An off-lattice end keeps its
+    # full-width prefix map.
     needs_half = k[-1] > 0 or glide.any()
-    prefix = np.broadcast_to(np.eye(d, dtype=dtype), a0.shape)
     last = half if needs_half else int(read[-1])
-    for step, step_map in enumerate(_step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h,
-                                               last), 1):
-        prefix = prefix @ step_map
-        if step in stacked:
-            stacked[step][...] = prefix[..., keep]
-        if step == j[-1]:
-            end_map = prefix
-    # The period starts y(kP) that samples read and, stacked after them,
-    # y(kP) G for the samples in a second half.
-    chain = [np.asarray(rows0, dtype=dtype)]
+    stops = iter(sorted(set(read[read > 0].tolist()) | {last}))
+    stop = next(stops)
+    prefix = np.broadcast_to(np.eye(d, dtype=dtype), a0.shape)
+    done = 0
+    for chunk in _step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h, last):
+        first, end = done, done + len(chunk)
+        while done < end:
+            cut = min(stop, end)
+            prefix = prefix @ _ordered_product(chunk[done - first:cut - first])
+            done = cut
+            if cut in stacked:
+                stacked[cut][...] = prefix[..., keep]
+            if cut == j[-1]:
+                end_map = prefix
+            if cut == stop:
+                stop = next(stops, None)
+    # The period starts y(kP) that samples read, each gap between two of
+    # them crossed by the powers Phi(P)^(2^b) of its bits (each squared once,
+    # when first needed), and stacked after them y(kP) G for the samples in
+    # a second half.
     if needs_half:
         glide_map = prefix * parity
-        period_map = glide_map @ glide_map
-    for _ in range(k[-1]):
-        chain.append(chain[-1] @ period_map)
+        powers = [glide_map @ glide_map]
     periods, slot = np.unique(k, return_inverse=True)
-    starts = np.stack([chain[period] for period in periods])
+    starts = np.empty((len(periods),) + rows0.shape, dtype=dtype)
+    y, at = np.asarray(rows0, dtype=dtype), 0
+    for i, period in enumerate(periods.tolist()):
+        gap, at = period - at, period
+        for bit in range(gap.bit_length()):
+            if bit == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            if gap >> bit & 1:
+                y = y @ powers[bit]
+        starts[i] = y
     origin = slot + len(starts) * glide
     if glide.any():
         starts = np.concatenate([starts, starts @ glide_map])
@@ -596,15 +656,13 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
     out[glide] *= parity[keep]
     if grid.delta:
         # An off-lattice end: the last sample is formed at full width, takes
-        # its short step, and is cut afterwards.
+        # one RK4 step of the remainder on its rows, and is cut afterwards.
         y = starts[origin[-1]]
         if j[-1]:
             y = y @ end_map
         if glide[-1]:
             y = y * parity
-        [short] = _step_maps(_rk4_kernels(b0, b1, grid.delta), grid.omega,
-                             grid.t_end - grid.delta, grid.delta, 1)
-        out[-1] = (y @ short)[..., keep]
+        out[-1] = _rk4_step(y, b0, b1, grid.omega, grid.t_end - grid.delta, grid.delta)[..., keep]
     return out
 
 
@@ -656,7 +714,9 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
     The run is on the real coordinates of rho, so every sampled state is
     Hermitian; each is health-checked: trace drift beyond 1e-6, a
     non-finite entry or an eigenvalue below -1e-6 raises
-    :class:`IntegratorHealthError`.
+    :class:`IntegratorHealthError`.  The eigenvalues are taken on the
+    principal block of the levels that hold a nonzero entry at some sample;
+    the others contribute exact zeros.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     hilbert.check_density_matrix(rho0)
@@ -668,7 +728,11 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
         )
     if not np.all(np.isfinite(states)):
         raise IntegratorHealthError("density matrix became non-finite; reduce dt")
-    min_eig = float(np.min(np.linalg.eigvalsh(states)))
+    # A level whose row is zero at every sample adds an exact zero
+    # eigenvalue, so only the block of the other levels is diagonalized.
+    support = np.flatnonzero(np.any(states, axis=0).any(axis=1))
+    min_eig = float(np.min(np.linalg.eigvalsh(states[:, support[:, np.newaxis], support]),
+                           initial=0.0 if len(support) < DIM else math.inf))
     if not min_eig >= -1e-6:
         raise IntegratorHealthError(
             f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"

@@ -15,6 +15,7 @@ in cyclic units enters as ``2*pi*f*1e6``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -135,10 +136,14 @@ def _lowering_operator(gate: GateKind) -> np.ndarray:
     return down
 
 
+@functools.cache
 def drive_structure(gate: GateKind) -> np.ndarray:
-    """Hermitian drive operator X with H(t) = Omega(t) * X + V |rr><rr|."""
+    """Hermitian drive operator X with H(t) = Omega(t) * X + V |rr><rr|,
+    formed once per gate and read-only."""
     down = _lowering_operator(gate)
-    return down + hilbert.dagger(down)
+    x = down + hilbert.dagger(down)
+    x.flags.writeable = False
+    return x
 
 
 def hamiltonian(params: DriveParams, t: float) -> np.ndarray:

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,20 +179,52 @@ OPERATING_POINT = ["--omega-m-mhz", "2", "--omega-ratio", "7.5"]
 def test_scenario_lattice(argv, column, m, n_steps, delta_over_h):
     config = cli.parse_config(argv)
     params = config.drive_params()
-    if column is not None:
-        # The column's grid, sized by its stiffest cell (V = v_max).
-        omega = np.linspace(config.w_min, config.w_max, config.resolution)[column] * OMEGA_M
-        params = DriveParams(omega_m=OMEGA_M, omega=omega, v=config.v_max * OMEGA_M,
-                             gate=params.gate)
-    if config.scenario == "rab-populations":
-        t_end = models.gate_time(params)
-    elif config.scenario == "heatmap":
-        t_end = np.pi * params.omega / params.omega_m**2
+    if column is None:
+        grid = cli._scenario_grid(config, params)
     else:
-        t_end = models.pulse_end_time(params)
-    grid = TimeGrid.build(params, t_end, dt_divisor=config.dt_divisor)
+        # The column's grid, sized by its stiffest cell (V = v_max).
+        axis = np.linspace(config.w_min, config.w_max, config.resolution)
+        v_ratios = np.linspace(config.v_min, config.v_max, config.resolution)
+        _, grid = analysis._column_grid(params, axis[column], v_ratios, config.dt_divisor)
     assert (grid.m, grid.n_steps) == (m, n_steps)
     assert grid.delta == pytest.approx(delta_over_h * grid.dt, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rab-populations"], ["gate-fidelity", "--gate", "cnot"],
+    ["fidelity-vs-gamma", "--gate", "cz"], ["heatmap", "--gate", "cnot"],
+], ids=lambda argv: argv[0])
+def test_runners_integrate_on_the_scenario_grid(argv, tmp_path, monkeypatch):
+    # Every grid a small run propagates on, in order: the scenario's grid
+    # first (the heatmap's columns come before its probe), and then the
+    # convergence check's halved grid where there is one.
+    conf = tmp_path / "small.conf"
+    conf.write_text("dt_divisor = 50\ngamma_points = 2\nresolution = 2\n")
+    argv = argv + ["--config", str(conf), "--out", str(tmp_path / "out.csv")]
+    grids, propagate = [], dynamics._propagate
+
+    def recorded(params, rows0, grid, **kwargs):
+        grids.append(grid)
+        return propagate(params, rows0, grid, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", recorded)
+    assert cli.main(argv) == 0
+    config = cli.parse_config(argv)
+    params = config.drive_params()
+    grid = cli._scenario_grid(config, params)
+    if config.scenario == "heatmap":
+        v_ratios = np.array([config.v_min, config.v_max])
+        assert grids[:2] == [analysis._column_grid(params, w, v_ratios, config.dt_divisor)[1]
+                             for w in (config.w_min, config.w_max)]
+        grids = grids[2:]
+    # The heatmap's probe stores only its final sample.
+    assert replace(grids[0], sample_stride=grid.sample_stride) == grid
+    if config.scenario in ("rab-populations", "heatmap"):
+        assert grids[1:] == [replace(grid.halved(), sample_stride=10**9)]
+    else:
+        assert len(grids) == 1
+    sidecar = json.loads((tmp_path / "out.json").read_text())["grid"]
+    assert (sidecar["t_end_s"], sidecar["n_steps"]) == (grid.t_end, grid.n_steps)
 
 
 class TestLindbladRhs:
@@ -304,6 +338,27 @@ class TestPropagateDensity:
         with pytest.raises(ValueError):
             propagate_density(cz_params, np.eye(9), grid)
 
+    # A trace-one matrix with one negative eigenvalue, on 2 of the 9 levels,
+    # on 4 and on all 9; every other level is exactly zero at every sample.
+    @pytest.mark.parametrize("levels", [[4, 8], [4, 5, 7, 8], list(range(9))])
+    def test_eigenvalue_gate_reports_the_minimum_of_the_whole_matrix(
+            self, cz_params, levels, rng, monkeypatch):
+        q, _ = np.linalg.qr(rng.standard_normal((len(levels),) * 2)
+                            + 1j * rng.standard_normal((len(levels),) * 2))
+        spectrum = rng.uniform(0.1, 1.0, len(levels))
+        spectrum[0] = -3.7e-5
+        rho = np.zeros((9, 9), dtype=complex)
+        rho[np.ix_(levels, levels)] = (q * (spectrum / spectrum.sum())) @ q.conj().T
+        rho0 = hilbert.projector(G1, G1)
+        monkeypatch.setattr(dynamics, "_propagate_rho",
+                            lambda params, rho0, grid: (np.array([0.0, 1e-7]),
+                                                        np.stack([rho0, rho])))
+        with pytest.raises(IntegratorHealthError, match="eigenvalue") as error:
+            propagate_density(cz_params, rho0, TimeGrid.build(cz_params, 1e-7))
+        reported = float(str(error.value).split("eigenvalue ")[1].split()[0])
+        assert reported == pytest.approx(np.min(np.linalg.eigvalsh(rho)), rel=1e-3)
+        assert reported == pytest.approx(-3.7e-5 / spectrum.sum(), rel=1e-3)
+
     def test_unstable_step_raises_health_error(self, cz_params):
         # 4 steps per drive period: 25x the step ceiling's P/100, over 60 periods.
         period = 2.0 * np.pi / cz_params.omega
@@ -340,7 +395,8 @@ class TestRk4Kernels:
     def _max_relative_deviation(b0, b1, omega, t0, h, n_steps):
         kernels = dynamics._rk4_kernels(b0, b1, h)
         assert kernels.shape == (12,) + np.broadcast_shapes(b0.shape, b1.shape)
-        maps = list(dynamics._step_maps(kernels, omega, t0, h, n_steps))
+        # The maps come in chunks of consecutive steps.
+        maps = np.concatenate(list(dynamics._step_maps(kernels, omega, t0, h, n_steps)))
         assert len(maps) == n_steps
 
         def rhs(t, rows):
@@ -354,8 +410,9 @@ class TestRk4Kernels:
                             np.max(np.abs(step_map - reference)) / np.max(np.abs(reference)))
         return deviation
 
-    # h ||b|| near 1, where every order of the step map counts; 40 steps run
-    # across the chunks in which the maps are formed.
+    # h ||b|| near 1, where every order of the step map counts.  The 40
+    # steps are one chunk of the real 7x7 kernels and two of the batched
+    # complex ones.
     @pytest.mark.parametrize("t0", [0.0, 0.7318])
     def test_random_real_generator(self, rng, t0):
         b0, b1 = rng.normal(size=(2, 7, 7))
@@ -368,7 +425,7 @@ class TestRk4Kernels:
         assert self._max_relative_deviation(b0, b1, 2.3, t0, 0.09, 40) <= 1e-13
 
     def test_short_step(self, rng):
-        # The step of delta < h that ends an off-lattice window.
+        # A single step of a fraction of h, alone in its chunk.
         b0, b1 = rng.normal(size=(2, 5, 5))
         assert self._max_relative_deviation(b0, b1, 2.3, 1.234, 0.11 * 0.3712, 1) <= 1e-13
 
@@ -377,6 +434,40 @@ class TestRk4Kernels:
         h = 2.0 * np.pi / fastest_angular_frequency(cz_decay_params) / 50
         assert self._max_relative_deviation(a0.T, a1.T, cz_decay_params.omega, 3.7e-7, h,
                                             5) <= 1e-13
+
+
+class TestShortStep:
+    """The RK4 step of the remainder that ends an off-lattice window, taken
+    on the rows, against one plain RK4 step of the reference."""
+
+    @staticmethod
+    def _relative_deviation(rows, b0, b1, omega, t, h):
+        def rhs(s, y):
+            return y @ (b0 + math.cos(omega * s) * b1)
+
+        [reference] = rk4_steps(rhs, rows, t, h, 1)
+        step = dynamics._rk4_step(rows, b0, b1, omega, t, h)
+        assert step.shape == reference.shape
+        return np.max(np.abs(step - reference)) / np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("t", [1.234, -0.5])
+    def test_random_real_generator(self, rng, t):
+        b0, b1 = rng.normal(size=(2, 5, 5))
+        rows = rng.normal(size=(3, 5))
+        assert self._relative_deviation(rows, b0, b1, 2.3, t, 0.11 * 0.3712) <= 1e-13
+
+    def test_complex_generator_batched_over_v(self, rng):
+        b0 = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+        b1 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rows = rng.normal(size=(4, 2, 6)) + 1j * rng.normal(size=(4, 2, 6))
+        assert self._relative_deviation(rows, b0, b1, 2.3, 0.7318, 0.09) <= 1e-13
+
+    def test_lindblad_generator(self, cz_decay_params, rng):
+        a0, a1, _ = dynamics._generator(cz_decay_params, density=True)
+        h = 0.43 * 2.0 * np.pi / fastest_angular_frequency(cz_decay_params) / 50
+        rows = coordinates_of(random_density(rng))[np.newaxis]
+        assert self._relative_deviation(rows, a0.T, a1.T, cz_decay_params.omega, 3.7e-7,
+                                        h) <= 1e-13
 
 
 class TestProcessMap:
@@ -892,14 +983,20 @@ class TestHalfPeriodWork:
 
     @pytest.fixture
     def rk4_calls(self, monkeypatch):
+        # (step, count) of the lattice step maps and of the short steps.
         calls = []
-        step_maps = dynamics._step_maps
+        step_maps, rk4_step = dynamics._step_maps, dynamics._rk4_step
 
         def counted(kernels, omega, t0, h, n_steps):
             calls.append((h, n_steps))
             return step_maps(kernels, omega, t0, h, n_steps)
 
+        def counted_step(rows, b0, b1, omega, t, h):
+            calls.append((h, 1))
+            return rk4_step(rows, b0, b1, omega, t, h)
+
         monkeypatch.setattr(dynamics, "_step_maps", counted)
+        monkeypatch.setattr(dynamics, "_rk4_step", counted_step)
         return calls
 
     @staticmethod
@@ -960,6 +1057,64 @@ class TestHalfPeriodWork:
         assert grid.halved().dt == grid.dt / 2
         assert self._steps(params, grid.halved(), coordinates_of(rho0)[np.newaxis], rk4_calls,
                            density=True) == grid.m + 1
+
+
+class TestFinalStateRuns:
+    """A run that stores only its final sample reaches it through fewer
+    prefix maps and period starts than a run that stores every sample; both
+    must end on the same state.  K is the number of whole drive periods
+    before the last lattice step, and the window ends at in-period offset
+    0, 3 or m/2 of period K, on the lattice or a fraction of a step past
+    it.  The steps are coarse (m of 14 to 50 per period) to keep the runs
+    small; no health gate is crossed."""
+
+    PERIODS = [0, 1, 2, 3, 4, 5, 7, 8]
+
+    @staticmethod
+    def _windows(params, m, periods, off_lattice):
+        """(grid storing every sample, the same grid storing only its last)."""
+        h = 2.0 * np.pi / params.omega / m
+        for offset in (0, 3, m // 2):
+            steps = periods * m + offset + (0.37 if off_lattice else 0.0)
+            if steps:
+                grid = TimeGrid(steps * h, params.omega, m)
+                yield offset, grid, replace(grid, sample_stride=10**9)
+
+    @staticmethod
+    def _assert_same_end(final, every, offset):
+        scale = np.max(np.abs(every))
+        assert np.max(np.abs(final - every)) <= 1e-13 * scale, f"offset {offset}"
+
+    @pytest.mark.parametrize("off_lattice", [False, True], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("periods", PERIODS)
+    def test_state_batched_over_v(self, cz_params, periods, off_lattice):
+        v = np.array([10.0, 15.0, 20.0]) * OMEGA_M
+        rows0 = np.broadcast_to(hilbert.ket(G1, G1), (len(v), 1, 9))
+        for offset, every, final in self._windows(cz_params, 22, periods, off_lattice):
+            _, full = dynamics._propagate(cz_params, rows0, every, density=False, v=v)
+            times, last = dynamics._propagate(cz_params, rows0, final, density=False, v=v)
+            assert times[-1] == every.t_end and len(last) == 2
+            self._assert_same_end(last[-1], full[-1], offset)
+
+    @pytest.mark.parametrize("off_lattice", [False, True], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("periods", PERIODS)
+    def test_density_matrix(self, cz_decay_params, periods, off_lattice):
+        # The block of |11><11| holds 16 coordinates; at m = 50 its 25 step
+        # maps per pass come in two chunks.
+        rho0 = hilbert.projector(G1, G1)
+        for offset, every, final in self._windows(cz_decay_params, 50, periods, off_lattice):
+            _, full = dynamics._propagate_rho(cz_decay_params, rho0, every)
+            _, last = dynamics._propagate_rho(cz_decay_params, rho0, final)
+            self._assert_same_end(last[-1], full[-1], offset)
+
+    @pytest.mark.parametrize("off_lattice", [False, True], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("periods", PERIODS)
+    def test_process_map_batched_over_rates(self, cnot_decay_params, periods, off_lattice):
+        rates = np.array([0.0, GAMMA_15KHZ, 4.0 * GAMMA_15KHZ])
+        for offset, every, final in self._windows(cnot_decay_params, 14, periods, off_lattice):
+            full = propagate_process(cnot_decay_params, every, gamma=rates).images
+            last = propagate_process(cnot_decay_params, final, gamma=rates).images
+            self._assert_same_end(last[-1], full[-1], offset)
 
 
 class TestHealthGatesTripOnNan:

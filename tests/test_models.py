@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rabsim import hilbert
+from rabsim import hilbert, models
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import (
     DriveParams,
@@ -101,6 +101,18 @@ class TestHamiltonians:
             assert np.max(np.abs(h[0, :])) == 0
             assert np.max(np.abs(h[:, 0])) == 0
 
+
+    @pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
+    def test_drive_structure_is_formed_once_and_read_only(self, gate):
+        x = models.drive_structure(gate)
+        assert models.drive_structure(gate) is x and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+        # A Hamiltonian built from it is a new array, free to change.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        h = hamiltonian(params, 0.0)
+        h[IRR, IRR] -= params.v
+        assert np.array_equal(h, OMEGA_M * x)
 
 class TestRriCondition:
     def test_cz_value_at_operating_point(self):
