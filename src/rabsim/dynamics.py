@@ -170,7 +170,6 @@ class TimeGrid:
         *,
         dt_divisor: int = DEFAULT_DT_DIVISOR,
         sample_stride: int | None = None,
-        max_samples: int = MAX_SAMPLES_DEFAULT,
     ) -> "TimeGrid":
         """Lattice from 0 to ``t_end`` under the drive of ``params``, with a
         step no longer than (fastest period)/dt_divisor.
@@ -179,11 +178,11 @@ class TimeGrid:
         ``t_end`` in whole steps, and m is the even number at or above the
         drive period over it: h = P/m never exceeds the requested step, and
         equals the shortened one when that divides P/2.  Without
-        ``sample_stride``, every ceil(n_steps/max_samples)-th step of the
-        lattice is stored.  A non-finite or non-positive ``t_end``, a
-        ``dt_divisor`` that is not finite or lies below the ceiling of
-        :data:`MIN_STEPS_PER_PERIOD` steps per fastest period, and a
-        ``max_samples`` below 1 are rejected.
+        ``sample_stride``, every ceil(n_steps/:data:`MAX_SAMPLES_DEFAULT`)-th
+        step of the lattice is stored.  A non-finite or non-positive
+        ``t_end``, and a ``dt_divisor`` that is not finite or lies below the
+        ceiling of :data:`MIN_STEPS_PER_PERIOD` steps per fastest period, are
+        rejected.
         """
         if not 0.0 < t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -191,14 +190,12 @@ class TimeGrid:
             raise ValueError(
                 f"dt_divisor must be finite and >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}"
             )
-        if not max_samples >= 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         dt = 2.0 * math.pi / fastest_angular_frequency(params) / dt_divisor
         dt = t_end / max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
         m = max(1, math.ceil(2.0 * math.pi / params.omega / dt * (1.0 - 1e-9)))
         grid = cls(t_end, params.omega, m + m % 2)
         if sample_stride is None:
-            sample_stride = max(1, math.ceil(grid.n_steps / max_samples))
+            sample_stride = max(1, math.ceil(grid.n_steps / MAX_SAMPLES_DEFAULT))
         return replace(grid, sample_stride=sample_stride)
 
     @property

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,24 @@ def cnot_decay_params() -> DriveParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240917)
+
+
+def random_hermitian(rng, scale=1.0):
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    return scale * (a + a.conj().T) / 2.0
+
+
+def random_density(rng):
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def qubit_psi():
+    """A pure state with weight on every qubit basis state."""
+    psi = np.zeros(9, dtype=complex)
+    psi[list(QUBIT_INDICES)] = [0.5, 0.5j, -0.5, 0.5]
+    return psi
 
 
 def product_amplitudes(grid_n):
@@ -110,10 +129,13 @@ def lindblad_rhs(rho, h, ls):
     standard -i[h, rho].
     """
     out = 1j * (rho @ h - h @ rho)
-    for op in ls:
-        op_dag = op.conj().T
-        op2 = op_dag @ op
-        out += op @ rho @ op_dag - 0.5 * (op2 @ rho + rho @ op2)
+    if len(ls):
+        # Every L_k at once, on an axis of its own before the matrix axes.
+        ops = np.asarray(ls)
+        ops_dag = np.conj(np.swapaxes(ops, -1, -2))
+        decay = np.sum(ops_dag @ ops, axis=0)
+        rho_k = np.expand_dims(rho, -3)
+        out += np.sum(ops @ rho_k @ ops_dag, axis=-3) - 0.5 * (decay @ rho + rho @ decay)
     return out
 
 
@@ -147,6 +169,13 @@ def rk4_steps(rhs, y0, t0, dt, n_steps):
         k4 = rhs(t + dt, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yield y
+
+
+def stepwise_lindblad(params):
+    """Step-by-step Lindblad RHS built from the public operators, not from
+    the superoperator generator the stroboscopic propagation uses."""
+    collapse = models.collapse_operators(params.gamma)
+    return lambda t, rho: lindblad_rhs(rho, models.hamiltonian(params, t), collapse)
 
 
 def rk4_run(rhs, y0, grid, *, hermitize):
@@ -194,7 +223,7 @@ def hermitian_basis(n):
 def matrices_of(coordinates):
     """Hermitian n x n matrices of real coordinates (..., n*n): sum_k x_k B_k."""
     n = math.isqrt(np.shape(coordinates)[-1])
-    return np.einsum("...k,kab->...ab", coordinates, hermitian_basis(n))
+    return np.tensordot(coordinates, hermitian_basis(n), axes=1)
 
 
 def coordinates_of(matrices):
@@ -246,3 +275,63 @@ def apply_process(images, rho0):
     """Image of a 9x9 initial matrix supported on the qubit subspace, by
     linearity: its 4x4 qubit block weighs the basis images (..., 4, 4, 9, 9)."""
     return np.einsum("ij,...ijab->...ab", qubit_block(rho0), images)
+
+
+# The cached stepwise reference of the propagator tests: one RK4 run per
+# drive, decay rate and initial state, on the lattice of STEPWISE_M steps a
+# drive period over STEPWISE_PERIODS periods, every lattice step kept.  A
+# run on a TimeGrid of that m reads its samples from it.
+STEPWISE_M = 100
+STEPWISE_PERIODS = 3.75
+
+
+def stepwise_start(kind):
+    """Initial rows (c, d) of the propagator runs of ``kind``: a pure state
+    with weight on every qubit basis state (1, 9), a random density matrix
+    on all nine levels as its real coordinates (1, 81), or the real
+    coordinates of the 16 Hermitian qubit basis matrices (16, 81)."""
+    if kind == "state":
+        return qubit_psi()[np.newaxis]
+    if kind == "density":
+        return coordinates_of(random_density(np.random.default_rng(20240917)))[np.newaxis]
+    return np.eye(81)[QUBIT_UNITS]
+
+
+def _stepwise_problem(params, kind):
+    """(rhs, y0) of the reference of ``kind``: the Schrodinger equation on the
+    9-vector, or the Lindblad equation on the complex matrices of the rows."""
+    rows0 = stepwise_start(kind)
+    if kind == "state":
+        return schrodinger_rhs(params), rows0[0]
+    return stepwise_lindblad(params), matrices_of(rows0)
+
+
+@functools.cache
+def _stepwise_lattice(params, kind):
+    """Every lattice step of the reference run of ``kind``, read-only."""
+    rhs, y0 = _stepwise_problem(params, kind)
+    dt = 2.0 * np.pi / params.omega / STEPWISE_M
+    lattice = np.stack([y0, *rk4_steps(rhs, y0, 0.0, dt, round(STEPWISE_PERIODS * STEPWISE_M))])
+    lattice.flags.writeable = False
+    return lattice
+
+
+def stepwise_samples(params, kind, grid):
+    """The stepwise reference of ``kind`` under ``params`` at
+    ``grid.sample_steps``: a 9-vector for states, complex 9x9 matrices
+    (c, 9, 9) otherwise.
+
+    The lattice steps are read from one cached :func:`rk4_steps` run over
+    STEPWISE_PERIODS periods, formed the first time it is asked for; an
+    off-lattice end is the last lattice step of the window advanced by one
+    reference step of ``grid.delta``.
+    """
+    assert (grid.m, grid.omega) == (STEPWISE_M, params.omega)
+    assert grid.t_end <= STEPWISE_PERIODS * 2.0 * np.pi / params.omega * (1.0 + 1e-12)
+    lattice = _stepwise_lattice(params, kind)
+    samples = lattice[np.minimum(grid.sample_steps, grid.lattice_steps)]
+    if grid.delta:
+        rhs = _stepwise_problem(params, kind)[0]
+        [samples[-1]] = rk4_steps(rhs, lattice[grid.lattice_steps],
+                                  grid.lattice_steps * grid.dt, grid.delta, 1)
+    return samples

@@ -196,7 +196,7 @@ def test_criterion_7_oracle_suite(cz_params, cz_decay_params):
 
     # (a) single-atom pulse-area oracle.
     grid = TimeGrid.build(cz_params, models.gate_time(cz_params),
-                          dt_divisor=SCENARIO_DIVISOR, max_samples=60)
+                          dt_divisor=SCENARIO_DIVISOR, sample_stride=750)
     traj = dynamics.propagate_state(cz_params, hilbert.ket(G0, G1), grid)
     oracle_dev = 0.0
     for k, t in enumerate(traj.times):

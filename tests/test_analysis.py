@@ -20,7 +20,7 @@ from rabsim.dynamics import ProcessMap, TimeGrid
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
-    OMEGA_M, QUBIT_UNITS, coordinates_of, hermitian_basis, product_amplitudes,
+    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, coordinates_of, hermitian_basis, product_amplitudes,
     qubit_coordinates, unit_images,
 )
 
@@ -178,7 +178,7 @@ def test_importing_rabsim_leaves_the_process_pool_unloaded():
 def short_series(cz_decay_params):
     grid = TimeGrid.build(
         cz_decay_params, models.gate_time(cz_decay_params) / 16.0,
-        dt_divisor=100, max_samples=50,
+        dt_divisor=100, sample_stride=15,
     )
     return grid, fidelity_time_series(cz_decay_params, grid)
 
@@ -338,6 +338,15 @@ class TestFidelityVsGamma:
 
         monkeypatch.setattr(dynamics, "propagate_process", recorded)
         return calls
+
+    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
+    def params(self, request):
+        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+
+    def test_gate_fidelity_at_scenario_resolution(self, params):
+        target = {GateKind.CZ: 0.9911, GateKind.CNOT: 0.9935}[params.gate]
+        [(_, fbar)] = analysis.fidelity_vs_gamma(params, [params.gamma], dt_divisor=400)
+        assert abs(fbar - target) <= 1e-4
 
     def test_returns_input_order(self, gamma_sweep):
         gammas, points = gamma_sweep

@@ -19,21 +19,11 @@ from rabsim.dynamics import (
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
-    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, apply_process, coordinates_of, full_process,
-    lindblad_rhs, matrices_of, qubit_coordinates, real_process, reference_blocks, rk4_run,
-    rk4_steps, schrodinger_rhs, unit_images,
+    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, STEPWISE_M, apply_process, coordinates_of,
+    full_process, lindblad_rhs, matrices_of, qubit_coordinates, qubit_psi, random_density,
+    random_hermitian, reference_blocks, rk4_run, rk4_steps, stepwise_lindblad,
+    stepwise_samples, stepwise_start,
 )
-
-
-def random_hermitian(rng, scale=1.0):
-    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    return scale * (a + a.conj().T) / 2.0
-
-
-def random_density(rng):
-    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 class TestTimeGrid:
@@ -65,11 +55,6 @@ class TestTimeGrid:
     def test_build_names_a_non_finite_dt_divisor(self, cz_params, dt_divisor):
         with pytest.raises(ValueError, match="dt_divisor"):
             TimeGrid.build(cz_params, 1e-6, dt_divisor=dt_divisor)
-
-    @pytest.mark.parametrize("max_samples", [0, -3])
-    def test_build_names_a_bad_max_samples(self, cz_params, max_samples):
-        with pytest.raises(ValueError, match="max_samples"):
-            TimeGrid.build(cz_params, 1e-6, max_samples=max_samples)
 
     def test_direct_construction_bypasses_ceiling(self):
         # A drive period of 1 in 4 steps.
@@ -262,7 +247,7 @@ class TestPropagateState:
         assert traj.basis_populations(8)[-1] >= 0.95
 
     def test_single_atom_block_matches_pulse_area_oracle(self, cz_params):
-        grid = TimeGrid.build(cz_params, 3.75e-6, dt_divisor=400, max_samples=60)
+        grid = TimeGrid.build(cz_params, 3.75e-6, dt_divisor=400, sample_stride=750)
         traj = propagate_state(cz_params, hilbert.ket(G0, G1), grid)
         for k, t in enumerate(traj.times):
             u = analysis.single_atom_oracle(cz_params, t)
@@ -311,7 +296,7 @@ class TestPropagateDensity:
         assert np.max(np.abs(purity - 1.0)) <= 1e-8
 
     def test_matches_state_propagation_without_decay(self, cz_params):
-        grid = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=400, max_samples=40)
+        grid = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=400, sample_stride=563)
         traj_rho = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
         traj_psi = propagate_state(cz_params, hilbert.ket(G1, G1), grid)
         for idx in range(9):
@@ -371,16 +356,14 @@ class TestPropagateDensity:
 
 class TestRk4Order:
     def test_error_reduction_factor(self, cz_params):
-        # Halving dt must shrink the final-state error by ~2^4 against a
-        # dt/8 reference on the antiblockade scenario.
-        t_end = 1.875e-6
-        psi0 = hilbert.ket(G1, G1)
+        # Halving dt must shrink the propagator's final-state error by ~2^4
+        # against its own run at dt/8 on the antiblockade scenario.
+        psi0 = hilbert.ket(G1, G1)[np.newaxis]
 
         def final_state(grid):
-            _, states = rk4_run(schrodinger_rhs(cz_params), psi0, grid, hermitize=False)
-            return states[-1]
+            return dynamics._propagate(cz_params, psi0, grid, density=False)[1][-1]
 
-        coarse = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=10**9)
+        coarse = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=50, sample_stride=10**9)
         reference = final_state(coarse.halved().halved().halved())
         err_coarse = np.linalg.norm(final_state(coarse) - reference)
         err_half = np.linalg.norm(final_state(coarse.halved()) - reference)
@@ -509,45 +492,6 @@ class TestProcessMap:
                 assert np.max(np.abs(final[i, j] - final[j, i].conj().T)) <= 1e-12
 
 
-class TestKeptCoordinates:
-    """A run may keep only some output coordinates; process maps keep the
-    qubit blocks and the diagonal entries outside them."""
-
-    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
-    def params(self, request):
-        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
-
-    # On a lattice step in a first half and in a later second half, and off
-    # the lattice.
-    @pytest.mark.parametrize("periods", [0.3, 3.75, 3.37123])
-    def test_selected_columns_match_the_full_run(self, params, periods, rng):
-        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
-                              sample_stride=7)
-        a0, a1, parity = dynamics._generator(params, density=True)
-        times, full = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
-        process = QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)]
-        for columns in (np.array(process), rng.permutation(81)[:30]):
-            kept_times, kept = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid,
-                                                          columns)
-            assert np.array_equal(kept_times, times)
-            assert kept.shape == full.shape[:-1] + (len(columns),)
-            assert np.max(np.abs(kept - full[..., columns])) <= 1e-14
-
-    @pytest.mark.parametrize("periods", [0.3, 3.37123])
-    def test_images_are_the_qubit_blocks_of_the_full_run(self, params, periods):
-        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
-                              sample_stride=7)
-        process = propagate_process(params, grid)
-        times, rows = real_process(params, grid)
-        assert np.array_equal(process.times, times)
-        assert np.max(np.abs(process.images - qubit_coordinates(rows))) <= 1e-14
-
-    def test_default_divisor_cz_map_stores_qubit_blocks(self, cz_decay_params):
-        grid = TimeGrid.build(cz_decay_params, 1e-7)
-        process = propagate_process(cz_decay_params, grid)
-        assert process.images.shape == (len(process.times), 4, 4, 4, 4)
-
-
 class TestRateBatch:
     """propagate_process(..., gamma=rates) runs every rate in one batch."""
 
@@ -670,69 +614,6 @@ def test_amplitude_never_reaches_rr_from_00(cz_params):
     assert np.max(np.abs(traj.states[:, 8])) <= 1e-10
 
 
-def _stepwise_lindblad(params):
-    """Step-by-step Lindblad RHS built from the public operators, not from
-    the superoperator generator the stroboscopic propagation uses."""
-    collapse = models.collapse_operators(params.gamma)
-    return lambda t, rho: lindblad_rhs(rho, models.hamiltonian(params, t), collapse)
-
-
-def _qubit_units():
-    kets = [hilbert.ket(*divmod(q, 3)) for q in hilbert.QUBIT_INDICES]
-    return np.array([[np.outer(a, b.conj()) for b in kets] for a in kets])
-
-
-class TestStroboscopicMatchesStepwise:
-    """The period routine against rk4_run on the same step, gamma = 2pi*1.5 kHz."""
-
-    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
-    def params(self, request):
-        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
-
-    # Whole drive periods, and windows ending a quarter and 0.3 into a period.
-    @pytest.fixture(params=[3.0, 3.25, 3.3])
-    def grid(self, request, params):
-        period = 2.0 * np.pi / params.omega
-        grid = TimeGrid.build(params, request.param * period, dt_divisor=50, sample_stride=7)
-        assert (grid.m, grid.delta) == (100, 0.0)
-        return grid
-
-    def test_process_images(self, params, grid):
-        process_times, images = full_process(params, grid)
-        times, reference = rk4_run(
-            _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
-        )
-        np.testing.assert_allclose(process_times, times, rtol=1e-12)
-        assert np.max(np.abs(images - reference)) <= 1e-10
-
-    def test_density_matrices(self, params, grid):
-        psi = np.zeros(9, dtype=complex)
-        psi[list(hilbert.QUBIT_INDICES)] = [0.5, 0.5j, -0.5, 0.5]
-        rho0 = np.outer(psi, psi.conj())
-        traj = propagate_density(params, rho0, grid)
-        _, reference = rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=True)
-        assert np.max(np.abs(traj.states - reference)) <= 1e-10
-
-    def test_states_on_a_reduced_subspace(self, params, grid):
-        # |11> without decay reaches only part of the space.
-        params = params.with_gamma(0.0)
-        traj = propagate_state(params, hilbert.ket(G1, G1), grid)
-        _, reference = rk4_run(
-            schrodinger_rhs(params), hilbert.ket(G1, G1), grid, hermitize=False
-        )
-        assert np.max(np.abs(traj.states - reference)) <= 1e-10
-        rho = propagate_density(params, hilbert.projector(G1, G1), grid).states
-        _, reference = rk4_run(
-            _stepwise_lindblad(params), hilbert.projector(G1, G1), grid, hermitize=True
-        )
-        assert np.max(np.abs(rho - reference)) <= 1e-10
-
-    def test_gate_fidelity_at_scenario_resolution(self, params):
-        target = {GateKind.CZ: 0.9911, GateKind.CNOT: 0.9935}[params.gate]
-        [(_, fbar)] = analysis.fidelity_vs_gamma(params, [params.gamma], dt_divisor=400)
-        assert abs(fbar - target) <= 1e-4
-
-
 @pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
 @pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ, 3e6])
 def test_density_generator_is_the_lindbladian_on_coordinates(gate, gamma, rng):
@@ -746,59 +627,6 @@ def test_density_generator_is_the_lindbladian_on_coordinates(gate, gamma, rng):
         found = (a0 + math.cos(params.omega * t) * a1) @ hilbert.real_coordinates(rho)
         expected = coordinates_of(lindblad_rhs(rho, models.hamiltonian(params, t), collapse))
         assert np.max(np.abs(found - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-
-class TestRealCoordinates:
-    """Density matrices and process maps run on the real coordinates of
-    Hermitian matrices; the step-by-step reference runs on complex rho."""
-
-    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
-    def params(self, request):
-        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
-
-    # Inside a first half period, and inside the second half of a later one.
-    @pytest.fixture(params=[0.3, 3.3])
-    def grid(self, request, params):
-        grid = TimeGrid.build(params, request.param * 2.0 * np.pi / params.omega,
-                              dt_divisor=50, sample_stride=7)
-        assert (grid.m, grid.delta) == (100, 0.0)
-        return grid
-
-    def test_coordinates_are_those_of_the_hermitian_basis(self, rng):
-        rho = random_hermitian(rng)
-        x = hilbert.real_coordinates(rho)
-        assert x.dtype == np.float64
-        assert np.max(np.abs(x - coordinates_of(rho))) <= 1e-15
-        assert np.max(np.abs(hilbert.hermitian_matrices(x) - rho)) <= 1e-15
-        assert np.max(np.abs(matrices_of(x) - rho)) <= 1e-15
-
-    def test_random_hermitian_matrix(self, params, grid, rng):
-        rho0 = random_hermitian(rng)
-        times, states = dynamics._propagate_rho(params, rho0, grid)
-        ref_times, reference = rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=False)
-        np.testing.assert_allclose(times, ref_times, rtol=1e-12)
-        assert np.max(np.abs(states - reference)) <= 1e-12
-
-    def test_qubit_units(self, params, grid):
-        _, rows = real_process(params, grid)
-        assert rows.dtype == np.float64
-        images = unit_images(rows)
-        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
-                               hermitize=False)
-        assert np.max(np.abs(images - reference)) <= 1e-12
-        # The process map keeps the qubit blocks of the same run.
-        process = propagate_process(params, grid)
-        assert np.max(np.abs(process.images - qubit_coordinates(rows))) <= 1e-14
-
-    def test_transposed_unit_maps_to_the_conjugate_transpose(self, params, grid):
-        # The real coordinates rest on this: the dynamics maps |q_j><q_i| to
-        # the conjugate transpose of the image of |q_i><q_j|, at every sample.
-        _, images = full_process(params, grid)
-        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
-                               hermitize=False)
-        for found in (reference, images):
-            assert np.max(np.abs(found - hilbert.dagger(found.swapaxes(1, 2)))) <= 1e-12
-        assert np.max(np.abs(images - hilbert.dagger(reference.swapaxes(1, 2)))) <= 1e-12
 
 
 class TestStroboscopicLattice:
@@ -820,51 +648,6 @@ class TestStroboscopicLattice:
             assert abs(state[hilbert.index_of(G0, G1)] - u[0, 0]) <= 1e-6
             assert abs(state[hilbert.index_of(G0, RYD)] - u[1, 0]) <= 1e-6
 
-    def test_window_shorter_than_a_period(self, cz_params):
-        grid = TimeGrid.build(cz_params, 0.4 * 2.0 * np.pi / cz_params.omega, dt_divisor=50)
-        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
-        _, reference = rk4_run(
-            _stepwise_lindblad(cz_params), hilbert.projector(G1, G1), grid, hermitize=True
-        )
-        assert traj.times[-1] == grid.t_end
-        assert np.max(np.abs(traj.states - reference)) <= 1e-10
-
-
-class TestGlideSymmetry:
-    """A(t + P/2) = Pi A(t) Pi: the run integrates half a period and glides."""
-
-    @pytest.mark.parametrize("gate", list(GateKind))
-    @pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ])
-    @pytest.mark.parametrize("density, v", [(False, None), (True, None),
-                                            (False, np.linspace(10.0, 20.0, 3) * OMEGA_M)])
-    def test_parity_conjugation_is_exact(self, gate, gamma, density, v):
-        params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
-        a0, a1, parity = dynamics._generator(params, density=density, v=v)
-        # Density generators act on the real coordinates of rho.
-        expected = np.float64 if density else np.complex128
-        assert a0.dtype == a1.dtype == expected
-        flip = parity[:, np.newaxis] * parity
-        assert np.array_equal(flip * a0, a0)
-        assert np.array_equal(flip * a1, -a1)
-
-    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
-    def params(self, request):
-        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
-
-    # Windows shorter than half a period and inside its second half, ending
-    # on a half-period node (tail P/2), and inside a later second half.
-    @pytest.mark.parametrize("periods", [0.3, 0.8, 3.5, 3.75])
-    def test_process_images_match_stepwise(self, params, periods):
-        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
-                              sample_stride=7)
-        assert (grid.m, grid.delta) == (100, 0.0)
-        process_times, images = full_process(params, grid)
-        times, reference = rk4_run(
-            _stepwise_lindblad(params), _qubit_units(), grid, hermitize=False
-        )
-        np.testing.assert_allclose(process_times, times, rtol=1e-12)
-        assert np.max(np.abs(images - reference)) <= 1e-10
-
     def test_odd_raw_step_count_takes_the_finer_even_step(self):
         # V sets the step: 50 steps per 2 pi/V give P/dt = 120.9 on this
         # window, which rounds up to an odd 121 steps per drive period.
@@ -880,9 +663,28 @@ class TestGlideSymmetry:
         rho0 = _qubit_rho()
         traj = propagate_density(params, rho0, grid)
         assert traj.dt == grid.dt
-        times, reference = rk4_run(_stepwise_lindblad(params), rho0, grid, hermitize=True)
+        times, reference = rk4_run(stepwise_lindblad(params), rho0, grid, hermitize=True)
         np.testing.assert_allclose(traj.times, times, rtol=1e-12)
         assert np.max(np.abs(traj.states - reference)) <= 1e-10
+
+
+class TestGeneratorParity:
+    """A(t + P/2) = Pi A(t) Pi: every generator conjugates exactly under the
+    parity, and a run refuses one that does not."""
+
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("gamma", [0.0, GAMMA_15KHZ])
+    @pytest.mark.parametrize("density, v", [(False, None), (True, None),
+                                            (False, np.linspace(10.0, 20.0, 3) * OMEGA_M)])
+    def test_parity_conjugation_is_exact(self, gate, gamma, density, v):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
+        a0, a1, parity = dynamics._generator(params, density=density, v=v)
+        # Density generators act on the real coordinates of rho.
+        expected = np.float64 if density else np.complex128
+        assert a0.dtype == a1.dtype == expected
+        flip = parity[:, np.newaxis] * parity
+        assert np.array_equal(flip * a0, a0)
+        assert np.array_equal(flip * a1, -a1)
 
     @pytest.mark.parametrize("term", ["A0 across parities", "A1 within a parity"])
     def test_generator_without_the_symmetry_is_rejected(self, cz_params, term):
@@ -900,81 +702,103 @@ class TestGlideSymmetry:
             dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid)
 
 
-class TestOffLatticeEnd:
-    """A window that ends off the step lattice takes one short last step."""
+# The windows of the matrix below, in drive periods: shorter than one step,
+# in a first half, in a second half, whole periods, a quarter, on a
+# half-period node and in a later second half, on the lattice and off it.
+MATRIX_WINDOWS = [0.004, 0.3, 0.37123, 0.4, 0.8, 0.81234, 3.0, 3.25, 3.3, 3.37123, 3.5, 3.75]
 
-    @pytest.fixture(params=[GateKind.CZ, GateKind.CNOT])
-    def params(self, request):
-        return DriveParams.from_ratio(OMEGA_M, 7.5, gamma=GAMMA_15KHZ, gate=request.param)
+# The coordinates a run may keep: the process map's 21 (the qubit blocks
+# and the diagonal) and 30 scattered ones of the 81, which miss one of the
+# six blocks of the CZ map under decay, or 4 scattered amplitudes of a state.
+KEPT_COLUMNS = {
+    "state": [np.random.default_rng(0).permutation(9)[:4]],
+    "process": [np.array(QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)]),
+                np.random.default_rng(0).permutation(81)[:30]],
+}
 
-    # Inside a first half, inside a second half, and a later second half.
-    @pytest.mark.parametrize("periods", [0.37123, 0.81234, 3.37123])
-    def test_process_images_match_stepwise(self, params, periods):
-        grid = TimeGrid.build(params, periods * 2.0 * np.pi / params.omega, dt_divisor=50,
-                              sample_stride=10**9)
-        assert 0.0 < grid.delta < grid.dt
-        times, images = full_process(params, grid)
+
+class TestStepwiseMatrix:
+    """Every path of the stroboscopic propagation against the cached stepwise
+    reference (:func:`conftest.stepwise_samples`), on the lattice of m = 100.
+
+    Per gate, decay rate, kind of run and window, every sample of the run
+    that keeps every coordinate matches the reference, within 1e-10 for
+    states and 1e-12 for the real coordinates of density matrices and
+    process maps, and so does the last sample of a run that stores only
+    that one.  States and density matrices run through their public
+    propagators, and the process map keeps the qubit blocks of the full run
+    within 1e-14.  For a state and for a process map under decay, the runs
+    that the package batches, a run batched over V reproduces the runs of
+    its entries, and a run that keeps only some coordinates, batched or
+    not, those coordinates of the run that keeps them all, within 1e-14.
+    """
+
+    @staticmethod
+    def _as_reference(kind, rows):
+        """Samples (..., c, d) of a run in the form of the reference: the
+        9-vector of a state, or complex 9x9 matrices of real coordinates."""
+        return rows[..., 0, :] if kind == "state" else matrices_of(rows)
+
+    @pytest.mark.parametrize("periods", MATRIX_WINDOWS)
+    @pytest.mark.parametrize("kind, gamma", [
+        ("state", 0.0), ("density", 0.0), ("density", GAMMA_15KHZ), ("process", 0.0),
+        ("process", GAMMA_15KHZ)], ids=["state", "density", "density-decay", "process",
+                                        "process-decay"])
+    @pytest.mark.parametrize("gate", list(GateKind), ids=lambda gate: gate.value)
+    def test_run_matches_the_stepwise_reference(self, gate, kind, gamma, periods):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gamma=gamma, gate=gate)
+        grid = TimeGrid(periods * 2.0 * np.pi / params.omega, params.omega, STEPWISE_M, 7)
+        density, rows0 = kind != "state", stepwise_start(kind)
+        tol = 1e-12 if density else 1e-10
+        reference = stepwise_samples(params, kind, grid)
+
+        def run(grid, rows0=rows0, v=None, **kwargs):
+            return dynamics._propagate(params, rows0, grid, density=density, v=v, **kwargs)
+
+        if kind == "state":
+            traj = propagate_state(params, rows0[0], grid)
+            times, full = traj.times, traj.states[:, np.newaxis]
+        elif kind == "density":
+            traj = propagate_density(params, matrices_of(rows0[0]), grid)
+            times, full = traj.times, hilbert.real_coordinates(traj.states)[:, np.newaxis]
+        else:
+            times, full = run(grid)
+            images = propagate_process(params, grid).images
+            assert images.shape == (len(times), 4, 4, 4, 4)
+            assert np.max(np.abs(images - qubit_coordinates(full))) <= 1e-14
+        assert full.dtype == (np.float64 if density else np.complex128)
         assert times[-1] == grid.t_end
-        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
-                               hermitize=False)
-        assert np.max(np.abs(images[-1] - reference[-1])) <= 1e-10
-
-    def test_window_shorter_than_one_step(self, params):
-        # 100 steps per period; the window is 0.4 of one.
-        grid = TimeGrid(0.4 * 2.0 * np.pi / params.omega / 100, params.omega, 100)
-        assert (grid.lattice_steps, grid.n_steps) == (0, 1)
-        assert grid.delta == pytest.approx(0.4 * grid.dt, rel=1e-12)
-        times, images = full_process(params, grid)
-        np.testing.assert_array_equal(times, [0.0, grid.t_end])
-        _, reference = rk4_run(_stepwise_lindblad(params), _qubit_units(), grid,
-                               hermitize=False)
-        assert np.max(np.abs(images[-1] - reference[-1])) <= 1e-10
-
-
-class TestBatchedSamples:
-    """Every sample is its origin times its prefix map, both gathered from
-    their stacks in one batched product."""
-
-    def test_v_batched_run_matches_the_unbatched_runs(self, cz_params):
-        v = np.array([10.0, 15.0, 20.0]) * OMEGA_M
-        grid = TimeGrid.build(cz_params, 3.37123 * 2.0 * np.pi / cz_params.omega,
-                              dt_divisor=50, sample_stride=7)
-        # Glided second halves, and an off-lattice end.
-        assert np.any(grid.sample_steps % grid.m >= grid.m // 2) and grid.delta > 0
-        psi = _qubit_psi()
-        a0, a1, parity = dynamics._generator(cz_params, density=False, v=v)
-        times, batched = dynamics._stroboscopic_run(a0, a1, parity,
-                                                    np.broadcast_to(psi, (3, 1, 9)), grid)
-        assert batched.shape == (len(times), 3, 1, 9) and len(times) > 40
-        for i, v_i in enumerate(v):
-            a0, a1, parity = dynamics._generator(cz_params, density=False, v=v_i)
-            single_times, single = dynamics._stroboscopic_run(a0, a1, parity, psi[np.newaxis],
-                                                              grid)
-            assert np.array_equal(single_times, times)
-            assert np.max(np.abs(batched[:, i] - single)) <= 1e-14
-        # One generator, unbatched, on a batch of initial states.
-        rows0 = np.stack([psi, hilbert.ket(G1, G1)])[:, np.newaxis]
-        _, both = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
-        for k, row in enumerate(rows0):
-            _, single = dynamics._stroboscopic_run(a0, a1, parity, row, grid)
-            assert np.max(np.abs(both[:, k] - single)) <= 1e-14
-
-    def test_samples_only_at_period_starts(self, cz_decay_params):
-        # m = 100 steps per period and a sample every 100 steps: only
-        # offset 0 is read, and its map is the identity.
-        params = cz_decay_params
-        period = 2.0 * np.pi / params.omega
-        grid = TimeGrid(3.0 * period, params.omega, 100, 100)
-        assert (grid.n_steps, grid.delta) == (300, 0.0)
-        assert (grid.sample_steps % grid.m).tolist() == [0, 0, 0, 0]
-        columns = np.array(QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)])
-        a0, a1, parity = dynamics._generator(params, density=True)
-        times, kept = dynamics._stroboscopic_run(a0, a1, parity, _qubit_rows(), grid, columns)
-        assert np.array_equal(kept[0], _qubit_rows()[:, columns])
-        ref_times, reference = rk4_run(_stepwise_lindblad(params), matrices_of(_qubit_rows()),
-                                       grid, hermitize=False)
-        np.testing.assert_allclose(times, ref_times, rtol=1e-12)
-        assert np.max(np.abs(kept - coordinates_of(reference)[..., columns])) <= 1e-10
+        np.testing.assert_allclose(times, np.minimum(grid.dt * grid.sample_steps, grid.t_end),
+                                   rtol=1e-12)
+        assert np.max(np.abs(self._as_reference(kind, full) - reference)) <= tol
+        if density:
+            # The real coordinates rest on this: the image of a Hermitian
+            # matrix stays Hermitian.
+            assert np.max(np.abs(reference - hilbert.dagger(reference))) <= 1e-12
+        # The last sample alone, of the initial rows and their negatives
+        # stacked on a leading batch axis.
+        last_times, last = run(replace(grid, sample_stride=10**9), np.stack([rows0, -rows0]))
+        assert np.array_equal(last_times, [0.0, grid.t_end])
+        assert np.array_equal(last[:, 1], -last[:, 0])
+        assert np.max(np.abs(self._as_reference(kind, last[-1, 0]) - reference[-1])) <= tol
+        # The package batches states (a heatmap column, over V) and process
+        # maps under decay (the decay sweep, over its rates, keeping 21
+        # coordinates): those two runs cross batches with kept coordinates.
+        if kind == "density" or (kind == "process" and not gamma):
+            return
+        # Batched over V, the operating point first.
+        v = params.v * np.array([1.0, 1.3])
+        _, batched = run(grid, v=v)
+        entries = np.stack([full, run(grid, v=v[1])[1]], axis=1)
+        assert batched.shape == entries.shape
+        assert np.max(np.abs(batched - entries)) <= 1e-14
+        for columns in KEPT_COLUMNS[kind]:
+            kept_times, kept = run(grid, columns=columns)
+            assert np.array_equal(kept_times, times)
+            _, kept_batched = run(grid, v=v, columns=columns)
+            for found, whole in [(kept, full), (kept_batched, batched)]:
+                assert found.shape == whole.shape[:-1] + (len(columns),)
+                assert np.max(np.abs(found - whole[..., columns])) <= 1e-14
 
 
 class TestHalfPeriodWork:
@@ -1153,15 +977,8 @@ def _qubit_rows():
     return np.eye(81)[QUBIT_UNITS]
 
 
-def _qubit_psi():
-    """A pure state with weight on every qubit basis state."""
-    psi = np.zeros(9, dtype=complex)
-    psi[list(hilbert.QUBIT_INDICES)] = [0.5, 0.5j, -0.5, 0.5]
-    return psi
-
-
 def _qubit_rho():
-    psi = _qubit_psi()
+    psi = qubit_psi()
     return np.outer(psi, psi.conj())
 
 
@@ -1183,7 +1000,7 @@ class TestInvariantBlocks:
                     coordinates_of(_qubit_rho())[np.newaxis])
         a0, a1, parity = dynamics._generator(params, density=False,
                                              v=np.linspace(10.0, 20.0, 3) * OMEGA_M)
-        return a0, a1, parity, np.broadcast_to(_qubit_psi(), (3, 1, 9))
+        return a0, a1, parity, np.broadcast_to(qubit_psi(), (3, 1, 9))
 
     def test_blocks_partition_the_reachable_set(self, problem):
         a0, a1, _, rows0 = problem
@@ -1292,7 +1109,7 @@ class TestInvariantBlocks:
             propagate_density(params, rho0, grid)
 
     def test_nan_in_one_block_trips_the_norm_gate(self, cz_params, monkeypatch):
-        psi = _qubit_psi()
+        psi = qubit_psi()
         block = self._nan_in_smallest_block(monkeypatch, psi[np.newaxis], params=cz_params,
                                             density=False)
         assert block.tolist() == [hilbert.index_of(G0, G0)]

@@ -4,6 +4,7 @@ import pytest
 from rabsim import hilbert
 from rabsim.analysis import population
 from rabsim.hilbert import G0, G1, RYD
+from conftest import coordinates_of, matrices_of, random_hermitian
 
 
 def test_basis_index_mapping():
@@ -107,3 +108,12 @@ def test_check_density_matrix_accepts_valid():
 def test_check_density_matrix_rejects(rho, message):
     with pytest.raises(ValueError, match=message):
         hilbert.check_density_matrix(rho)
+
+
+def test_coordinates_are_those_of_the_hermitian_basis(rng):
+    rho = random_hermitian(rng)
+    x = hilbert.real_coordinates(rho)
+    assert x.dtype == np.float64
+    assert np.max(np.abs(x - coordinates_of(rho))) <= 1e-15
+    assert np.max(np.abs(hilbert.hermitian_matrices(x) - rho)) <= 1e-15
+    assert np.max(np.abs(matrices_of(x) - rho)) <= 1e-15

@@ -25,6 +25,8 @@ def test_public_surface():
     assert not hasattr(dynamics, "_add_sandwich")
     build = inspect.signature(dynamics.TimeGrid.build).parameters
     assert "dt" not in build and "t_start" not in build
+    # sample_stride alone sets the stored samples.
+    assert "max_samples" not in build
     # TimeGrid is the lattice that is integrated; no second grid is derived.
     assert [f.name for f in dataclasses.fields(dynamics.TimeGrid)] == [
         "t_end", "omega", "m", "sample_stride"]
