@@ -48,12 +48,16 @@ class HeatmapGrid:
     of Omega_m); failed cells hold NaN.  ``max_norm_loss`` is the largest
     1 - <psi|psi> over the cells that passed, the RK4 truncation that the
     gate on norm gain lets through (0 when no cell lost norm).
+    ``lattices`` holds (m, columns) for each group of columns that ran as
+    one batch on m steps per drive period, in the order of their first
+    column.
     """
 
     v_axis: np.ndarray
     w_axis: np.ndarray
     p_rr: np.ndarray
     max_norm_loss: float
+    lattices: tuple[tuple[int, int], ...]
 
 
 #: A heatmap cell fails when its final <psi|psi> exceeds 1 by more than this.
@@ -161,40 +165,37 @@ def fidelity_time_series(params: DriveParams, grid: TimeGrid) -> FidelityReport:
     return FidelityReport(times=process.times, fbar=fbar, final_fbar=float(fbar[-1]))
 
 
-def _heatmap_grid(params: DriveParams, dt_divisor: int, sample_stride=None) -> TimeGrid:
-    """The lattice from 0 to the heatmap's instant t = pi omega/Omega_m^2
-    under the drive of ``params`` (:meth:`TimeGrid.build`)."""
-    t_end = math.pi * params.omega / (params.omega_m * params.omega_m)
-    return TimeGrid.build(params, t_end, dt_divisor=dt_divisor, sample_stride=sample_stride)
+def _heatmap_lattices(w_axis: np.ndarray, v_max: float, dt_divisor: int
+                      ) -> list[tuple[np.ndarray, TimeGrid]]:
+    """The groups of heatmap columns that run as one batch: the indices into
+    ``w_axis`` (omega in units of Omega_m) of each group's columns, and its
+    lattice in drive-phase time tau = omega t.
 
-
-def _column_grid(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, dt_divisor: int
-                 ) -> tuple[DriveParams, TimeGrid]:
-    """The stiffest cell of a heatmap column (omega = ``w_ratio`` Omega_m,
-    V the largest of ``v_ratios`` Omega_m) and the grid, sized for it, that
-    every cell of the column runs on, storing only its final sample."""
-    omega_m = params.omega_m
-    stiffest = DriveParams(omega_m=omega_m, omega=w_ratio * omega_m,
-                           v=float(np.max(v_ratios)) * omega_m, gate=params.gate)
-    return stiffest, _heatmap_grid(stiffest, dt_divisor, sample_stride=10**9)
-
-
-def _heatmap_column(params: DriveParams, w_ratio: float, v_ratios: np.ndarray, dt_divisor: int):
-    """(p_rr, norm loss) of one column: its cells with NaN for a failed one,
-    and the largest 1 - <psi|psi> over the others."""
-    v_values = v_ratios * params.omega_m
-    stiffest, grid = _column_grid(params, w_ratio, v_ratios, dt_divisor)
-    rows0 = np.broadcast_to(hilbert.ket(hilbert.G1, hilbert.G1), (len(v_values), 1, hilbert.DIM))
-    _, states = dynamics._propagate(stiffest, rows0, grid, density=False, v=v_values)
-    final = states[-1, :, 0]
-    # Per-cell health.  Below its stability bound RK4 only loses norm, by
-    # truncation (1.1e-4 of <psi|psi> on the default extent at divisor 50),
-    # so a cell fails only on a norm gain or a non-finite amplitude, which
-    # NaN trips.
-    norm_change = np.sum(np.abs(final) ** 2, axis=-1) - 1.0
-    bad = ~(norm_change <= NORM_GAIN_TOL)
-    p_rr = np.where(bad, np.nan, np.abs(final[:, 8]) ** 2)
-    return p_rr, float(np.max(-norm_change[~bad], initial=0.0))
+    A column is sized by the drive, not by its stiffest V: its fastest
+    frequency with V capped at 2 omega is max(2 omega, Omega_m), and m is
+    the even ceiling of ``dt_divisor`` times that over omega, with none of
+    :meth:`TimeGrid.build`'s landing on the window's end, so m = 2
+    ``dt_divisor`` for omega >= Omega_m/2.  The ceiling of
+    :data:`dynamics.MIN_STEPS_PER_PERIOD` steps per period of the true
+    fastest frequency raises m where V up to ``v_max`` Omega_m needs it.
+    The columns of one m share a lattice of the unit drive to the latest of
+    their ends tau = pi omega^2/Omega_m^2, storing only its final sample.
+    A ``dt_divisor`` that is not finite or lies below that ceiling is
+    rejected.
+    """
+    if not dynamics.MIN_STEPS_PER_PERIOD <= dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be finite and >= {dynamics.MIN_STEPS_PER_PERIOD}, "
+                         f"got {dt_divisor}")
+    per_period = np.maximum(dt_divisor * np.maximum(2.0 * w_axis, 1.0),
+                            dynamics.MIN_STEPS_PER_PERIOD * v_max) / w_axis
+    m = np.ceil(per_period * (1.0 - 1e-9)).astype(int)
+    m += m % 2
+    groups = []
+    for steps in dict.fromkeys(m.tolist()):
+        columns = np.flatnonzero(m == steps)
+        t_end = math.pi * float(np.max(w_axis[columns])) ** 2
+        groups.append((columns, TimeGrid(t_end, 1.0, steps, sample_stride=10**9)))
+    return groups
 
 
 def sweep_heatmap(
@@ -209,12 +210,15 @@ def sweep_heatmap(
 
     ``params`` supplies Omega_m and the gate; ``v_range`` and ``w_range`` are
     in units of Omega_m.  Decay must be off (gamma = 0), so |11> stays pure
-    and each cell is the Schrodinger run of its 9-vector: a column (fixed
-    omega) propagates its cells as one batch over V, on the invariant block
-    of |11> (4 amplitudes for CZ, 6 for CNOT).  The columns run one after
-    another in this process: each is a few hundred RK4 step maps of a batch
-    of 4x4 or 6x6 matrices, too little work to pay for starting a process
-    pool.  A cell whose final <psi|psi> exceeds 1 by more than
+    and each cell is the Schrodinger run of its 9-vector, on the invariant
+    block of |11> (4 amplitudes for CZ, 6 for CNOT).  The columns (fixed
+    omega) are grouped by their lattice (:func:`_heatmap_lattices`: one
+    group of m = 2 ``dt_divisor`` on the default extent), and each group
+    runs in this process as one batch over V and omega, in drive-phase time
+    tau = omega t, in which every column's drive has the period 2 pi: one
+    pass of RK4 step maps of batches of 4x4 or 6x6 matrices serves all its
+    columns, and each column ends at its own tau = pi omega^2/Omega_m^2 with
+    one short step.  A cell whose final <psi|psi> exceeds 1 by more than
     :data:`NORM_GAIN_TOL`, or is not finite, comes back as NaN.  RK4
     truncation only loses norm, so the gate does not see it; the largest
     loss over the healthy cells is returned as ``max_norm_loss``.
@@ -227,10 +231,26 @@ def sweep_heatmap(
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     v_axis = np.linspace(v_range[0], v_range[1], resolution)
     w_axis = np.linspace(w_range[0], w_range[1], resolution)
-    columns = [_heatmap_column(params, float(w), v_axis, dt_divisor) for w in w_axis]
-    p_rr = np.column_stack([cells for cells, _ in columns])
-    return HeatmapGrid(v_axis=v_axis, w_axis=w_axis, p_rr=p_rr,
-                       max_norm_loss=max(loss for _, loss in columns))
+    groups = _heatmap_lattices(w_axis, float(np.max(v_axis)), dt_divisor)
+    rows0 = hilbert.ket(hilbert.G1, hilbert.G1)[np.newaxis]
+    p_rr = np.empty((resolution, resolution))
+    max_norm_loss = 0.0
+    for columns, grid in groups:
+        w = w_axis[columns, np.newaxis]
+        _, states = dynamics._propagate(params, rows0, grid, density=False,
+                                        v=v_axis * params.omega_m, omega=w * params.omega_m,
+                                        ends=math.pi * w**2)
+        final = states[-1, ..., 0, :]
+        # Per-cell health.  Below its stability bound RK4 only loses norm,
+        # by truncation (1.1e-4 of <psi|psi> on the default extent at
+        # divisor 50), so a cell fails only on a norm gain or a non-finite
+        # amplitude, which NaN trips.
+        norm_change = np.sum(np.abs(final) ** 2, axis=-1) - 1.0
+        bad = ~(norm_change <= NORM_GAIN_TOL)
+        p_rr[:, columns] = np.where(bad, np.nan, np.abs(final[..., 8]) ** 2).T
+        max_norm_loss = max(max_norm_loss, float(np.max(-norm_change[~bad], initial=0.0)))
+    return HeatmapGrid(v_axis=v_axis, w_axis=w_axis, p_rr=p_rr, max_norm_loss=max_norm_loss,
+                       lattices=tuple((grid.m, len(columns)) for columns, grid in groups))
 
 
 def fidelity_vs_gamma(

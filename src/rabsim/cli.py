@@ -302,11 +302,12 @@ def _scenario_grid(config: ScenarioConfig, params: DriveParams) -> TimeGrid:
     gate time (``rab-populations``), at the pulse end (the fidelity
     scenarios; the decay sweep stores only its final sample), or at the
     heatmap's instant pi omega/Omega_m^2 (``heatmap``: the convergence
-    probe at the operating point, while each column runs on a grid of its
-    own, sized for its stiffest cell)."""
+    probe at the operating point, while the sweep runs its columns in
+    groups that share a lattice in drive-phase time, which the sidecar's
+    ``sweep_lattice`` block records)."""
     if config.scenario == "heatmap":
-        return analysis._heatmap_grid(params, config.dt_divisor)
-    if config.scenario == "rab-populations":
+        t_end = math.pi * params.omega / (params.omega_m * params.omega_m)
+    elif config.scenario == "rab-populations":
         t_end = models.gate_time(params)
     else:
         t_end = models.pulse_end_time(params)
@@ -348,6 +349,7 @@ def _run_heatmap(config: ScenarioConfig):
     return params, ridge_grid, columns, {
         "convergence": _p_rr_convergence(params, probe, ridge_grid),
         "failed_cells": int(np.count_nonzero(~np.isfinite(grid_result.p_rr))),
+        "sweep_lattice": [{"m": m, "columns": n} for m, n in grid_result.lattices],
         "health": {"max_norm_loss": grid_result.max_norm_loss,
                    "norm_gain_tol": analysis.NORM_GAIN_TOL},
     }

@@ -69,18 +69,28 @@ of its coupling graph, between which A(t) has no entry at any t.  Every
 block propagates on its own.  Under decay the 81 coordinates of a process
 map split into 25 + 2x20 + 8 + 2x4 for CZ and 45 + 36 for CNOT (the real
 and imaginary parts of a coherence share a block); |11><11| without decay
-reaches one block of 16, and the pure |11> of a heatmap column one of 4
+reaches one block of 16, and the pure |11> of a heatmap one of 4
 amplitudes (CZ) or 6 (CNOT).  A run may keep only some output coordinates:
 the maps are cut to them before the samples are formed.  A process map keeps
 21 of the 81, the qubit block and the diagonal.
 
 A0 is linear in the static rates V and gamma, and a run may carry a batch
-of them on leading axes of A0: a heatmap column runs its V axis that way,
-and the decay sweep its rates, in one process-map run whose blocks are
-those of the whole batch (a gamma = 0 entry runs on the decay blocks).
-Each block takes the batch a slice of its first axis at a time, so that the
+of them on leading axes of A0: the decay sweep runs its rates that way, in
+one process-map run whose blocks are those of the whole batch (a gamma = 0
+entry runs on the decay blocks).  A batch may also run over the drive
+frequency, in drive-phase time tau = omega t: there
+dy/dtau = (A0 + cos(tau) A1) y/omega has the period 2 pi for every omega,
+so omega becomes a batch axis of A0 and A1, and every entry shares the
+lattice of m steps of 2 pi/m and the cosines of its steps.  Each entry may
+then end at its own tau, in a run that stores only its final state: the
+pass stops at the offsets of every entry's end, the period starts are
+formed for every entry's last period and gathered per entry, and one
+batched short step takes each entry's remainder.  The heatmap runs each
+group of columns that share m this way, over V and omega at once.  Each
+block takes the batch a slice of its first axis at a time, so that the
 twelve kernels of a slice stay within 2**16 elements: two rates a slice on
-the CNOT block of 45, and the whole V axis of a default heatmap column.
+the CNOT block of 45, and five omega columns of 60 V values each (two for
+CNOT) in a default heatmap.
 
 Runs are deterministic, so step-halving convergence checks stay meaningful.
 Density matrices are Hermitian by construction but never renormalized, so
@@ -390,15 +400,20 @@ def _density_terms(gate) -> np.ndarray:
     return terms
 
 
-def _generator(params, *, density: bool, v=None, gamma=None
+def _generator(params, *, density: bool, v=None, gamma=None, omega=None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A0, A1, parity) with the equation of motion dy/dt = (A0 + cos(omega t) A1) y.
 
     A0 is linear in the static rates, and ``v`` and ``gamma`` may replace
     ``params.v`` and ``params.gamma`` by arrays of them, which give A0
-    their broadcast shape as leading batch axes: a heatmap column runs |11>
-    over its V axis that way, and the decay sweep its process map over its
-    rates.  For pure states y is the 9-vector and A(t) = -i H(t), complex;
+    their broadcast shape as leading batch axes: the decay sweep runs its
+    process map over its rates that way.  ``omega``, an array of drive
+    frequencies, puts the equation in drive-phase time tau = omega t,
+    dy/dtau = (A0 + cos(tau) A1) y/omega, whose drive has the period 2 pi
+    for every omega: both terms are divided by it, and its shape joins the
+    batch axes of both.  A heatmap runs |11> over its V axis and its
+    omega axis that way.  For pure states y is the 9-vector and
+    A(t) = -i H(t), complex;
     they carry no decay, so ``gamma`` is rejected there.  For density
     matrices y holds the real coordinates of rho
     (:func:`hilbert.real_coordinates`) and A(t) is the real 81x81
@@ -418,11 +433,18 @@ def _generator(params, *, density: bool, v=None, gamma=None
                              "batches over gamma")
         h0 = np.zeros(v.shape + (DIM, DIM), dtype=complex)
         h0[..., 8, 8] = v
-        return -1j * h0, (-1j * params.omega_m) * models.drive_structure(params.gate), parity
-    gamma = np.asarray(params.gamma if gamma is None else gamma)
-    decay, drive, rr = _density_terms(params.gate)
-    a0 = gamma[..., np.newaxis, np.newaxis] * decay + v[..., np.newaxis, np.newaxis] * rr
-    return a0, params.omega_m * drive, np.outer(parity, parity).ravel()
+        a0 = -1j * h0
+        a1 = (-1j * params.omega_m) * models.drive_structure(params.gate)
+    else:
+        gamma = np.asarray(params.gamma if gamma is None else gamma)
+        decay, drive, rr = _density_terms(params.gate)
+        a0 = gamma[..., np.newaxis, np.newaxis] * decay + v[..., np.newaxis, np.newaxis] * rr
+        a1 = params.omega_m * drive
+        parity = np.outer(parity, parity).ravel()
+    if omega is not None:
+        omega = np.asarray(omega)[..., np.newaxis, np.newaxis]
+        a0, a1 = a0 / omega, a1 / omega
+    return a0, a1, parity
 
 
 def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -447,10 +469,11 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     On the real density coordinates, under decay, the 16 Hermitian qubit
     basis matrices split into 25 + 2x20 + 8 + 2x4 coordinates for CZ and
     45 + 36 for CNOT; |11><11| without decay reaches one block of 16, and
-    the dark state |00> one of 1.  The state |11>, batched over V as in a
-    heatmap column, reaches one block of 4 amplitudes for CZ and 6 for CNOT.
+    the dark state |00> one of 1.  The state |11>, batched over V and omega
+    as in a heatmap, reaches one block of 4 amplitudes for CZ and 6 for CNOT.
     """
-    links = np.any((a0 != 0) | (a1 != 0), axis=tuple(range(a0.ndim - 2)))
+    links = (a0 != 0) | (a1 != 0)
+    links = np.any(links, axis=tuple(range(links.ndim - 2)))
     left = _closure(links, np.any(rows0 != 0, axis=tuple(range(rows0.ndim - 1))))
     coupled = (links | links.T) & left & left[:, None]
     blocks = []
@@ -461,17 +484,18 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     return blocks
 
 
-def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None):
+def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None,
+                      ends=None):
     """Propagate under dy/dt = (A0 + cos(omega t) A1) y, omega = ``grid.omega``,
     by half drive periods on the lattice of ``grid``.
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
-    ``a0`` may carry leading batch axes that broadcast with those of
-    ``rows0`` into the batch axes ... of the output (``a1`` carries none).
-    Per block, the batch runs a slice of the first axis of ``a0`` at a
-    time, sized so that the slice's twelve RK4 kernels hold at most
-    :data:`_KERNEL_BUDGET` elements: the run's peak memory then stays that
-    of a few entries however long the batch.  ``parity`` is the
+    ``a0`` and ``a1`` may carry leading batch axes that broadcast with those
+    of ``rows0`` into the batch axes ... of the output.  Per block, the
+    batch runs a slice of its first axis at a time, sized so that the
+    slice's twelve RK4 kernels hold at most :data:`_KERNEL_BUDGET` elements:
+    the run's peak memory then stays that of a few entries however long the
+    batch.  ``parity`` is the
     diagonal of Pi: A0 may couple only coordinates of equal parity and A1
     only coordinates of opposite parity, so that Pi A0 Pi = A0 and
     Pi A1 Pi = -A1; a generator with another pattern raises ``ValueError``.
@@ -499,12 +523,22 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     the lattice is read at its last lattice step and advanced to t_end by
     one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`).
 
+    ``ends``, an array of end times that broadcasts with the batch axes of
+    A0 and A1, gives each batch entry its own window on the lattice of
+    ``grid``: entry e ends where ``replace(grid, t_end=ends[e])`` would, and
+    the run stores its initial and final states only, so ``grid`` must store
+    no other sample.  The pass then stops at the offsets of every entry's
+    end, the starts are formed for every entry's last period and gathered
+    per entry, and the short steps are one batched step of each entry's
+    remainder.
+
     ``columns`` (an index array into the d coordinates) keeps only those
     output coordinates, k = len(columns) of them in that order; None keeps
     all d.  A sample then costs c x d x k multiply-adds instead of
     c x d x d, and a block with no kept coordinate is not propagated.
 
-    Returns (times, samples) at ``grid.sample_steps``.
+    Returns (times, samples) at ``grid.sample_steps``; with ``ends``, the
+    times have shape (2,) + ``ends.shape``, 0 and each entry's end.
     """
     same = parity[:, np.newaxis] == parity
     # abs(x) > 0 is False for NaN: a non-finite generator is left to the
@@ -514,17 +548,30 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
             "the generator lacks the glide symmetry of the drive: A0 must couple only "
             "coordinates of equal parity and A1 only coordinates of opposite parity"
         )
-    # An off-lattice end is read at the last lattice step and ends at t_end.
-    times = np.minimum(grid.sample_steps, grid.lattice_steps) * grid.dt
-    times[-1] = grid.t_end
+    batch = np.broadcast_shapes(a0.shape[:-2], a1.shape[:-2])
+    if ends is None:
+        # An off-lattice end is read at the last lattice step and ends at t_end.
+        times = np.minimum(grid.sample_steps, grid.lattice_steps) * grid.dt
+        times[-1] = grid.t_end
+    else:
+        if len(grid.sample_steps) != 2:
+            raise ValueError("a run with an end per entry stores only its final sample")
+        ends = np.asarray(ends, dtype=float)
+        times = np.stack(np.broadcast_arrays(0.0, ends))
     width = rows0.shape[-1] if columns is None else len(columns)
-    rows0 = np.broadcast_to(rows0, np.broadcast_shapes(a0.shape[:-2], rows0.shape[:-2])
+    rows0 = np.broadcast_to(rows0, np.broadcast_shapes(batch, rows0.shape[:-2])
                             + rows0.shape[-2:])
     out = np.zeros((len(times),) + rows0.shape[:-1] + (width,),
                    dtype=np.result_type(a0, a1, rows0))
-    # The slices cut A0's first batch axis, which is axis ``lead`` of the rows.
-    lead = rows0.ndim - a0.ndim
-    n = a0.shape[0] if a0.ndim > 2 else 1
+    # The slices cut the first batch axis: axis ``lead`` of the rows and of
+    # the ends, and axis 0 of A0 or A1 where they carry it.  The ends take
+    # one axis per batch axis of the rows, the first at its full length.
+    lead = rows0.ndim - 2 - len(batch)
+    if ends is not None:
+        ends = ends.reshape((1,) * (rows0.ndim - 2 - ends.ndim) + ends.shape)
+        if batch:
+            ends = np.broadcast_to(ends, ends.shape[:lead] + batch[:1] + ends.shape[lead + 1:])
+    n = batch[0] if batch else 1
     for block in _blocks(a0, a1, rows0):
         # Where the block's part goes in the output, and which of its own
         # coordinates those are (all, in order, when none are picked).
@@ -539,16 +586,19 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
             local = local[kept]
         support = np.any(rows0[..., block] != 0, axis=tuple(range(rows0.ndim - 2)) + (-1,))
         rows, cut = np.flatnonzero(support)[:, np.newaxis], block[:, np.newaxis]
-        per_entry = _KERNEL_POWERS.shape[1] * len(block) ** 2 * math.prod(a0.shape[1:-2])
+        per_entry = _KERNEL_POWERS.shape[1] * len(block) ** 2 * math.prod(batch[1:])
         size = max(1, _KERNEL_BUDGET // per_entry)
         for start in range(0, n, size):
-            part = (slice(start, start + size),) if a0.ndim > 2 else ()
+            part = (slice(start, start + size),) if batch else ()
             at = (slice(None),) * lead + part
+            terms = (a[part] if a.ndim - 2 == len(batch) and len(a) > 1 else a
+                     for a in (a0, a1))
             # One block's part of one slice at a time, written straight
             # into the output.
             out[(slice(None),) + at][..., rows, kept] = _stroboscopic_core(
-                a0[part][..., cut, block], a1[..., cut, block], parity[block],
+                *(term[..., cut, block] for term in terms), parity[block],
                 rows0[at][..., rows, block], grid, local,
+                None if ends is None else ends[at],
             )
     return times, out
 
@@ -563,12 +613,14 @@ def _ordered_product(maps: np.ndarray) -> np.ndarray:
     return maps[0]
 
 
-def _rk4_step(rows: np.ndarray, b0, b1, omega: float, t: float, h: float) -> np.ndarray:
+def _rk4_step(rows: np.ndarray, b0, b1, omega: float, t, h) -> np.ndarray:
     """One classical RK4 step of ``h`` from ``t`` of ``rows`` under
     y' = y (b0 + cos(omega t) b1): four generator products, the generator
     taken at t, t + h/2 and t + h.  ``b0`` may carry leading batch axes that
-    broadcast with those of ``rows``."""
-    start, mid, end = (b0 + math.cos(omega * s) * b1 for s in (t, t + 0.5 * h, t + h))
+    broadcast with those of ``rows``, and ``t`` and ``h`` may be arrays, one
+    entry per batch entry of ``rows``."""
+    t, h = (np.asarray(x)[..., np.newaxis, np.newaxis] for x in (t, h))
+    start, mid, end = (b0 + np.cos(omega * s) * b1 for s in (t, t + 0.5 * h, t + h))
     k1 = rows @ start
     k2 = (rows + (0.5 * h) * k1) @ mid
     k3 = (rows + (0.5 * h) * k2) @ mid
@@ -576,40 +628,69 @@ def _rk4_step(rows: np.ndarray, b0, b1, omega: float, t: float, h: float) -> np.
     return rows + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None):
+def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """stack[index[s, e], e] for every s and every batch entry e: ``index``
+    (n, ...) has one axis per batch axis of the stack's matrices, of size 1
+    where the entries take the same element, or none when they all do."""
+    if index.ndim == 1:
+        return stack[index]
+    return np.take_along_axis(stack, index[..., np.newaxis, np.newaxis], axis=0)
+
+
+def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None,
+                       ends=None):
     """Samples (n_samples, ..., c, k) of one run on the lattice of ``grid``:
-    the coordinates ``columns`` of the d it runs on, or all of them when None."""
+    the coordinates ``columns`` of the d it runs on, or all of them when None.
+    ``ends``, with one axis per batch axis of ``rows0``, ends each entry at
+    its own time (:func:`_stroboscopic_run`)."""
     half, h, d = grid.m // 2, grid.dt, a0.shape[-1]
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
+    batch = np.broadcast_shapes(a0.shape[:-2], a1.shape[:-2])
     # The kept coordinates: a view of all of them when none are picked.
     keep = slice(None) if columns is None else columns
     width = d if columns is None else len(columns)
+    # The lattice step of each sample, shared by every entry or, with ends,
+    # with one axis per batch axis of the rows; and the remainder that the
+    # last one takes off the lattice, from the lattice time t_last.
+    if ends is None:
+        steps = np.minimum(grid.sample_steps, grid.lattice_steps)
+        t_last, delta, off_lattice = grid.t_end - grid.delta, grid.delta, grid.delta > 0
+    else:
+        own = [replace(grid, t_end=end) for end in ends.ravel().tolist()]
+        lattice = np.reshape([g.lattice_steps for g in own], ends.shape)
+        delta = np.reshape([g.delta for g in own], ends.shape)
+        steps, t_last = np.stack([np.zeros_like(lattice), lattice]), ends - delta
+        off_lattice = delta.any()
     # A sample is step j of period k and continues from the state y(kP) at
-    # the start of it; an off-lattice end is read at the last lattice step.
-    k, j = np.divmod(np.minimum(grid.sample_steps, grid.lattice_steps), grid.m)
+    # the start of it.
+    k, j = np.divmod(steps, grid.m)
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
     glide = j >= half
     j = np.where(glide, j - half, j)
     # The kept columns of the prefix maps Phi(j h) at the offsets that the
     # samples read, in one stack whose batch axes line up with the starts';
-    # the identity at offset 0.
+    # the identity at offset 0.  An off-lattice end also keeps the
+    # full-width prefix map at the offset of each entry's last lattice step.
     read, which = np.unique(j, return_inverse=True)
-    maps = np.empty((len(read),) + (1,) * (rows0.ndim - a0.ndim) + a0.shape[:-2] + (d, width),
-                    dtype=dtype)
+    which = which.reshape(j.shape)
+    ones = (1,) * (rows0.ndim - 2 - len(batch))
+    maps = np.empty((len(read),) + ones + batch + (d, width), dtype=dtype)
     maps[read == 0] = np.eye(d, dtype=dtype)[:, keep]
     stacked = dict(zip(read.tolist(), maps))
+    ending = dict.fromkeys(j[-1].ravel().tolist() if off_lattice else ())
     # One pass over half a period (or up to the last offset read, when no
     # sample needs the half-period map) fills the stack.  The prefix map is
     # formed only at the offsets read, at the end of the pass and at the
     # end of each chunk of step maps; the step maps between two of these
-    # are multiplied pairwise in order.  An off-lattice end keeps its
-    # full-width prefix map.
-    needs_half = k[-1] > 0 or glide.any()
+    # are multiplied pairwise in order.
+    needs_half = k[-1].any() or glide.any()
     last = half if needs_half else int(read[-1])
     stops = iter(sorted(set(read[read > 0].tolist()) | {last}))
     stop = next(stops)
-    prefix = np.broadcast_to(np.eye(d, dtype=dtype), a0.shape)
+    prefix = np.broadcast_to(np.eye(d, dtype=dtype), batch + (d, d))
+    if 0 in ending:
+        ending[0] = prefix
     done = 0
     for chunk in _step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h, last):
         first, end = done, done + len(chunk)
@@ -619,14 +700,14 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
             done = cut
             if cut in stacked:
                 stacked[cut][...] = prefix[..., keep]
-            if cut == j[-1]:
-                end_map = prefix
+            if cut in ending:
+                ending[cut] = prefix
             if cut == stop:
                 stop = next(stops, None)
-    # The period starts y(kP) that samples read, each gap between two of
-    # them crossed by the powers Phi(P)^(2^b) of its bits (each squared once,
-    # when first needed), and stacked after them y(kP) G for the samples in
-    # a second half.
+    # The period starts y(kP) that the samples of any entry read, each gap
+    # between two of them crossed by the powers Phi(P)^(2^b) of its bits
+    # (each squared once, when first needed), and stacked after them
+    # y(kP) G for the samples in a second half.
     if needs_half:
         glide_map = prefix * parity
         powers = [glide_map @ glide_map]
@@ -641,39 +722,42 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
             if gap >> bit & 1:
                 y = y @ powers[bit]
         starts[i] = y
-    origin = slot + len(starts) * glide
+    origin = slot.reshape(k.shape) + len(starts) * glide
     if glide.any():
         starts = np.concatenate([starts, starts @ glide_map])
-    # Each sample is its origin times its map, both gathered, a chunk of
-    # samples per product so that the gathered copies stay small.
+    # Each sample is its origin times its map, both gathered per entry, a
+    # chunk of samples per product so that the gathered copies stay small.
     out = np.empty((len(k),) + rows0.shape[:-1] + (width,), dtype=dtype)
     chunk = max(1, 2**13 // maps[0].size)
     for a in range(0, len(out), chunk):
-        np.matmul(starts[origin[a:a + chunk]], maps[which[a:a + chunk]], out=out[a:a + chunk])
-    out[glide] *= parity[keep]
-    if grid.delta:
+        np.matmul(_gather(starts, origin[a:a + chunk]), _gather(maps, which[a:a + chunk]),
+                  out=out[a:a + chunk])
+    out[glide if glide.ndim == 1 else np.broadcast_to(glide, out.shape[:-2])] *= parity[keep]
+    if ending:
         # An off-lattice end: the last sample is formed at full width, takes
         # one RK4 step of the remainder on its rows, and is cut afterwards.
-        y = starts[origin[-1]]
-        if j[-1]:
-            y = y @ end_map
-        if glide[-1]:
-            y = y * parity
-        out[-1] = _rk4_step(y, b0, b1, grid.omega, grid.t_end - grid.delta, grid.delta)[..., keep]
+        offsets = sorted(ending)
+        full = np.stack([ending[offset] for offset in offsets]).reshape(
+            (len(offsets),) + ones + batch + (d, d))
+        y = _gather(starts, origin[-1:])[0] @ _gather(full, np.searchsorted(offsets, j[-1:]))[0]
+        y[np.broadcast_to(glide[-1], y.shape[:-2])] *= parity
+        out[-1] = _rk4_step(y, b0, b1, grid.omega, t_last, delta)[..., keep]
     return out
 
 
 def _propagate(params, rows0: np.ndarray, grid: TimeGrid, *, density: bool, v=None,
-               gamma=None, columns=None):
+               gamma=None, omega=None, ends=None, columns=None):
     """(times, samples) of :func:`_stroboscopic_run` under the generator of
     ``params`` (:func:`_generator`), on a grid of its drive: a grid whose
-    ``omega`` is not ``params.omega`` raises ``ValueError``."""
-    if grid.omega != params.omega:
-        raise ValueError(
-            f"the grid is for the drive omega = {grid.omega}, not params.omega = {params.omega}"
-        )
-    return _stroboscopic_run(*_generator(params, density=density, v=v, gamma=gamma), rows0,
-                             grid, columns)
+    ``omega`` is not ``params.omega`` raises ``ValueError``.  With ``omega``,
+    an array of drive frequencies, the run is in drive-phase time, on a grid
+    of the unit drive (``grid.omega`` = 1)."""
+    drive = params.omega if omega is None else 1.0
+    if grid.omega != drive:
+        name = "params.omega" if omega is None else "the unit drive of drive-phase time"
+        raise ValueError(f"the grid is for the drive omega = {grid.omega}, not {name} = {drive}")
+    return _stroboscopic_run(*_generator(params, density=density, v=v, gamma=gamma, omega=omega),
+                             rows0, grid, columns, ends)
 
 
 def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:

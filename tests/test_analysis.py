@@ -21,7 +21,7 @@ from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
     GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, coordinates_of, hermitian_basis, product_amplitudes,
-    qubit_coordinates, unit_images,
+    qubit_coordinates, rk4_run, unit_images,
 )
 
 
@@ -236,6 +236,11 @@ class TestSweepHeatmap:
         with pytest.raises(ValueError):
             sweep_heatmap(cz_params, resolution=1)
 
+    @pytest.mark.parametrize("dt_divisor", [49, np.nan, np.inf])
+    def test_names_a_bad_dt_divisor(self, cz_params, dt_divisor):
+        with pytest.raises(ValueError, match="dt_divisor"):
+            sweep_heatmap(cz_params, resolution=2, dt_divisor=dt_divisor)
+
     @pytest.mark.parametrize("resolution", [2.5, np.nan, 1])
     def test_names_a_bad_resolution(self, cz_params, resolution):
         with pytest.raises(ValueError, match="resolution"):
@@ -243,13 +248,14 @@ class TestSweepHeatmap:
 
     @staticmethod
     def _sweep_with_final_state(cz_params, monkeypatch, perturb):
-        """3x3 CZ sweep in which ``perturb`` edits, in place, the final state
-        of the middle cell (V = 14.5) of every column."""
+        """3x3 CZ sweep in which ``perturb`` edits, in place, the final
+        states (omega, 9) of the middle cell (V = 14.5) of every column in
+        the batched output."""
         run = dynamics._stroboscopic_run
 
         def perturbed(*args, **kwargs):
             times, states = run(*args, **kwargs)
-            perturb(states[-1, 1, 0])
+            perturb(states[-1, :, 1, 0])
             return times, states
 
         monkeypatch.setattr(dynamics, "_stroboscopic_run", perturbed)
@@ -258,7 +264,7 @@ class TestSweepHeatmap:
 
     def test_nan_cell_trips_its_gates(self, cz_params, monkeypatch):
         def one_nan(psi):  # one amplitude only, and not the |rr> one
-            psi[hilbert.index_of(G1, RYD)] = np.nan
+            psi[:, hilbert.index_of(G1, RYD)] = np.nan
 
         grid = self._sweep_with_final_state(cz_params, monkeypatch, one_nan)
         assert np.all(np.isnan(grid.p_rr[1]))
@@ -303,18 +309,94 @@ class TestSweepHeatmap:
         params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
         grid = sweep_heatmap(params, v_range=(14.0, 16.0), w_range=(7.0, 8.0),
                              resolution=3, dt_divisor=400)
+        # One group on m = 2 x divisor steps per drive period.
+        assert grid.lattices == ((800, 3),)
         for j, w in enumerate(grid.w_axis):
             omega = w * OMEGA_M
-            # Each cell on its column's grid, which the stiffest cell sizes.
-            stiffest = DriveParams(omega_m=OMEGA_M, omega=omega, v=grid.v_axis[-1] * OMEGA_M,
-                                   gate=gate)
-            column_grid = TimeGrid.build(stiffest, np.pi * omega / OMEGA_M**2,
-                                         dt_divisor=400, sample_stride=10**9)
+            # Each cell on its group's lattice, in the time of its own drive.
+            column_grid = TimeGrid(np.pi * omega / OMEGA_M**2, omega, 800, 10**9)
             for i, v in enumerate(grid.v_axis):
                 cell = DriveParams(omega_m=OMEGA_M, omega=omega, v=v * OMEGA_M, gate=gate)
                 rho = dynamics.propagate_density(cell, hilbert.projector(G1, G1),
                                                  column_grid).final_state
                 assert abs(grid.p_rr[i, j] - rho[8, 8].real) <= 1e-8
+
+    # The default extent on one lattice, its 20 columns in two or three
+    # kernel slices (CZ, CNOT), and an extent that the V ceiling splits
+    # into two groups: the column of omega = 5 Omega_m, where V up to
+    # 12 Omega_m needs 120 steps per period, and the five others on 100.
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("v_range, resolution, dt_divisor, lattices", [
+        ((10.0, 20.0), 20, 400, ((800, 20),)),
+        ((10.0, 12.0), 6, 50, ((120, 1), (100, 5))),
+    ], ids=["one-group", "two-groups"])
+    def test_cells_match_per_column_runs(self, gate, v_range, resolution, dt_divisor,
+                                         lattices):
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = sweep_heatmap(params, v_range=v_range, w_range=(5.0, 10.0),
+                             resolution=resolution, dt_divisor=dt_divisor)
+        assert grid.lattices == lattices
+        m_of = np.repeat([m for m, _ in lattices], [n for _, n in lattices])
+        rows0 = hilbert.ket(G1, G1)[np.newaxis]
+        for j, w in enumerate(grid.w_axis):
+            # The column alone, in real time, on the lattice of its group.
+            column = DriveParams(omega_m=OMEGA_M, omega=w * OMEGA_M, v=0.0, gate=gate)
+            lattice = TimeGrid(np.pi * column.omega / OMEGA_M**2, column.omega, int(m_of[j]),
+                               10**9)
+            _, states = dynamics._propagate(column, rows0, lattice, density=False,
+                                            v=grid.v_axis * OMEGA_M)
+            p_rr = np.abs(states[-1, :, 0, 8]) ** 2
+            assert np.max(np.abs(grid.p_rr[:, j] - p_rr)) <= 1e-12
+
+    @pytest.mark.parametrize("gate", list(GateKind))
+    def test_cells_match_the_stepwise_reference(self, gate):
+        # Two cells of the benchmark's sweep, in two columns, against plain
+        # RK4 steps over the column's lattice in real time.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = sweep_heatmap(params, v_range=(10.0, 20.0), w_range=(5.0, 10.0),
+                             resolution=10, dt_divisor=100)
+        assert grid.lattices == ((200, 10),)
+        for i, j in [(7, 2), (3, 8)]:
+            cell = DriveParams(omega_m=OMEGA_M, omega=grid.w_axis[j] * OMEGA_M,
+                               v=grid.v_axis[i] * OMEGA_M, gate=gate)
+            lattice = TimeGrid(np.pi * cell.omega / OMEGA_M**2, cell.omega, 200, 10**9)
+            assert lattice.delta > 0.0
+
+            def rhs(t, psi):
+                return -1j * (models.hamiltonian(cell, t) @ psi)
+
+            _, states = rk4_run(rhs, hilbert.ket(G1, G1), lattice, hermitize=False)
+            assert abs(grid.p_rr[i, j] - abs(states[-1, 8]) ** 2) <= 1e-10
+
+    @pytest.mark.parametrize("gate, bound", [(GateKind.CZ, 9.2e-8), (GateKind.CNOT, 3.5e-8)])
+    def test_drive_sized_lattice_holds_where_v_reaches_ten_omega(self, gate, bound):
+        # On the default extent V <= 4 omega, and the worst cell at divisor
+        # 400 is off by 9.2e-8 (CZ) and 3.5e-8 (CNOT) against 4m.  V up to
+        # 10 omega runs on the same m = 800, and its cells stay within that
+        # bound of the run on 2m.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        runs = [sweep_heatmap(params, v_range=(10.0, 50.0), w_range=(5.0, 10.0),
+                              resolution=12, dt_divisor=divisor) for divisor in (400, 800)]
+        assert [run.lattices for run in runs] == [((800, 12),), ((1600, 12),)]
+        assert np.max(np.abs(runs[0].p_rr - runs[1].p_rr)) <= bound
+
+    def test_v_ceiling_splits_the_columns_into_groups(self):
+        # At divisor 50, V up to 20 Omega_m sets m = even ceil(1000/omega)
+        # per column below omega = 10 Omega_m: the default 60 columns fall
+        # into 46 groups, from m = 200 at omega = 5 Omega_m to 100 at 10.
+        w_axis = np.linspace(5.0, 10.0, 60)
+        groups = analysis._heatmap_lattices(w_axis, 20.0, 50)
+        assert len(groups) == 46
+        assert np.array_equal(np.concatenate([columns for columns, _ in groups]),
+                              np.arange(60))
+        assert (groups[0][1].m, groups[-1][1].m) == (200, 100)
+        for columns, grid in groups:
+            assert np.all(grid.m >= 50 * 20.0 / w_axis[columns] * (1.0 - 1e-9))
+            assert (grid.omega, grid.t_end) == (1.0, np.pi * w_axis[columns[-1]] ** 2)
+        # At divisor 100 and above the drive sets m for every column.
+        for divisor in (100, 400):
+            [(columns, grid)] = analysis._heatmap_lattices(w_axis, 20.0, divisor)
+            assert (len(columns), grid.m) == (60, 2 * divisor)
 
     def test_rejects_non_finite_ranges(self, cz_params):
         for bad in (np.nan, np.inf):

@@ -377,6 +377,9 @@ class TestScenarios:
         assert health["norm_gain_tol"] == 1e-6
         assert 1e-6 < health["max_norm_loss"] < 1e-3
         assert sidecar["run"] == RUN_RECORD
+        # The sweep's lattice: the V ceiling gives the column of omega = 5
+        # Omega_m 106 steps per period, and the two others 100.
+        assert sidecar["sweep_lattice"] == [{"m": 106, "columns": 1}, {"m": 100, "columns": 2}]
         # The grid block is the convergence probe's: the ridge time at the
         # configured operating point.
         angular = sidecar["resolved_angular"]
@@ -443,6 +446,31 @@ def test_python_m_rabsim_runs_without_warning():
     assert result.returncode == EXIT_IO
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("rabsim: ") and "missing.conf" in result.stderr
+
+
+# numpy imports some of its modules on first use, inside the solve: the
+# first plain np.unique(x) imports numpy.ma, about 10 ms in a fresh
+# interpreter.  A small run of each scenario must load no numpy module that
+# the import of rabsim.cli did not.
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_a_run_imports_no_numpy_module(scenario, tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    conf = tmp_path / "small.conf"
+    conf.write_text("resolution = 2\ngamma_points = 2\n")
+    argv = [scenario, *FAST, "--config", str(conf), "--out", str(tmp_path / "out.csv")]
+    probe = ("import json, sys\n"
+             "from rabsim import cli\n"
+             "before = set(sys.modules)\n"
+             "code = cli.main(json.loads(sys.argv[1]))\n"
+             "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    assert code == EXIT_OK
+    assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
 
 
 def test_csv_is_written_as_savetxt_writes_it(tmp_path):

@@ -137,9 +137,9 @@ OPERATING_POINT = ["--omega-m-mhz", "2", "--omega-ratio", "7.5"]
 
 # The lattice of every scenario default and of the four workloads of
 # bench/run.py: the grid that the sidecar records, always on the lattice.
-# Then two columns of the default 60x60 heatmap, where build's rule (the even
-# ceiling of P over t_end/ceil(t_end/dt)) and the direct even ceiling of
-# divisor * fastest/omega (1180 and 944) part.
+# Then two columns of the default 60x60 heatmap, each at its own end on the
+# lattice of its group in drive-phase time: m = 2 x divisor for every
+# column, which ends off its lattice.
 @pytest.mark.parametrize("argv, column, m, n_steps, delta_over_h", [
     (["rab-populations"], None, 800, 45000, 0.0),
     (["gate-fidelity", "--gate", "cz"], None, 800, 45200, 0.0),
@@ -155,8 +155,8 @@ OPERATING_POINT = ["--omega-m-mhz", "2", "--omega-ratio", "7.5"]
     (["heatmap", *OPERATING_POINT, "--gamma-khz", "0", "--dt-divisor", "100"], None, 200, 5625,
      0.0),
     (["rab-populations", *OPERATING_POINT, "--gamma-khz", "0"], None, 800, 45000, 0.0),
-    (["heatmap", "--gate", "cz"], 21, 1182, 27165, 0.6078713013448731),
-    (["heatmap", "--gate", "cnot"], 41, 946, 33971, 0.12352772190240341),
+    (["heatmap", "--gate", "cz"], 21, 800, 18386, 0.5214018960004514),
+    (["heatmap", "--gate", "cnot"], 41, 800, 28728, 0.37719046250189875),
 ], ids=["rab-populations", "gate-fidelity-cz", "gate-fidelity-cnot", "fidelity-vs-gamma-cz",
         "fidelity-vs-gamma-cnot", "heatmap-cz", "heatmap-cnot", "bench-gate-cz",
         "bench-gamma-sweep-cnot", "bench-heatmap", "bench-populations",
@@ -167,10 +167,12 @@ def test_scenario_lattice(argv, column, m, n_steps, delta_over_h):
     if column is None:
         grid = cli._scenario_grid(config, params)
     else:
-        # The column's grid, sized by its stiffest cell (V = v_max).
+        # The column's end, tau = pi omega^2/Omega_m^2, on its group's lattice.
         axis = np.linspace(config.w_min, config.w_max, config.resolution)
-        v_ratios = np.linspace(config.v_min, config.v_max, config.resolution)
-        _, grid = analysis._column_grid(params, axis[column], v_ratios, config.dt_divisor)
+        [grid] = [grid for columns, grid in
+                  analysis._heatmap_lattices(axis, config.v_max, config.dt_divisor)
+                  if column in columns]
+        grid = replace(grid, t_end=np.pi * axis[column] ** 2)
     assert (grid.m, grid.n_steps) == (m, n_steps)
     assert grid.delta == pytest.approx(delta_over_h * grid.dt, rel=1e-9, abs=0.0)
 
@@ -181,8 +183,9 @@ def test_scenario_lattice(argv, column, m, n_steps, delta_over_h):
 ], ids=lambda argv: argv[0])
 def test_runners_integrate_on_the_scenario_grid(argv, tmp_path, monkeypatch):
     # Every grid a small run propagates on, in order: the scenario's grid
-    # first (the heatmap's columns come before its probe), and then the
-    # convergence check's halved grid where there is one.
+    # first (the heatmap's groups of columns come before its probe, one
+    # grid each), and then the convergence check's halved grid where there
+    # is one.
     conf = tmp_path / "small.conf"
     conf.write_text("dt_divisor = 50\ngamma_points = 2\nresolution = 2\n")
     argv = argv + ["--config", str(conf), "--out", str(tmp_path / "out.csv")]
@@ -198,9 +201,11 @@ def test_runners_integrate_on_the_scenario_grid(argv, tmp_path, monkeypatch):
     params = config.drive_params()
     grid = cli._scenario_grid(config, params)
     if config.scenario == "heatmap":
-        v_ratios = np.array([config.v_min, config.v_max])
-        assert grids[:2] == [analysis._column_grid(params, w, v_ratios, config.dt_divisor)[1]
-                             for w in (config.w_min, config.w_max)]
+        # At divisor 50 the V ceiling puts the two columns on m = 200 and 100.
+        groups = analysis._heatmap_lattices(np.array([config.w_min, config.w_max]),
+                                            config.v_max, config.dt_divisor)
+        assert [grid.m for _, grid in groups] == [200, 100]
+        assert grids[:2] == [grid for _, grid in groups]
         grids = grids[2:]
     # The heatmap's probe stores only its final sample.
     assert replace(grids[0], sample_stride=grid.sample_stride) == grid
@@ -939,6 +944,36 @@ class TestFinalStateRuns:
             full = propagate_process(cnot_decay_params, every, gamma=rates).images
             last = propagate_process(cnot_decay_params, final, gamma=rates).images
             self._assert_same_end(last[-1], full[-1], offset)
+
+
+    def test_an_end_per_entry(self, cz_params, monkeypatch):
+        # Every window above at once, in drive-phase time tau = omega t: a
+        # batch over omega and V whose entries each end at their own tau,
+        # one omega a kernel slice, against each omega's run alone on its
+        # own window in real time.
+        m = 22
+        ends = np.array([grid.t_end * cz_params.omega
+                         for off_lattice in (False, True) for periods in self.PERIODS
+                         for _, grid, _ in self._windows(cz_params, m, periods, off_lattice)])
+        omega = cz_params.omega * np.linspace(0.8, 1.2, len(ends))[:, np.newaxis]
+        v = np.array([10.0, 20.0]) * OMEGA_M
+        rows0 = hilbert.ket(G1, G1)[np.newaxis]
+        grid = TimeGrid(float(np.max(ends)), 1.0, m, 10**9)
+        monkeypatch.setattr(dynamics, "_KERNEL_BUDGET", 1)
+        times, last = dynamics._propagate(cz_params, rows0, grid, density=False, v=v,
+                                          omega=omega, ends=ends[:, np.newaxis])
+        assert np.array_equal(times, [np.zeros((len(ends), 1)), ends[:, np.newaxis]])
+        for e, end in enumerate(ends):
+            entry = DriveParams(omega_m=OMEGA_M, omega=float(omega[e, 0]), v=0.0)
+            own = TimeGrid(end / entry.omega, entry.omega, m, 10**9)
+            _, alone = dynamics._propagate(entry, rows0, own, density=False, v=v)
+            self._assert_same_end(last[-1, e], alone[-1], e)
+        with pytest.raises(ValueError, match="unit drive"):
+            dynamics._propagate(cz_params, rows0, own, density=False, v=v, omega=omega,
+                                ends=ends[:, np.newaxis])
+        with pytest.raises(ValueError, match="only its final sample"):
+            dynamics._propagate(cz_params, rows0, replace(grid, sample_stride=1),
+                                density=False, v=v, omega=omega, ends=ends[:, np.newaxis])
 
 
 class TestHealthGatesTripOnNan:
