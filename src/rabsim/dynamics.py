@@ -49,19 +49,14 @@ They are formed once per block and step size from the 30 words of length
 then one product of cosine monomials with the kernels per chunk of steps
 (:func:`_step_maps`): 12 d^2 multiply-adds a step on a block of d.
 
-The maps are multiplied only where the samples need them.  A prefix map
-is formed only at the offsets that samples read, at the end of the pass
-and at the end of each chunk; the n step maps between two such points are
-multiplied pairwise in order, (M1 M2)(M3 M4)..., in ceil(log2 n) batched
-calls (:func:`_ordered_product`).  The period starts y(kP) are formed only
-for the periods that samples read, each gap between two of them crossed by
-the binary powers Phi(P)^(2^b) of its bits, each power squared once when
-first needed.  The products stay d^3 multiply-adds a step, but a run that
-stores only its final state makes about log2 r numpy calls per chunk of r
-steps instead of r, and about 2 log2 K for K periods instead of K: on
-these small blocks most of a product's time is the call.  A run that reads
-every offset and every period takes one product per step and per period,
-in the order of a plain pass.
+The pass multiplies its step maps in order, one product a step, and keeps
+the prefix map at each offset that a sample reads; it stops at the last
+offset read when no sample needs Phi(P/2).  The period starts y(kP) are
+formed only for the periods that samples read, each gap between two of them
+crossed by the binary powers Phi(P)^(2^b) of its bits, each power squared
+once when first needed: about 2 log2 K products for K periods instead of K.
+A run that reads every period takes one product per period, and every
+run's prefix maps are those of a plain pass.
 
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
@@ -484,6 +479,9 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     return blocks
 
 
+# A diverging run overflows to inf and NaN quietly: the health gates of the
+# propagators judge its output.
+@np.errstate(over="ignore", invalid="ignore")
 def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None,
                       ends=None):
     """Propagate under dy/dt = (A0 + cos(omega t) A1) y, omega = ``grid.omega``,
@@ -514,12 +512,10 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     Phi(s) only for s < P/2: the same pass stacks the kept columns of Phi(s)
     at each offset s that a sample reads, and the samples are one batched
     product of their origins y(kP) or y(kP) G with their maps, both
-    gathered from the stacks.  The pass forms the prefix map only at those
-    offsets, at its end and at the end of each chunk of step maps, and
-    multiplies the step maps in between pairwise; the starts y(kP) are
-    formed only for the periods that samples read, by binary powers of
-    Phi(P).  A run that stores only its final sample thus makes a few
-    calls per chunk and per doubling of the window.  A window that ends off
+    gathered from the stacks.  The pass multiplies the step maps in order;
+    the starts y(kP) are formed only for the periods that samples read, by
+    binary powers of Phi(P), so a run that stores only its final sample
+    makes a few products per doubling of the window.  A window that ends off
     the lattice is read at its last lattice step and advanced to t_end by
     one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`).
 
@@ -603,16 +599,6 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     return times, out
 
 
-def _ordered_product(maps: np.ndarray) -> np.ndarray:
-    """The product M_1 M_2 ... M_n of a stack of maps (n, ..., d, d), taken
-    pairwise in order, (M_1 M_2)(M_3 M_4)... with an odd last map carried to
-    the next round: n - 1 products in ceil(log2 n) batched calls."""
-    while len(maps) > 1:
-        paired = maps[0:-1:2] @ maps[1::2]
-        maps = np.concatenate([paired, maps[-1:]]) if len(maps) % 2 else paired
-    return maps[0]
-
-
 def _rk4_step(rows: np.ndarray, b0, b1, omega: float, t, h) -> np.ndarray:
     """One classical RK4 step of ``h`` from ``t`` of ``rows`` under
     y' = y (b0 + cos(omega t) b1): four generator products, the generator
@@ -680,30 +666,21 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
     stacked = dict(zip(read.tolist(), maps))
     ending = dict.fromkeys(j[-1].ravel().tolist() if off_lattice else ())
     # One pass over half a period (or up to the last offset read, when no
-    # sample needs the half-period map) fills the stack.  The prefix map is
-    # formed only at the offsets read, at the end of the pass and at the
-    # end of each chunk of step maps; the step maps between two of these
-    # are multiplied pairwise in order.
+    # sample needs the half-period map) fills the stack, one step at a time.
     needs_half = k[-1].any() or glide.any()
     last = half if needs_half else int(read[-1])
-    stops = iter(sorted(set(read[read > 0].tolist()) | {last}))
-    stop = next(stops)
     prefix = np.broadcast_to(np.eye(d, dtype=dtype), batch + (d, d))
     if 0 in ending:
         ending[0] = prefix
     done = 0
     for chunk in _step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h, last):
-        first, end = done, done + len(chunk)
-        while done < end:
-            cut = min(stop, end)
-            prefix = prefix @ _ordered_product(chunk[done - first:cut - first])
-            done = cut
-            if cut in stacked:
-                stacked[cut][...] = prefix[..., keep]
-            if cut in ending:
-                ending[cut] = prefix
-            if cut == stop:
-                stop = next(stops, None)
+        for step in chunk:
+            prefix = prefix @ step
+            done += 1
+            if done in stacked:
+                stacked[done][...] = prefix[..., keep]
+            if done in ending:
+                ending[done] = prefix
     # The period starts y(kP) that the samples of any entry read, each gap
     # between two of them crossed by the powers Phi(P)^(2^b) of its bits
     # (each squared once, when first needed), and stacked after them

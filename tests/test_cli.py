@@ -37,6 +37,13 @@ RUN_RECORD = {
 }
 
 
+def _subprocess_env() -> dict:
+    """The environment of a ``python -m rabsim`` child that imports this rabsim."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+
+
 def test_unit_conversion_round_numbers():
     np.testing.assert_allclose(cyclic_to_angular(2.0, 1e6), 2.0 * np.pi * 2e6)
     np.testing.assert_allclose(cyclic_to_angular(1.5, 1e3), 2.0 * np.pi * 1.5e3)
@@ -245,6 +252,22 @@ class TestExitCodes:
         assert code == cli.EXIT_INTEGRATOR
         assert "drifted by nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gate-fidelity", "--gamma-khz", "1e30"],
+        ["fidelity-vs-gamma", "--gamma-khz", "1e300"],
+    ])
+    def test_diverging_run_exits_3_with_one_line(self, argv, tmp_path, capsys):
+        # The maps overflow to inf and NaN; the health gate names the drift,
+        # and no numpy warning escapes, in-process or on stderr.
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == cli.EXIT_INTEGRATOR
+        assert "drifted by nan" in capsys.readouterr().err
+        result = subprocess.run([sys.executable, "-m", "rabsim", *argv], env=_subprocess_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == cli.EXIT_INTEGRATOR
+        assert result.stderr.startswith("rabsim: ") and result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_arithmetic_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def overflow(*args, **kwargs):
             raise OverflowError("numerical result out of range")
@@ -431,9 +454,7 @@ def test_readme_lists_the_flags_and_file_only_keys():
 
 
 def test_python_m_rabsim_runs_without_warning():
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    env = _subprocess_env()
     result = subprocess.run([sys.executable, "-m", "rabsim", "--help"], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
@@ -454,9 +475,7 @@ def test_python_m_rabsim_runs_without_warning():
 # the import of rabsim.cli did not.
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_a_run_imports_no_numpy_module(scenario, tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    env = _subprocess_env()
     conf = tmp_path / "small.conf"
     conf.write_text("resolution = 2\ngamma_points = 2\n")
     argv = [scenario, *FAST, "--config", str(conf), "--out", str(tmp_path / "out.csv")]
