@@ -330,6 +330,10 @@ def _run_rab_populations(config: ScenarioConfig):
 
 def _run_heatmap(config: ScenarioConfig):
     params = config.drive_params()
+    # Convergence probe at the configured operating point, on a grid built
+    # before the sweep so that a lattice too long to index fails first; the
+    # sidecar's grid block records it.
+    ridge_grid = _scenario_grid(config, params)
     grid_result = analysis.sweep_heatmap(
         params,
         v_range=(config.v_min, config.v_max),
@@ -338,9 +342,6 @@ def _run_heatmap(config: ScenarioConfig):
         dt_divisor=config.dt_divisor,
     )
     v, w = np.meshgrid(grid_result.v_axis, grid_result.w_axis, indexing="ij")
-    # Convergence probe at the configured operating point; the sidecar's
-    # grid block records its grid.
-    ridge_grid = _scenario_grid(config, params)
     probe = dynamics.propagate_density(
         params, hilbert.projector(hilbert.G1, hilbert.G1),
         replace(ridge_grid, sample_stride=10**9),
@@ -423,6 +424,8 @@ def main(argv=None) -> int:
         code, message = EXIT_VALIDATION, exc
     except (IntegratorHealthError, ArithmeticError) as exc:
         code, message = EXIT_INTEGRATOR, exc
+    except MemoryError as exc:  # a run too large for this machine
+        code, message = EXIT_INTEGRATOR, f"out of memory: {exc}"
     except OSError as exc:
         code, message = EXIT_IO, exc
     print(f"rabsim: {message}", file=sys.stderr)

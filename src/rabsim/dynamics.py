@@ -28,12 +28,14 @@ s < P/2 and y(kP) G Phi(s - P/2) Pi after that.  A window that ends off the
 step lattice is read at its last lattice step and advanced to t_end by one
 plain RK4 step of the remainder on its rows, so every run ends exactly at
 t_end.  Each invariant block (below) thus takes at most m/2 RK4 steps of
-P/m, plus at most one short step, however long the window.  The kept
-columns of the prefix maps that samples read sit in one stack, and the
-samples are one batched product of it with the starts y(kP) and y(kP) G,
-both factors gathered per sample.  In exact arithmetic this is the same
-product of RK4 step maps as stepping through the lattice and then the
-short step, which the step-by-step references of the tests do.
+P/m, plus at most one short step, however long the window.  The prefix
+maps that samples read sit in one stack, at full width; the samples are
+one batched product of its kept columns, cut once after the pass, with the
+starts y(kP) and y(kP) G, both factors gathered per sample, and the short
+step reads its full-width map from the same stack.  In exact arithmetic
+this is the same product of RK4 step maps as stepping through the lattice
+and then the short step, which the step-by-step references of the tests
+do.
 
 Each step is applied as its map.  On rows (y' = y B with B = A^T =
 b0 + c(t) b1), one RK4 step of h from t is y -> y M with
@@ -66,8 +68,9 @@ map split into 25 + 2x20 + 8 + 2x4 for CZ and 45 + 36 for CNOT (the real
 and imaginary parts of a coherence share a block); |11><11| without decay
 reaches one block of 16, and the pure |11> of a heatmap one of 4
 amplitudes (CZ) or 6 (CNOT).  A run may keep only some output coordinates:
-the maps are cut to them before the samples are formed.  A process map keeps
-21 of the 81, the qubit block and the diagonal.
+the stack of maps is cut to them once, after the pass, and the samples are
+formed from the cut.  A process map keeps 21 of the 81, the qubit block and
+the diagonal.
 
 A0 is linear in the static rates V and gamma, and a run may carry a batch
 of them on leading axes of A0: the decay sweep runs its rates that way, in
@@ -166,6 +169,11 @@ class TimeGrid:
             raise ValueError(f"m must be even and >= 2, got {self.m}")
         if not self.sample_stride >= 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        # Step indices are numpy integers: a longer lattice cannot be indexed.
+        steps, limit = self.t_end / self.dt, np.iinfo(np.intp).max
+        if not (self.m <= limit and steps < limit):
+            raise ValueError(f"the lattice of m = {self.m:.6g} steps per drive period takes "
+                             f"{steps:.6g} steps to t_end; both must be below {limit}")
 
     @classmethod
     def build(
@@ -509,29 +517,31 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     maps (:func:`_step_maps`), into Phi(P/2), and
     Phi(P) = G G with G = Phi(P/2) Pi.  A state at kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
-    Phi(s) only for s < P/2: the same pass stacks the kept columns of Phi(s)
-    at each offset s that a sample reads, and the samples are one batched
-    product of their origins y(kP) or y(kP) G with their maps, both
+    Phi(s) only for s < P/2: the same pass stacks Phi(s) at each offset s
+    that a sample reads, and the samples are one batched product of their
+    origins y(kP) or y(kP) G with the kept columns of their maps, both
     gathered from the stacks.  The pass multiplies the step maps in order;
     the starts y(kP) are formed only for the periods that samples read, by
     binary powers of Phi(P), so a run that stores only its final sample
     makes a few products per doubling of the window.  A window that ends off
     the lattice is read at its last lattice step and advanced to t_end by
-    one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`).
+    one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`),
+    from its full-width map in the same stack.
 
     ``ends``, an array of end times that broadcasts with the batch axes of
     A0 and A1, gives each batch entry its own window on the lattice of
-    ``grid``: entry e ends where ``replace(grid, t_end=ends[e])`` would, and
-    the run stores its initial and final states only, so ``grid`` must store
-    no other sample.  The pass then stops at the offsets of every entry's
-    end, the starts are formed for every entry's last period and gathered
-    per entry, and the short steps are one batched step of each entry's
-    remainder.
+    ``grid``: entry e ends where ``replace(grid, t_end=ends[e])`` would, at
+    or before ``grid.t_end``, and the run stores its initial and final
+    states only, so ``grid`` must store no other sample.  The pass then
+    stops at the offsets of every entry's end, the starts are formed for
+    every entry's last period and gathered per entry, and the short steps
+    are one batched step of each entry's remainder.
 
     ``columns`` (an index array into the d coordinates) keeps only those
     output coordinates, k = len(columns) of them in that order; None keeps
-    all d.  A sample then costs c x d x k multiply-adds instead of
-    c x d x d, and a block with no kept coordinate is not propagated.
+    all d, as ``np.arange(d)``.  The stack of prefix maps is cut to them
+    once, after the pass, so a sample costs c x d x k multiply-adds instead
+    of c x d x d, and a block with no kept coordinate is not propagated.
 
     Returns (times, samples) at ``grid.sample_steps``; with ``ends``, the
     times have shape (2,) + ``ends.shape``, 0 and each entry's end.
@@ -554,10 +564,10 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
             raise ValueError("a run with an end per entry stores only its final sample")
         ends = np.asarray(ends, dtype=float)
         times = np.stack(np.broadcast_arrays(0.0, ends))
-    width = rows0.shape[-1] if columns is None else len(columns)
+    columns = np.arange(rows0.shape[-1]) if columns is None else columns
     rows0 = np.broadcast_to(rows0, np.broadcast_shapes(batch, rows0.shape[:-2])
                             + rows0.shape[-2:])
-    out = np.zeros((len(times),) + rows0.shape[:-1] + (width,),
+    out = np.zeros((len(times),) + rows0.shape[:-1] + (len(columns),),
                    dtype=np.result_type(a0, a1, rows0))
     # The slices cut the first batch axis: axis ``lead`` of the rows and of
     # the ends, and axis 0 of A0 or A1 where they carry it.  The ends take
@@ -569,17 +579,14 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
             ends = np.broadcast_to(ends, ends.shape[:lead] + batch[:1] + ends.shape[lead + 1:])
     n = batch[0] if batch else 1
     for block in _blocks(a0, a1, rows0):
-        # Where the block's part goes in the output, and which of its own
-        # coordinates those are (all, in order, when none are picked).
-        kept, local = block, None
-        if columns is not None:
-            position = np.full(rows0.shape[-1], -1)
-            position[block] = np.arange(len(block))
-            local = position[columns]
-            kept = np.flatnonzero(local >= 0)
-            if not len(kept):
-                continue
-            local = local[kept]
+        # Which of the kept coordinates the block holds, where they go in
+        # the output (kept) and which of its own coordinates they are (local).
+        position = np.full(rows0.shape[-1], -1)
+        position[block] = np.arange(len(block))
+        local = position[columns]
+        kept = np.flatnonzero(local >= 0)
+        if not len(kept):
+            continue
         support = np.any(rows0[..., block] != 0, axis=tuple(range(rows0.ndim - 2)) + (-1,))
         rows, cut = np.flatnonzero(support)[:, np.newaxis], block[:, np.newaxis]
         per_entry = _KERNEL_POWERS.shape[1] * len(block) ** 2 * math.prod(batch[1:])
@@ -593,7 +600,7 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
             # into the output.
             out[(slice(None),) + at][..., rows, kept] = _stroboscopic_core(
                 *(term[..., cut, block] for term in terms), parity[block],
-                rows0[at][..., rows, block], grid, local,
+                rows0[at][..., rows, block], grid, local[kept],
                 None if ends is None else ends[at],
             )
     return times, out
@@ -623,64 +630,53 @@ def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(stack, index[..., np.newaxis, np.newaxis], axis=0)
 
 
-def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None,
+def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns: np.ndarray,
                        ends=None):
     """Samples (n_samples, ..., c, k) of one run on the lattice of ``grid``:
-    the coordinates ``columns`` of the d it runs on, or all of them when None.
+    the coordinates ``columns``, an index array, of the d it runs on.
     ``ends``, with one axis per batch axis of ``rows0``, ends each entry at
-    its own time (:func:`_stroboscopic_run`)."""
+    its own time, and every run ends at ``grid.t_end`` without it
+    (:func:`_stroboscopic_run`)."""
     half, h, d = grid.m // 2, grid.dt, a0.shape[-1]
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     batch = np.broadcast_shapes(a0.shape[:-2], a1.shape[:-2])
-    # The kept coordinates: a view of all of them when none are picked.
-    keep = slice(None) if columns is None else columns
-    width = d if columns is None else len(columns)
-    # The lattice step of each sample, shared by every entry or, with ends,
-    # with one axis per batch axis of the rows; and the remainder that the
-    # last one takes off the lattice, from the lattice time t_last.
-    if ends is None:
-        steps = np.minimum(grid.sample_steps, grid.lattice_steps)
-        t_last, delta, off_lattice = grid.t_end - grid.delta, grid.delta, grid.delta > 0
-    else:
-        own = [replace(grid, t_end=end) for end in ends.ravel().tolist()]
-        lattice = np.reshape([g.lattice_steps for g in own], ends.shape)
-        delta = np.reshape([g.delta for g in own], ends.shape)
-        steps, t_last = np.stack([np.zeros_like(lattice), lattice]), ends - delta
-        off_lattice = delta.any()
+    # The lattice step of each sample, with one axis per axis of the ends,
+    # and the remainder that the last one takes off the lattice, from the
+    # lattice time t_last.
+    ends = np.asarray(grid.t_end if ends is None else ends)
+    own = [replace(grid, t_end=end) for end in ends.ravel().tolist()]
+    lattice = np.reshape([g.lattice_steps for g in own], ends.shape)
+    delta = np.reshape([g.delta for g in own], ends.shape)
+    steps = np.minimum(grid.sample_steps.reshape((-1,) + (1,) * ends.ndim), lattice)
+    t_last = ends - delta
     # A sample is step j of period k and continues from the state y(kP) at
     # the start of it.
     k, j = np.divmod(steps, grid.m)
     # Step j >= m/2 of a period is step j - m/2 of its glided second half.
     glide = j >= half
     j = np.where(glide, j - half, j)
-    # The kept columns of the prefix maps Phi(j h) at the offsets that the
-    # samples read, in one stack whose batch axes line up with the starts';
-    # the identity at offset 0.  An off-lattice end also keeps the
-    # full-width prefix map at the offset of each entry's last lattice step.
+    # The full-width prefix maps Phi(j h) at the offsets that the samples
+    # read, in one stack whose batch axes line up with the starts'; the
+    # identity at offset 0.
     read, which = np.unique(j, return_inverse=True)
     which = which.reshape(j.shape)
     ones = (1,) * (rows0.ndim - 2 - len(batch))
-    maps = np.empty((len(read),) + ones + batch + (d, width), dtype=dtype)
-    maps[read == 0] = np.eye(d, dtype=dtype)[:, keep]
+    maps = np.empty((len(read),) + ones + batch + (d, d), dtype=dtype)
+    maps[read == 0] = np.eye(d, dtype=dtype)
     stacked = dict(zip(read.tolist(), maps))
-    ending = dict.fromkeys(j[-1].ravel().tolist() if off_lattice else ())
     # One pass over half a period (or up to the last offset read, when no
     # sample needs the half-period map) fills the stack, one step at a time.
     needs_half = k[-1].any() or glide.any()
     last = half if needs_half else int(read[-1])
     prefix = np.broadcast_to(np.eye(d, dtype=dtype), batch + (d, d))
-    if 0 in ending:
-        ending[0] = prefix
     done = 0
     for chunk in _step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h, last):
         for step in chunk:
             prefix = prefix @ step
             done += 1
             if done in stacked:
-                stacked[done][...] = prefix[..., keep]
-            if done in ending:
-                ending[done] = prefix
+                stacked[done][...] = prefix
     # The period starts y(kP) that the samples of any entry read, each gap
     # between two of them crossed by the powers Phi(P)^(2^b) of its bits
     # (each squared once, when first needed), and stacked after them
@@ -702,23 +698,23 @@ def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, column
     origin = slot.reshape(k.shape) + len(starts) * glide
     if glide.any():
         starts = np.concatenate([starts, starts @ glide_map])
-    # Each sample is its origin times its map, both gathered per entry, a
-    # chunk of samples per product so that the gathered copies stay small.
-    out = np.empty((len(k),) + rows0.shape[:-1] + (width,), dtype=dtype)
-    chunk = max(1, 2**13 // maps[0].size)
+    # Each sample is its origin times the kept columns of its map, both
+    # gathered per entry, a chunk of samples per product so that the
+    # gathered copies stay small.
+    kept = np.take(maps, columns, axis=-1)
+    out = np.empty((len(k),) + rows0.shape[:-1] + (len(columns),), dtype=dtype)
+    chunk = max(1, 2**13 // kept[0].size)
     for a in range(0, len(out), chunk):
-        np.matmul(_gather(starts, origin[a:a + chunk]), _gather(maps, which[a:a + chunk]),
+        np.matmul(_gather(starts, origin[a:a + chunk]), _gather(kept, which[a:a + chunk]),
                   out=out[a:a + chunk])
-    out[glide if glide.ndim == 1 else np.broadcast_to(glide, out.shape[:-2])] *= parity[keep]
-    if ending:
-        # An off-lattice end: the last sample is formed at full width, takes
-        # one RK4 step of the remainder on its rows, and is cut afterwards.
-        offsets = sorted(ending)
-        full = np.stack([ending[offset] for offset in offsets]).reshape(
-            (len(offsets),) + ones + batch + (d, d))
-        y = _gather(starts, origin[-1:])[0] @ _gather(full, np.searchsorted(offsets, j[-1:]))[0]
+    out[glide if glide.ndim == 1 else np.broadcast_to(glide, out.shape[:-2])] *= parity[columns]
+    if delta.any():
+        # An off-lattice end: the last sample is formed again from the
+        # full-width map of its stack, takes one RK4 step of the remainder
+        # on its rows, and is cut afterwards.
+        y = _gather(starts, origin[-1:])[0] @ _gather(maps, which[-1:])[0]
         y[np.broadcast_to(glide[-1], y.shape[:-2])] *= parity
-        out[-1] = _rk4_step(y, b0, b1, grid.omega, t_last, delta)[..., keep]
+        out[-1] = _rk4_step(y, b0, b1, grid.omega, t_last, delta)[..., columns]
     return out
 
 

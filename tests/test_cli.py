@@ -240,6 +240,30 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        *([scenario, "--v-over-om", "1e300"] for scenario in cli.SCENARIOS),
+        ["rab-populations", "--omega-ratio", "1e12"],
+        ["gate-fidelity", "--omega-ratio", "1e12"],
+    ])
+    def test_lattice_beyond_the_index_range_is_validation_error(self, argv, tmp_path, capsys):
+        # Finite inputs whose step lattice outgrows numpy's index integers:
+        # TimeGrid rejects the lattice before anything is allocated.
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("rabsim: the lattice of m = ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def too_large(config):
+            raise MemoryError("Unable to allocate 194. TiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "rab-populations", too_large)
+        code = main(["rab-populations", "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_INTEGRATOR
+        assert capsys.readouterr().err == (
+            "rabsim: out of memory: Unable to allocate 194. TiB for an array\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_dynamics_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         generator = cli.dynamics._generator
 

@@ -1102,7 +1102,7 @@ class TestInvariantBlocks:
         reach = np.sort(np.concatenate(dynamics._blocks(a0, a1, rows0)))
         unsplit = dynamics._stroboscopic_core(
             a0[..., reach[:, np.newaxis], reach], a1[reach[:, np.newaxis], reach],
-            parity[reach], rows0[..., reach], grid,
+            parity[reach], rows0[..., reach], grid, np.arange(len(reach)),
         )
         assert times[-1] == grid.t_end and len(times) == len(unsplit)
         assert np.max(np.abs(out[..., reach] - unsplit)) <= 1e-12

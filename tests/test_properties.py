@@ -133,7 +133,7 @@ def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, re
     assert len(set(covered.tolist())) == len(covered)
 
     times, out = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
-    whole = dynamics._stroboscopic_core(a0, a1, parity, rows0, grid)
+    whole = dynamics._stroboscopic_core(a0, a1, parity, rows0, grid, np.arange(dim))
     assert (grid.n_steps, grid.delta) == (steps, 0.0)
     assert np.array_equal(times, grid.dt * grid.sample_steps)
     assert out.dtype == whole.dtype == (np.float64 if real else np.complex128)
