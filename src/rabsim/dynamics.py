@@ -302,6 +302,9 @@ _KERNEL_POWERS = np.indices((2, 3, 2)).reshape(3, -1)
 #: Elements that the RK4 kernels of one batch slice of one block may hold.
 _KERNEL_BUDGET = 2**16
 
+#: Steps whose cosine monomials :func:`_step_maps` forms at a time.
+_STEP_WINDOW = 4096
+
 
 def _rk4_kernels(b0: np.ndarray, b1: np.ndarray, h: float) -> np.ndarray:
     """The 12 kernels (12, ..., d, d) of an RK4 step of ``h`` on rows under
@@ -357,17 +360,36 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
     batched run reproduces the unbatched runs of its entries bit for bit.
     Complex kernels are contracted as their real and imaginary parts side
     by side.
+
+    The monomials c1^a c2^b c4^e are the outer product of [1, c1],
+    [1, c2, c2 c2] and [1, c4], in kernel order 6a + 2b + e, and not powers:
+    libm's ``pow`` of a negative base costs over ten times a product, and
+    half the cosines of a half-period pass are negative.  They are formed
+    per window of whole chunks of at most ``_STEP_WINDOW`` steps (one chunk
+    when a chunk is longer), so that a pass of any length holds the
+    cosines of one window at a time; a window's step times are the same
+    floats as those of one array over the whole pass.
     """
-    t = t0 + h * np.arange(n_steps)
-    cosines = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
-    monomials = np.prod(cosines[:, :, np.newaxis] ** _KERNEL_POWERS[:, np.newaxis], axis=0)
     flat = kernels.reshape(len(kernels), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
     rows = max(2, 2**16 // kernels.size)
-    for start in range(0, n_steps, rows):
-        chunk = monomials[start:start + rows] @ flat
-        yield chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
+    window = rows * max(1, _STEP_WINDOW // rows)
+    for first in range(0, n_steps, window):
+        t = t0 + h * np.arange(first, min(first + window, n_steps))
+        c1, c2, c4 = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
+        # Axes (a, b, e): [1, c2, c2 c2] at a = e = 0, times c1 at a = 1,
+        # then all of it times c4 at e = 1.
+        monomials = np.empty((len(t), 2, 3, 2))
+        powers = monomials[:, 0, :, 0]
+        powers[:, 0], powers[:, 1] = 1.0, c2
+        np.multiply(c2, c2, out=powers[:, 2])
+        np.multiply(c1[:, np.newaxis], powers, out=monomials[:, 1, :, 0])
+        np.multiply(monomials[..., 0], c4[:, np.newaxis, np.newaxis], out=monomials[..., 1])
+        monomials = monomials.reshape(len(t), -1)
+        for start in range(0, len(t), rows):
+            chunk = monomials[start:start + rows] @ flat
+            yield chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
 
 
 @functools.cache
@@ -771,6 +793,15 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
     :class:`IntegratorHealthError`.  The eigenvalues are taken on the
     principal block of the levels that hold a nonzero entry at some sample;
     the others contribute exact zeros.
+
+    The eigenvalue gate first factors every sample's block shifted by
+    s = 1e-6 - 1e-12 in one batched Cholesky call, which costs a fraction of
+    the eigenvalues.  It succeeds only if each block + s I is positive
+    definite up to its rounding, a few 1e-15 on these blocks of norm about 1,
+    so every eigenvalue lies above -1e-6 and the gate passes.  When it fails,
+    the eigenvalues are taken as above and decide; the 1e-12 keeps the
+    Cholesky pass strictly inside the eigenvalues' own pass, so the verdict
+    and the reported eigenvalue are those of the eigenvalues alone.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     hilbert.check_density_matrix(rho0)
@@ -783,14 +814,18 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
     if not np.all(np.isfinite(states)):
         raise IntegratorHealthError("density matrix became non-finite; reduce dt")
     # A level whose row is zero at every sample adds an exact zero
-    # eigenvalue, so only the block of the other levels is diagonalized.
+    # eigenvalue, so only the block of the other levels is checked.
     support = np.flatnonzero(np.any(states, axis=0).any(axis=1))
-    min_eig = float(np.min(np.linalg.eigvalsh(states[:, support[:, np.newaxis], support]),
-                           initial=0.0 if len(support) < DIM else math.inf))
-    if not min_eig >= -1e-6:
-        raise IntegratorHealthError(
-            f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"
-        )
+    block = states[:, support[:, np.newaxis], support]
+    try:
+        np.linalg.cholesky(block + (1e-6 - 1e-12) * np.eye(len(support)))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(block),
+                               initial=0.0 if len(support) < DIM else math.inf))
+        if not min_eig >= -1e-6:
+            raise IntegratorHealthError(
+                f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"
+            ) from None
     return Trajectory(times=times, states=states, dt=grid.dt)
 
 

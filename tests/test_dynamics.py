@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -349,6 +350,56 @@ class TestPropagateDensity:
         assert reported == pytest.approx(np.min(np.linalg.eigvalsh(rho)), rel=1e-3)
         assert reported == pytest.approx(-3.7e-5 / spectrum.sum(), rel=1e-3)
 
+    def test_healthy_run_never_takes_eigenvalues(self, monkeypatch):
+        config = cli.parse_config(["rab-populations"])
+        params = config.drive_params()
+        grid = cli._scenario_grid(config, params)
+
+        eigvalsh = np.linalg.eigvalsh
+
+        # The initial matrix's check takes its eigenvalues; the gate's would
+        # be one batched call over the samples.
+        def unbatched_only(a):
+            assert np.ndim(a) == 2, "eigenvalues taken of the samples of a healthy run"
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unbatched_only)
+        traj = propagate_density(params, hilbert.projector(G1, G1), grid)
+        assert traj.times[-1] == grid.t_end
+
+    # A diagonal block on four levels, so that its eigenvalues are exact: one
+    # on each side of -1e-6, one at it, and one between it and the Cholesky
+    # shift 1e-6 - 1e-12, where only the eigenvalues decide.
+    @pytest.mark.parametrize("lowest, passes, diagonalized", [
+        (-5e-7, True, False), (-1e-6 + 1e-13, True, True), (-1e-6, True, True),
+        (-1.000001e-6, False, True), (-2e-6, False, True)])
+    def test_eigenvalue_gate_at_its_threshold(
+            self, cz_params, lowest, passes, diagonalized, monkeypatch):
+        rho = np.zeros((9, 9), dtype=complex)
+        rho[[4, 5, 7, 8], [4, 5, 7, 8]] = [lowest, 0.25, 0.25, 0.5 - lowest]
+        rho0 = hilbert.projector(G1, G1)
+        monkeypatch.setattr(dynamics, "_propagate_rho",
+                            lambda params, rho0, grid: (np.array([0.0, 1e-7]),
+                                                        np.stack([rho0, rho])))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            # The gate's call is the batched one over the samples.
+            if np.ndim(a) == 3:
+                calls.append(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        grid = TimeGrid.build(cz_params, 1e-7)
+        if passes:
+            propagate_density(cz_params, rho0, grid)
+        else:
+            with pytest.raises(IntegratorHealthError) as error:
+                propagate_density(cz_params, rho0, grid)
+            assert str(error.value) == (
+                f"density matrix developed eigenvalue {lowest:.3e} (< -1e-6); reduce dt")
+        assert bool(calls) == diagonalized
+
     def test_unstable_step_raises_health_error(self, cz_params):
         # 4 steps per drive period: 25x the step ceiling's P/100, over 60 periods.
         period = 2.0 * np.pi / cz_params.omega
@@ -423,6 +474,67 @@ class TestRk4Kernels:
         assert self._max_relative_deviation(a0.T, a1.T, cz_decay_params.omega, 3.7e-7, h,
                                             5) <= 1e-13
 
+
+class TestStepMaps:
+    """The cosine monomials of the step maps and their windows."""
+
+    @staticmethod
+    def _kernels(rng, d):
+        b0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return dynamics._rk4_kernels(b0, rng.normal(size=(d, d)), 0.01)
+
+    @staticmethod
+    def _maps(kernels, omega, t0, h, n_steps):
+        return np.concatenate(list(dynamics._step_maps(kernels, omega, t0, h, n_steps)))
+
+    def test_monomials_match_powers_over_a_half_period(self, rng):
+        # Over half a drive period the cosines change sign, where the
+        # products and np.power can round apart by an ulp.
+        kernels, omega, n_steps = self._kernels(rng, 5), 2.3, 400
+        h = math.pi / omega / n_steps
+        t = h * np.arange(n_steps)
+        cosines = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
+        assert np.any(cosines < 0) and np.any(cosines > 0)
+        monomials = np.prod(np.power(cosines[:, :, np.newaxis],
+                                     dynamics._KERNEL_POWERS[:, np.newaxis]), axis=0)
+        reference = np.einsum("sk,k...->s...", monomials, kernels)
+        maps = self._maps(kernels, omega, 0.0, h, n_steps)
+        assert np.max(np.abs(maps - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+    # d = 1 has chunks longer than the window, so one chunk a window; d = 32
+    # has chunks of 5 steps, where a window of 4,096 steps would end on a
+    # one-row product, which rounds differently.
+    @pytest.mark.parametrize("d", [1, 4, 32])
+    def test_windows_match_the_one_shot_form(self, rng, d, monkeypatch):
+        kernels = dynamics._rk4_kernels(*rng.normal(size=(2, d, d)), 0.01)
+        rows = max(2, 2**16 // kernels.size)
+        window = rows * max(1, dynamics._STEP_WINDOW // rows)
+        args = (kernels, 2.3, 0.377, math.pi / 2.3 / 500, window + 3)
+        windowed, at = np.empty((window + 3,) + kernels.shape[1:]), 0
+        for chunk in dynamics._step_maps(*args):
+            windowed[at:at + len(chunk)] = chunk
+            at += len(chunk)
+        monkeypatch.setattr(dynamics, "_STEP_WINDOW", 10 * window)
+        at = 0
+        for chunk in dynamics._step_maps(*args):
+            assert np.array_equal(chunk, windowed[at:at + len(chunk)])
+            at += len(chunk)
+        assert at == len(windowed)
+
+    def test_first_chunk_of_a_long_pass_allocates_one_window(self, rng):
+        # 10**6 steps: forming them all at once would take over 100 MB, and
+        # yet a broken window stays far from exhausting memory.
+        kernels = self._kernels(rng, 4)
+        tracemalloc.start()
+        try:
+            maps = dynamics._step_maps(kernels, 2.3, 0.0, 1e-3, 10**6)
+            first = next(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+            maps.close()
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (max(2, 2**16 // kernels.size), 4, 4)
+        assert peak < 2**20
 
 class TestShortStep:
     """The RK4 step of the remainder that ends an off-lattice window, taken
