@@ -51,14 +51,15 @@ They are formed once per block and step size from the 30 words of length
 then one product of cosine monomials with the kernels per chunk of steps
 (:func:`_step_maps`): 12 d^2 multiply-adds a step on a block of d.
 
-The pass multiplies its step maps in order, one product a step, and keeps
-the prefix map at each offset that a sample reads; it stops at the last
-offset read when no sample needs Phi(P/2).  The period starts y(kP) are
-formed only for the periods that samples read, each gap between two of them
-crossed by the binary powers Phi(P)^(2^b) of its bits, each power squared
-once when first needed: about 2 log2 K products for K periods instead of K.
-A run that reads every period takes one product per period, and every
-run's prefix maps are those of a plain pass.
+The pass multiplies its step maps in order, one product a step, and writes
+the prefix map at each offset that a sample reads straight into its slot of
+the stack; it stops at the last offset read when no sample needs Phi(P/2).
+The period starts y(kP) are formed only for the periods that samples read,
+by batched binary powers: for each bit b of the largest period, the starts
+of every period with bit b set are multiplied by Phi(P)^(2^b) in one
+batched product, each power the square of the one before.  That is about
+log2 K batched products for K periods, whether a run reads only its last
+period or every one, and every run's prefix maps are those of a plain pass.
 
 Each run is restricted to the coordinates its initial states can reach and
 split into the invariant blocks of the generator: the connected components
@@ -69,8 +70,18 @@ and imaginary parts of a coherence share a block); |11><11| without decay
 reaches one block of 16, and the pure |11> of a heatmap one of 4
 amplitudes (CZ) or 6 (CNOT).  A run may keep only some output coordinates:
 the stack of maps is cut to them once, after the pass, and the samples are
-formed from the cut.  A process map keeps 21 of the 81, the qubit block and
-the diagonal.
+formed from the cut; a block that keeps all its coordinates in order reads
+its stack uncut.  A process map keeps 21 of the 81, the qubit block and the
+diagonal.
+
+A run pays what does not depend on the block once.  Its sample schedule
+(the offset, period and half of every sample, and the remainder of an
+off-lattice end) is formed once, and every block reads its part of it;
+the blocks are cached by the coupling pattern, so a run at dt/2 finds
+them.  Blocks of one shape (size, support rows and kept coordinates) run
+as one group, with a group axis before the matrix axes: a CZ process map
+under decay runs its six blocks in four groups, and CNOT its two in two.
+A grouped run reproduces its blocks' own runs bit for bit.
 
 A0 is linear in the static rates V and gamma, and a run may carry a batch
 of them on leading axes of A0: the decay sweep runs its rates that way, in
@@ -354,29 +365,34 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
     monomials of its steps contracted with the kernels in one product, so
     that each product stays below the size at which OpenBLAS starts a
     second thread, which on these small blocks burns more CPU than it
-    saves.  Each product takes at least two steps: OpenBLAS hands a one-row
-    product to another kernel, which rounds differently, and with two or
-    more every map is the same whatever batch its kernels carry, so that a
-    batched run reproduces the unbatched runs of its entries bit for bit.
-    Complex kernels are contracted as their real and imaginary parts side
-    by side.
+    saves.  Each product takes at least two rows: a last step left over
+    joins the chunk before it, and a pass of one step repeats its row.
+    OpenBLAS hands a one-row product to another kernel, which rounds
+    differently, and with two or more rows every map is the same whatever
+    batch its kernels carry and whatever r that gives, so that a batched or
+    grouped run reproduces the runs of its entries bit for bit.  Complex
+    kernels are contracted as their real and imaginary parts side by side.
 
     The monomials c1^a c2^b c4^e are the outer product of [1, c1],
     [1, c2, c2 c2] and [1, c4], in kernel order 6a + 2b + e, and not powers:
     libm's ``pow`` of a negative base costs over ten times a product, and
     half the cosines of a half-period pass are negative.  They are formed
     per window of whole chunks of at most ``_STEP_WINDOW`` steps (one chunk
-    when a chunk is longer), so that a pass of any length holds the
-    cosines of one window at a time; a window's step times are the same
-    floats as those of one array over the whole pass.
+    when a chunk is longer, and the step left over, if one is), so that a
+    pass of any length holds the cosines of one window at a time; a
+    window's step times are the same floats as those of one array over the
+    whole pass.
     """
     flat = kernels.reshape(len(kernels), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
     rows = max(2, 2**16 // kernels.size)
     window = rows * max(1, _STEP_WINDOW // rows)
-    for first in range(0, n_steps, window):
-        t = t0 + h * np.arange(first, min(first + window, n_steps))
+    first = 0
+    while first < n_steps:
+        stop = min(first + window, n_steps)
+        stop += n_steps - stop == 1
+        t = t0 + h * np.arange(first, stop)
         c1, c2, c4 = np.cos(omega * np.stack([t, t + 0.5 * h, t + h]))
         # Axes (a, b, e): [1, c2, c2 c2] at a = e = 0, times c1 at a = 1,
         # then all of it times c4 at e = 1.
@@ -387,9 +403,16 @@ def _step_maps(kernels: np.ndarray, omega: float, t0: float, h: float, n_steps: 
         np.multiply(c1[:, np.newaxis], powers, out=monomials[:, 1, :, 0])
         np.multiply(monomials[..., 0], c4[:, np.newaxis, np.newaxis], out=monomials[..., 1])
         monomials = monomials.reshape(len(t), -1)
-        for start in range(0, len(t), rows):
-            chunk = monomials[start:start + rows] @ flat
+        start = 0
+        while start < len(t):
+            end = min(start + rows, len(t))
+            end += len(t) - end == 1
+            # A pass of one step repeats its row, and keeps one map.
+            chunk = (monomials[[start] * 2 if end - start == 1 else slice(start, end)]
+                     @ flat)[:end - start]
             yield chunk.view(kernels.dtype).reshape((-1,) + kernels.shape[1:])
+            start = end
+        first = stop
 
 
 @functools.cache
@@ -398,29 +421,51 @@ def _density_terms(gate) -> np.ndarray:
     rho, stacked and read-only: the dissipator at gamma = 1, -i[X, rho] for
     the drive structure X of ``gate``, and -i[|rr><rr|, rho].
 
-    Each term is applied to the 81 Hermitian basis matrices
-    (:func:`hilbert.hermitian_matrices` of the coordinate units), and the
-    real coordinates of the images are read back as its columns: column k
-    is the term applied to basis matrix k.  Every term maps Hermitian
-    matrices to Hermitian matrices, so these columns are the whole term.
+    Each term is f S for a real superoperator S on the row-major vec(rho),
+    f = 1 for the dissipator and -i for the commutators: every operator in
+    them is real, and A rho B is kron(A, B^T), formed by broadcasting.  It
+    is then conjugated by the real coordinates
+    (:func:`hilbert.real_coordinates`), both maps sparse.  The basis matrix
+    of coordinate k has its entries at vec indices k and swap(k), the
+    transposed entry: real for k on or above the diagonal and imaginary
+    below it.  So the image of basis matrix k is f C_k or i f C_k, with C
+    the columns k and swap(k) of S so weighted.  A coordinate i then reads
+    the real part (on or above the diagonal) or the imaginary part (below
+    it) of one entry of the image, which is C at that entry or zero.
+    Every term maps Hermitian matrices to Hermitian matrices, so these
+    columns are the whole term.
     """
-    basis = hilbert.hermitian_matrices(np.eye(DIM * DIM))
-    collapse = models.collapse_operators(1.0)
-    half_rate = 0.5 * sum(hilbert.dagger(op) @ op for op in collapse)
-    rr = hilbert.projector(hilbert.RYD, hilbert.RYD)
-    # One term at a time, in one buffer of images: fewer live temporaries
-    # leave the heap smaller for the propagation that follows.
-    terms = np.empty((3, DIM * DIM, DIM * DIM))
-    images = -(half_rate @ basis)
-    images -= basis @ half_rate
-    for op in collapse:
-        images += op @ basis @ hilbert.dagger(op)
-    terms[0] = hilbert.real_coordinates(images).T
-    for term, x in zip(terms[1:], (models.drive_structure(gate), rr)):
-        np.matmul(x, basis, out=images)
-        images -= basis @ x
-        images *= -1j
-        term[...] = hilbert.real_coordinates(images).T
+    def sandwich(a, b):
+        return (a[:, np.newaxis, :, np.newaxis] * b.T[:, np.newaxis, :]).reshape(DIM**2, DIM**2)
+
+    eye = np.eye(DIM)
+    collapse = [op.real for op in models.collapse_operators(1.0)]
+    half_rate = 0.5 * sum(op.T @ op for op in collapse)
+    dissipator = sum(sandwich(op, op.T) for op in collapse)
+    dissipator -= sandwich(half_rate, eye) + sandwich(eye, half_rate)
+    supers = [dissipator] + [sandwich(x, eye) - sandwich(eye, x) for x in (
+        models.drive_structure(gate).real, hilbert.projector(hilbert.RYD, hilbert.RYD).real)]
+    a, b = np.divmod(np.arange(DIM**2), DIM)
+    swap, lower, r = DIM * b + a, a > b, math.sqrt(0.5)
+    weight = np.where(lower, -r, np.where(a < b, r, 1.0))
+    weight_swap = np.where(a == b, 0.0, r)
+    # Row i of a term is C at the entry that coordinate i reads, times its
+    # scale, where that entry holds the part it reads: a real entry's real
+    # part or an imaginary one's imaginary part for f = 1; for f = -i, -i C
+    # is read from real entries below the diagonal and C from imaginary ones
+    # above it.
+    read = np.where(lower, swap, np.arange(DIM**2))
+    scale = np.where(a == b, 1.0, math.sqrt(2.0))[:, np.newaxis]
+    dissipative = scale * (lower[:, np.newaxis] == lower)
+    hamiltonian = scale * ((lower & ~lower[:, np.newaxis]).astype(float)
+                           - (~lower & lower[:, np.newaxis]))
+    # One term at a time, so that no temporary outgrows one 81x81 term.
+    terms = np.empty((3, DIM**2, DIM**2))
+    for term, s, factor in zip(terms, supers, (dissipative, hamiltonian, hamiltonian)):
+        images = s * weight
+        images += s[:, swap] * weight_swap
+        np.take(images, read, axis=0, out=term)
+        term *= factor
     terms.flags.writeable = False
     return terms
 
@@ -482,7 +527,7 @@ def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
         seed = grown
 
 
-def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarray]:
+def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index arrays of the invariant blocks that the states of ``rows0`` live in.
 
     First the reachable set: the smallest coordinate subspace that holds
@@ -496,17 +541,97 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> list[np.ndarra
     45 + 36 for CNOT; |11><11| without decay reaches one block of 16, and
     the dark state |00> one of 1.  The state |11>, batched over V and omega
     as in a heatmap, reaches one block of 4 amplitudes for CZ and 6 for CNOT.
+
+    The blocks depend only on the coupling pattern and the support of
+    ``rows0``, and are cached by them, read-only: a run at dt/2 and the
+    other runs of the same problem find them without the closure loops.
     """
     links = (a0 != 0) | (a1 != 0)
     links = np.any(links, axis=tuple(range(links.ndim - 2)))
-    left = _closure(links, np.any(rows0 != 0, axis=tuple(range(rows0.ndim - 1))))
+    seed = np.any(rows0 != 0, axis=tuple(range(rows0.ndim - 1)))
+    return _components(links.tobytes(), seed.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _components(links: bytes, seed: bytes) -> tuple[np.ndarray, ...]:
+    """The blocks of :func:`_blocks` from the bytes of the boolean d x d
+    coupling pattern and of the seed mask."""
+    seed = np.frombuffer(seed, dtype=bool)
+    links = np.frombuffer(links, dtype=bool).reshape(len(seed), -1)
+    left = _closure(links, seed)
     coupled = (links | links.T) & left & left[:, None]
     blocks = []
     while left.any():
         block = _closure(coupled, np.arange(len(left)) == np.argmax(left))
         blocks.append(np.flatnonzero(block))
+        blocks[-1].flags.writeable = False
         left = left & ~block
-    return blocks
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """Where the samples of one run read their factors, formed once per run
+    from its lattice and ends (:func:`_schedule`) and shared by every core
+    call of it.
+
+    Sample s of entry e reads the prefix map ``read[which[s, e]]`` steps
+    into its half period, the glided second half where ``glide[s, e]``,
+    from the start of period ``periods[slot[s, e]]``; ``origin`` indexes
+    the stack of the starts y(kP) followed by the starts y(kP) G.  The
+    per-sample arrays have shape (n_samples, *E), and the per-entry
+    ``delta`` (the remainder of an off-lattice end) and ``t_last`` (the
+    lattice time it starts from) shape E: one axis per batch axis of the
+    rows, of size 1 where the entries share their window, or none when
+    every entry does.
+    """
+
+    read: np.ndarray
+    which: np.ndarray
+    glide: np.ndarray
+    periods: np.ndarray
+    slot: np.ndarray
+    delta: np.ndarray
+    t_last: np.ndarray
+
+    @functools.cached_property
+    def origin(self) -> np.ndarray:
+        return self.slot + len(self.periods) * self.glide
+
+    def part(self, at: tuple) -> "_Schedule":
+        """The schedule of the entries ``at`` (an index into E), with the
+        offsets and periods that only those entries read."""
+        if not self.delta.ndim or all(
+                len(range(*i.indices(n))) == n for i, n in zip(at, self.delta.shape)):
+            return self
+        cut = (slice(None),) + at
+        read, which = np.unique(self.which[cut], return_inverse=True)
+        periods, slot = np.unique(self.slot[cut], return_inverse=True)
+        glide = self.glide[cut]
+        return _Schedule(self.read[read], which.reshape(glide.shape), glide,
+                         self.periods[periods], slot.reshape(glide.shape),
+                         self.delta[at], self.t_last[at])
+
+
+def _schedule(grid: TimeGrid, ends=None) -> _Schedule:
+    """The :class:`_Schedule` of the samples at ``grid.sample_steps``, every
+    entry ending at ``grid.t_end`` or, with ``ends`` (axes E), each at its
+    own end on the same lattice, where ``replace(grid, t_end=end)`` would."""
+    if ends is None:
+        ends, own = np.asarray(grid.t_end), [grid]
+    else:
+        own = [replace(grid, t_end=end) for end in ends.ravel().tolist()]
+    lattice = np.reshape([g.lattice_steps for g in own], ends.shape)
+    delta = np.reshape([g.delta for g in own], ends.shape)
+    steps = np.minimum(grid.sample_steps.reshape((-1,) + (1,) * ends.ndim), lattice)
+    # A sample is step j of period k and continues from the state y(kP) at
+    # the start of it; step j >= m/2 is step j - m/2 of the glided half.
+    k, j = np.divmod(steps, grid.m)
+    glide = j >= grid.m // 2
+    read, which = np.unique(np.where(glide, j - grid.m // 2, j), return_inverse=True)
+    periods, slot = np.unique(k, return_inverse=True)
+    return _Schedule(read, which.reshape(k.shape), glide, periods, slot.reshape(k.shape),
+                     delta, ends - delta)
 
 
 # A diverging run overflows to inf and NaN quietly: the health gates of the
@@ -519,36 +644,41 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
 
     ``rows0`` holds the initial states as rows, shape (..., c, d), and
     ``a0`` and ``a1`` may carry leading batch axes that broadcast with those
-    of ``rows0`` into the batch axes ... of the output.  Per block, the
-    batch runs a slice of its first axis at a time, sized so that the
-    slice's twelve RK4 kernels hold at most :data:`_KERNEL_BUDGET` elements:
-    the run's peak memory then stays that of a few entries however long the
-    batch.  ``parity`` is the
+    of ``rows0`` into the batch axes ... of the output.  ``parity`` is the
     diagonal of Pi: A0 may couple only coordinates of equal parity and A1
     only coordinates of opposite parity, so that Pi A0 Pi = A0 and
     Pi A1 Pi = -A1; a generator with another pattern raises ``ValueError``.
-    The coordinates are split into the invariant blocks of :func:`_blocks`,
-    and each block propagates on its own, with only the rows of ``rows0``
-    that have support in it, into its part of one (n_samples, ..., c, k)
-    output; coordinates outside every block stay zero.  Under decay a
-    process map thus runs on blocks of 25 + 2x20 + 8 + 2x4 (CZ) or 45 + 36
-    (CNOT) coordinates instead of 81.  The run is real when the generator
-    and ``rows0`` are (density coordinates) and complex otherwise (states):
-    every map, start and sample takes their common dtype.  Within a block,
-    half a period is integrated once with RK4, as the product of its step
-    maps (:func:`_step_maps`), into Phi(P/2), and
+
+    The run pays its fixed costs once.  Its sample schedule (:func:`_schedule`:
+    the lattice step, offset, period and glide of every sample, and the
+    remainder of an off-lattice end) is formed once, and each core call
+    takes its part of it.  The coordinates are split into the invariant
+    blocks of :func:`_blocks`, and each block propagates on its own, with
+    only the rows of ``rows0`` that have support in it, into its part of one
+    (n_samples, ..., c, k) output; coordinates outside every block stay
+    zero.  Blocks of one shape (size, support rows and kept coordinates) run
+    as one group, in one :func:`_stroboscopic_core` call with a group axis
+    before the matrix axes: under decay a CZ process map runs its blocks of
+    25 + 2x20 + 8 + 2x4 coordinates in four calls, and a CNOT one its 45 + 36
+    in two.  Per group, the batch runs a slice of its first axis at a time,
+    sized so that the slice's twelve RK4 kernels hold at most
+    :data:`_KERNEL_BUDGET` elements: the run's peak memory then stays that
+    of a few entries however long the batch.  The run is real when the
+    generator and ``rows0`` are (density coordinates) and complex otherwise
+    (states): every map, start and sample takes their common dtype.
+
+    Within a group, half a period is integrated once with RK4, as the
+    product of its step maps (:func:`_step_maps`), into Phi(P/2), and
     Phi(P) = G G with G = Phi(P/2) Pi.  A state at kP + s is y(kP) Phi(s) for
     s < P/2 and y(kP) G Phi(s - P/2) Pi otherwise, so the samples need
     Phi(s) only for s < P/2: the same pass stacks Phi(s) at each offset s
-    that a sample reads, and the samples are one batched product of their
-    origins y(kP) or y(kP) G with the kept columns of their maps, both
-    gathered from the stacks.  The pass multiplies the step maps in order;
-    the starts y(kP) are formed only for the periods that samples read, by
-    binary powers of Phi(P), so a run that stores only its final sample
-    makes a few products per doubling of the window.  A window that ends off
-    the lattice is read at its last lattice step and advanced to t_end by
-    one plain RK4 step of ``grid.delta`` on its rows (:func:`_rk4_step`),
-    from its full-width map in the same stack.
+    that a sample reads, the starts y(kP) are batched binary powers of
+    Phi(P) (:func:`_period_starts`), and the samples are one batched product
+    of their origins y(kP) or y(kP) G with the kept columns of their maps,
+    both gathered from the stacks.  A window that ends off the lattice is
+    read at its last lattice step and advanced to t_end by one plain RK4
+    step of ``grid.delta`` on its rows (:func:`_rk4_step`), from its
+    full-width map in the same stack.
 
     ``ends``, an array of end times that broadcasts with the batch axes of
     A0 and A1, gives each batch entry its own window on the lattice of
@@ -563,7 +693,9 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
     output coordinates, k = len(columns) of them in that order; None keeps
     all d, as ``np.arange(d)``.  The stack of prefix maps is cut to them
     once, after the pass, so a sample costs c x d x k multiply-adds instead
-    of c x d x d, and a block with no kept coordinate is not propagated.
+    of c x d x d; a group whose blocks keep all their coordinates in order
+    reads its stack uncut, and a block with no kept coordinate is not
+    propagated.
 
     Returns (times, samples) at ``grid.sample_steps``; with ``ends``, the
     times have shape (2,) + ``ends.shape``, 0 and each entry's end.
@@ -593,16 +725,20 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
                    dtype=np.result_type(a0, a1, rows0))
     # The slices cut the first batch axis: axis ``lead`` of the rows and of
     # the ends, and axis 0 of A0 or A1 where they carry it.  The ends take
-    # one axis per batch axis of the rows, the first at its full length.
+    # one axis per batch axis of the rows, the first at its full length, and
+    # one of size 1 for the group axis.
     lead = rows0.ndim - 2 - len(batch)
     if ends is not None:
         ends = ends.reshape((1,) * (rows0.ndim - 2 - ends.ndim) + ends.shape)
         if batch:
             ends = np.broadcast_to(ends, ends.shape[:lead] + batch[:1] + ends.shape[lead + 1:])
-    n = batch[0] if batch else 1
+        ends = ends[..., np.newaxis]
+    schedule = _schedule(grid, ends)
+    # Each block with a kept coordinate, by shape: its coordinates, its
+    # support rows, where its kept coordinates go in the output (kept) and
+    # which of its own coordinates they are (local).
+    groups = {}
     for block in _blocks(a0, a1, rows0):
-        # Which of the kept coordinates the block holds, where they go in
-        # the output (kept) and which of its own coordinates they are (local).
         position = np.full(rows0.shape[-1], -1)
         position[block] = np.arange(len(block))
         local = position[columns]
@@ -610,21 +746,34 @@ def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns
         if not len(kept):
             continue
         support = np.any(rows0[..., block] != 0, axis=tuple(range(rows0.ndim - 2)) + (-1,))
-        rows, cut = np.flatnonzero(support)[:, np.newaxis], block[:, np.newaxis]
-        per_entry = _KERNEL_POWERS.shape[1] * len(block) ** 2 * math.prod(batch[1:])
+        rows = np.flatnonzero(support)[:, np.newaxis]
+        groups.setdefault((len(block), len(rows), len(kept)), []).append(
+            (block, rows, kept, local[kept]))
+    n = batch[0] if batch else 1
+    for (d, _, _), members in groups.items():
+        local = np.stack([member[3] for member in members])
+        # A group that keeps every coordinate in order reads its stack uncut.
+        in_order = local.shape[-1] == d and np.all(local == np.arange(d))
+        per_entry = _KERNEL_POWERS.shape[1] * d**2 * len(members) * math.prod(batch[1:])
         size = max(1, _KERNEL_BUDGET // per_entry)
         for start in range(0, n, size):
             part = (slice(start, start + size),) if batch else ()
             at = (slice(None),) * lead + part
             terms = (a[part] if a.ndim - 2 == len(batch) and len(a) > 1 else a
                      for a in (a0, a1))
-            # One block's part of one slice at a time, written straight
-            # into the output.
-            out[(slice(None),) + at][..., rows, kept] = _stroboscopic_core(
-                *(term[..., cut, block] for term in terms), parity[block],
-                rows0[at][..., rows, block], grid, local[kept],
-                None if ends is None else ends[at],
+            sliced = rows0[at]
+            # The blocks' parts, stacked on the group axis.
+            samples = _stroboscopic_core(
+                *(np.stack([term[..., block[:, np.newaxis], block] for block, *_ in members],
+                           axis=-3) for term in terms),
+                np.stack([parity[block] for block, *_ in members]),
+                np.stack([sliced[..., rows, block] for block, rows, *_ in members], axis=-3),
+                grid, None if in_order else local, schedule.part(at),
             )
+            # Each block's part of one slice, written straight into the output.
+            view = out[(slice(None),) + at]
+            for i, (_, rows, kept, _) in enumerate(members):
+                view[..., rows, kept] = samples[..., i, :, :]
     return times, out
 
 
@@ -652,91 +801,100 @@ def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(stack, index[..., np.newaxis, np.newaxis], axis=0)
 
 
-def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns: np.ndarray,
-                       ends=None):
-    """Samples (n_samples, ..., c, k) of one run on the lattice of ``grid``:
-    the coordinates ``columns``, an index array, of the d it runs on.
-    ``ends``, with one axis per batch axis of ``rows0``, ends each entry at
-    its own time, and every run ends at ``grid.t_end`` without it
+def _period_starts(y0: np.ndarray, period_map, periods: np.ndarray) -> np.ndarray:
+    """The starts y0 Phi^k, stacked on a new first axis, for each k of the
+    sorted ``periods``: for each bit b of the largest, the starts of every
+    period with bit b set are multiplied by Phi^(2^b) in one batched
+    product, b rising, each power the square of the one before.  A start
+    thus takes one product per set bit of its period, in the order of the
+    bits, and the run makes about log2 K batched products for K periods
+    (``period_map`` may be None when every period is 0)."""
+    starts = np.empty((len(periods),) + y0.shape, dtype=y0.dtype)
+    starts[...] = y0
+    power = period_map
+    for bit in range(int(periods[-1]).bit_length()):
+        if bit:
+            power = power @ power
+        hit = (periods >> bit & 1).astype(bool)
+        if hit.any():
+            starts[hit] = starts[hit] @ power
+    return starts
+
+
+def _stroboscopic_core(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns,
+                       schedule: _Schedule):
+    """Samples (n_samples, ..., g, c, k) of one group of g blocks of d
+    coordinates on the lattice of ``grid``, read as ``schedule`` says.
+
+    The group axis g is the last batch axis of A0, A1 (..., g, d, d) and
+    ``rows0`` (..., g, c, d); ``parity`` (g, d) is each block's diagonal of
+    Pi, and ``columns`` (g, k) indexes the coordinates each block keeps, or
+    is None when every block keeps all d in order
     (:func:`_stroboscopic_run`)."""
     half, h, d = grid.m // 2, grid.dt, a0.shape[-1]
     dtype = np.result_type(a0, a1, rows0)
     b0, b1 = np.swapaxes(a0, -1, -2), np.swapaxes(a1, -1, -2)
     batch = np.broadcast_shapes(a0.shape[:-2], a1.shape[:-2])
-    # The lattice step of each sample, with one axis per axis of the ends,
-    # and the remainder that the last one takes off the lattice, from the
-    # lattice time t_last.
-    ends = np.asarray(grid.t_end if ends is None else ends)
-    own = [replace(grid, t_end=end) for end in ends.ravel().tolist()]
-    lattice = np.reshape([g.lattice_steps for g in own], ends.shape)
-    delta = np.reshape([g.delta for g in own], ends.shape)
-    steps = np.minimum(grid.sample_steps.reshape((-1,) + (1,) * ends.ndim), lattice)
-    t_last = ends - delta
-    # A sample is step j of period k and continues from the state y(kP) at
-    # the start of it.
-    k, j = np.divmod(steps, grid.m)
-    # Step j >= m/2 of a period is step j - m/2 of its glided second half.
-    glide = j >= half
-    j = np.where(glide, j - half, j)
+    read, which, glide, origin = schedule.read, schedule.which, schedule.glide, schedule.origin
     # The full-width prefix maps Phi(j h) at the offsets that the samples
     # read, in one stack whose batch axes line up with the starts'; the
     # identity at offset 0.
-    read, which = np.unique(j, return_inverse=True)
-    which = which.reshape(j.shape)
     ones = (1,) * (rows0.ndim - 2 - len(batch))
     maps = np.empty((len(read),) + ones + batch + (d, d), dtype=dtype)
     maps[read == 0] = np.eye(d, dtype=dtype)
     stacked = dict(zip(read.tolist(), maps))
     # One pass over half a period (or up to the last offset read, when no
-    # sample needs the half-period map) fills the stack, one step at a time.
-    needs_half = k[-1].any() or glide.any()
+    # sample needs the half-period map) fills the stack, one step at a
+    # time, each read offset's product written straight into its slot.
+    needs_half = schedule.periods[-1] > 0 or glide.any()
     last = half if needs_half else int(read[-1])
     prefix = np.broadcast_to(np.eye(d, dtype=dtype), batch + (d, d))
     done = 0
     for chunk in _step_maps(_rk4_kernels(b0, b1, h), grid.omega, 0.0, h, last):
         for step in chunk:
-            prefix = prefix @ step
             done += 1
-            if done in stacked:
-                stacked[done][...] = prefix
-    # The period starts y(kP) that the samples of any entry read, each gap
-    # between two of them crossed by the powers Phi(P)^(2^b) of its bits
-    # (each squared once, when first needed), and stacked after them
-    # y(kP) G for the samples in a second half.
+            slot = stacked.get(done)
+            prefix = prefix @ step if slot is None else np.matmul(prefix, step, out=slot)
+    # The period starts y(kP) that the samples read, by batched binary
+    # powers of Phi(P) = G G, and stacked after them y(kP) G for the
+    # samples in a second half.
+    signs = parity[:, np.newaxis, :]
     if needs_half:
-        glide_map = prefix * parity
-        powers = [glide_map @ glide_map]
-    periods, slot = np.unique(k, return_inverse=True)
-    starts = np.empty((len(periods),) + rows0.shape, dtype=dtype)
-    y, at = np.asarray(rows0, dtype=dtype), 0
-    for i, period in enumerate(periods.tolist()):
-        gap, at = period - at, period
-        for bit in range(gap.bit_length()):
-            if bit == len(powers):
-                powers.append(powers[-1] @ powers[-1])
-            if gap >> bit & 1:
-                y = y @ powers[bit]
-        starts[i] = y
-    origin = slot.reshape(k.shape) + len(starts) * glide
+        glide_map = prefix * signs
+    starts = _period_starts(np.asarray(rows0, dtype=dtype),
+                            glide_map @ glide_map if schedule.periods[-1] else None,
+                            schedule.periods)
     if glide.any():
         starts = np.concatenate([starts, starts @ glide_map])
+
+    def cut(x):
+        """The kept columns of each block of ``x`` (..., g, r, d), by one
+        take over its last three axes flattened."""
+        if columns is None:
+            return x
+        g, r = x.shape[-3:-1]
+        index = np.arange(0, g * r * d, d).reshape(g, r, 1) + columns[:, np.newaxis, :]
+        return np.take(x.reshape(x.shape[:-3] + (-1,)), index.ravel(), axis=-1).reshape(
+            x.shape[:-1] + (columns.shape[-1],))
+
     # Each sample is its origin times the kept columns of its map, both
     # gathered per entry, a chunk of samples per product so that the
     # gathered copies stay small.
-    kept = np.take(maps, columns, axis=-1)
-    out = np.empty((len(k),) + rows0.shape[:-1] + (len(columns),), dtype=dtype)
+    kept = cut(maps)
+    out = np.empty((len(which),) + rows0.shape[:-1] + (kept.shape[-1],), dtype=dtype)
     chunk = max(1, 2**13 // kept[0].size)
     for a in range(0, len(out), chunk):
         np.matmul(_gather(starts, origin[a:a + chunk]), _gather(kept, which[a:a + chunk]),
                   out=out[a:a + chunk])
-    out[glide if glide.ndim == 1 else np.broadcast_to(glide, out.shape[:-2])] *= parity[columns]
-    if delta.any():
+    np.multiply(out, cut(signs), out=out,
+                where=glide.reshape(glide.shape + (1,) * (out.ndim - glide.ndim)))
+    if schedule.delta.any():
         # An off-lattice end: the last sample is formed again from the
         # full-width map of its stack, takes one RK4 step of the remainder
         # on its rows, and is cut afterwards.
         y = _gather(starts, origin[-1:])[0] @ _gather(maps, which[-1:])[0]
-        y[np.broadcast_to(glide[-1], y.shape[:-2])] *= parity
-        out[-1] = _rk4_step(y, b0, b1, grid.omega, t_last, delta)[..., columns]
+        np.multiply(y, signs, out=y, where=glide[-1][..., np.newaxis, np.newaxis])
+        out[-1] = cut(_rk4_step(y, b0, b1, grid.omega, schedule.t_last, schedule.delta))
     return out
 
 
@@ -840,9 +998,10 @@ def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> Pro
     on the 4x4 qubit block, which the fidelity reads and ``images``
     returns, and its five non-qubit diagonal entries, which with the
     block's diagonal give the trace that the drift gate checks at every
-    sample.  The finiteness gate reads those 21 coordinates: every
-    invariant block of the run holds the unit it starts from, so a NaN
-    anywhere in a block reaches a kept coordinate.
+    sample.  The finiteness gate sums those 21 coordinates per rate, over
+    every sample and unit, and a non-finite coordinate makes the sum
+    non-finite: every invariant block of the run holds the unit it starts
+    from, so a NaN anywhere in a block reaches a kept coordinate.
 
     ``gamma``, a 1-D array of decay rates in rad/s, replaces
     ``params.gamma``: the units then run once for all rates, broadcast
@@ -866,8 +1025,12 @@ def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> Pro
     # The Lindblad increments are exactly traceless, so the image of unit
     # (i, j) keeps the unit's trace delta_ij; drift flags a broken run.  Each
     # gate takes its worst over the samples and units of every rate.
-    traces = np.einsum("srijaa->srij", images) + rows[..., len(units):].sum(axis=-1).reshape(
-        shape)
+    # The trace sums the nine diagonal coordinates, one column at a time: the
+    # block's, at (i, i) of the 4x4 units, and the five non-qubit ones.
+    traces = rows[..., 0] + rows[..., 5]
+    for diagonal in (10, 15, *range(len(units), len(units) + len(diagonals))):
+        traces += rows[..., diagonal]
+    traces = traces.reshape(shape)
     drift = np.max(np.abs(traces - np.eye(4)), axis=(0, 2, 3))
     worst = int(np.argmax(np.where(np.isnan(drift), math.inf, drift)))
     if not drift[worst] <= 1e-6:
@@ -875,7 +1038,8 @@ def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> Pro
             f"process-basis trace drifted by {drift[worst]:.3e} (> 1e-6) at gamma = "
             f"{rates[worst]:.6g} rad/s; reduce dt"
         )
-    finite = np.all(np.isfinite(rows), axis=(0, 2, 3))
+    # A non-finite coordinate makes its rate's sum non-finite.
+    finite = np.isfinite(rows.sum(axis=(0, 2, 3)))
     if not finite.all():
         raise IntegratorHealthError(
             f"process images became non-finite at gamma = {rates[np.argmin(finite)]:.6g} "

@@ -116,6 +116,32 @@ def reference_blocks(a0, a1, rows0) -> list[list[int]]:
     return blocks
 
 
+def basis_image_terms(gate):
+    """The density generator's three terms per unit rate on the real
+    coordinates, as :func:`dynamics._density_terms` stacks them, read off
+    by applying each term to the 81 Hermitian basis matrices with matrix
+    products and taking the real coordinates of the images as its columns."""
+    basis = hilbert.hermitian_matrices(np.eye(81))
+    collapse = models.collapse_operators(1.0)
+    half_rate = 0.5 * sum(hilbert.dagger(op) @ op for op in collapse)
+    dissipator = sum(op @ basis @ hilbert.dagger(op) for op in collapse)
+    dissipator = dissipator - half_rate @ basis - basis @ half_rate
+    images = [dissipator] + [-1j * (x @ basis - basis @ x) for x in (
+        models.drive_structure(gate), hilbert.projector(hilbert.RYD, hilbert.RYD))]
+    return np.stack([hilbert.real_coordinates(image).T for image in images])
+
+
+def unsplit_core(a0, a1, parity, rows0, grid):
+    """Samples of :func:`dynamics._stroboscopic_core` over all d coordinates
+    as one block, every coordinate kept: a group of one block, whose group
+    axis is added before the core and removed after it."""
+    out = dynamics._stroboscopic_core(
+        np.asarray(a0)[..., np.newaxis, :, :], np.asarray(a1)[..., np.newaxis, :, :],
+        np.asarray(parity)[np.newaxis], np.asarray(rows0)[..., np.newaxis, :, :], grid, None,
+        dynamics._schedule(grid))
+    return out[..., 0, :, :]
+
+
 # The step-by-step reference: the same model advanced one RK4 step at a
 # time from H(t) and the collapse operators, not from the stroboscopic
 # propagation of the superoperator generator that the package runs.

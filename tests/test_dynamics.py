@@ -20,10 +20,10 @@ from rabsim.dynamics import (
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
 from conftest import (
-    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, STEPWISE_M, apply_process, coordinates_of,
-    full_process, lindblad_rhs, matrices_of, qubit_coordinates, qubit_psi, random_density,
-    random_hermitian, reference_blocks, rk4_run, rk4_steps, stepwise_lindblad,
-    stepwise_samples, stepwise_start,
+    GAMMA_15KHZ, OMEGA_M, QUBIT_UNITS, STEPWISE_M, apply_process, basis_image_terms,
+    coordinates_of, full_process, lindblad_rhs, matrices_of, qubit_coordinates, qubit_psi,
+    random_density, random_hermitian, reference_blocks, rk4_run, rk4_steps, stepwise_lindblad,
+    stepwise_samples, stepwise_start, unsplit_core,
 )
 
 
@@ -521,6 +521,22 @@ class TestStepMaps:
             at += len(chunk)
         assert at == len(windowed)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 9, 10, 11, 41])
+    def test_maps_are_the_same_whatever_the_batch(self, rng, n_steps):
+        # The chunk shortens as the batch grows: 218 steps on one 5x5 block,
+        # 5 on 40 entries and 2 on 400.  A pass that ends one step past a
+        # chunk, or takes one step, still multiplies two rows or more, and
+        # each entry's maps are bit for bit those of the entry alone.
+        single = dynamics._rk4_kernels(*rng.normal(size=(2, 5, 5)), 0.01)
+        alone = self._maps(single, 2.3, 0.1, 0.01, n_steps)
+        for batch in (2, 40, 400):
+            kernels = np.ascontiguousarray(np.broadcast_to(single[:, np.newaxis],
+                                                           (12, batch, 5, 5)))
+            chunks = list(dynamics._step_maps(kernels, 2.3, 0.1, 0.01, n_steps))
+            assert n_steps == 1 or min(len(chunk) for chunk in chunks) >= 2
+            maps = np.concatenate(chunks)
+            assert np.array_equal(maps, np.broadcast_to(alone[:, np.newaxis], maps.shape))
+
     def test_first_chunk_of_a_long_pass_allocates_one_window(self, rng):
         # 10**6 steps: forming them all at once would take over 100 MB, and
         # yet a broken window stays far from exhausting memory.
@@ -746,6 +762,17 @@ def test_density_generator_is_the_lindbladian_on_coordinates(gate, gamma, rng):
         assert np.max(np.abs(found - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("gate", [GateKind.CZ, GateKind.CNOT])
+def test_density_terms_match_the_basis_images(gate):
+    # The closed form (superoperators conjugated by the coordinates) against
+    # the terms applied to the 81 basis matrices by matrix products: they
+    # round apart by at most 2**-51, two ulps of an entry near 1.
+    terms = dynamics._density_terms(gate)
+    assert terms.shape == (3, 81, 81) and terms.flags.c_contiguous
+    assert not terms.flags.writeable
+    assert np.max(np.abs(terms - basis_image_terms(gate))) <= 2.0**-51
+
+
 class TestStroboscopicLattice:
     def test_times_of_an_unaligned_window(self, cz_params):
         # The requested step does not divide the window: the step shrinks to
@@ -920,20 +947,22 @@ class TestStepwiseMatrix:
 
 class TestHalfPeriodWork:
     """Each invariant block forms m/2 RK4 step maps of h, plus at most one
-    shorter step that ends an off-lattice window."""
+    shorter step that ends an off-lattice window.  A group of blocks of one
+    shape forms them in one call, on its group axis."""
 
     @pytest.fixture
     def rk4_calls(self, monkeypatch):
-        # (step, count) of the lattice step maps and of the short steps.
+        # (step, count) of the lattice step maps and of the short steps,
+        # once per block of the group that forms them.
         calls = []
         step_maps, rk4_step = dynamics._step_maps, dynamics._rk4_step
 
         def counted(kernels, omega, t0, h, n_steps):
-            calls.append((h, n_steps))
+            calls.extend([(h, n_steps)] * kernels.shape[-3])
             return step_maps(kernels, omega, t0, h, n_steps)
 
         def counted_step(rows, b0, b1, omega, t, h):
-            calls.append((h, 1))
+            calls.extend([(h, 1)] * rows.shape[-3])
             return rk4_step(rows, b0, b1, omega, t, h)
 
         monkeypatch.setattr(dynamics, "_step_maps", counted)
@@ -1092,6 +1121,49 @@ class TestFinalStateRuns:
                                 density=False, v=v, omega=omega, ends=ends[:, np.newaxis])
 
 
+class TestPeriodStarts:
+    """The period starts y0 Phi^k by batched binary powers, on a batch of
+    three entries and a group of two, against the forms they replace."""
+
+    @pytest.fixture
+    def problem(self, rng):
+        # Phi a random orthogonal map scaled by 0.999, as a period map of a
+        # lossy run; rows (c = 4) on a (3, 2) batch and group.
+        q, _ = np.linalg.qr(rng.normal(size=(3, 2, 6, 6)))
+        return rng.normal(size=(3, 2, 4, 6)), 0.999 * q
+
+    @staticmethod
+    def _gap_crossing(y0, period_map, periods):
+        """The starts by crossing each gap between two read periods with the
+        powers Phi^(2^b) of its bits, each squared when first needed."""
+        powers, y, at, starts = [period_map], y0, 0, []
+        for period in periods.tolist():
+            gap, at = period - at, period
+            for bit in range(gap.bit_length()):
+                if bit == len(powers):
+                    powers.append(powers[-1] @ powers[-1])
+                if gap >> bit & 1:
+                    y = y @ powers[bit]
+            starts.append(y)
+        return np.stack(starts)
+
+    def test_a_final_only_run_makes_the_same_products(self, problem):
+        # Its initial and final samples read periods 0 and K.
+        y0, period_map = problem
+        for k in range(130):
+            periods = np.unique([0, k])
+            assert np.array_equal(dynamics._period_starts(y0, period_map, periods),
+                                  self._gap_crossing(y0, period_map, periods)), k
+
+    def test_every_period_agrees_with_the_sequential_product(self, problem):
+        y0, period_map = problem
+        periods = np.arange(57)
+        starts = dynamics._period_starts(y0, period_map, periods)
+        sequential = self._gap_crossing(y0, period_map, periods)
+        scale = np.max(np.abs(sequential), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(starts - sequential) / scale) <= 1e-13
+
+
 class TestHealthGatesTripOnNan:
     """A NaN anywhere in the dynamics must fail the gates, not pass them."""
 
@@ -1212,13 +1284,78 @@ class TestInvariantBlocks:
                               sample_stride=7)
         times, out = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
         reach = np.sort(np.concatenate(dynamics._blocks(a0, a1, rows0)))
-        unsplit = dynamics._stroboscopic_core(
-            a0[..., reach[:, np.newaxis], reach], a1[reach[:, np.newaxis], reach],
-            parity[reach], rows0[..., reach], grid, np.arange(len(reach)),
-        )
+        unsplit = unsplit_core(a0[..., reach[:, np.newaxis], reach],
+                               a1[reach[:, np.newaxis], reach], parity[reach],
+                               rows0[..., reach], grid)
         assert times[-1] == grid.t_end and len(times) == len(unsplit)
         assert np.max(np.abs(out[..., reach] - unsplit)) <= 1e-12
         assert not np.any(np.delete(out, reach, axis=-1))
+
+    @pytest.mark.parametrize("rates", [None, np.array([0.5, 1.0, 2.0])],
+                             ids=["one-rate", "three-rates"])
+    @pytest.mark.parametrize("kept", [False, True], ids=["all", "kept"])
+    def test_a_grouped_run_equals_its_per_block_runs(self, params, rates, kept):
+        # A process map with every output coordinate, or with the 21 that
+        # propagate_process keeps, on an off-lattice window that reads
+        # both halves of its periods.  Each block runs alone when the rows
+        # of the others are zero.  At m = 102 the half-period pass takes 51
+        # steps, and a group of two takes chunks of half the length.
+        grid = TimeGrid.build(params, 3.37123 * 2.0 * np.pi / params.omega, dt_divisor=50,
+                              sample_stride=7)
+        assert grid.m == 102 and grid.delta > 0
+        a0, a1, parity = dynamics._generator(
+            params, density=True, gamma=None if rates is None else rates * GAMMA_15KHZ)
+        rows0 = _qubit_rows()
+        columns = np.array(QUBIT_UNITS + [10 * a for a in (2, 5, 6, 7, 8)]) if kept else None
+        _, grouped = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid, columns)
+        alone = np.zeros_like(grouped)
+        for block in dynamics._blocks(a0, a1, rows0):
+            own = np.any(rows0[:, block] != 0, axis=1)[:, np.newaxis]
+            alone += dynamics._stroboscopic_run(a0, a1, parity, rows0 * own, grid, columns)[1]
+        assert np.array_equal(grouped, alone)
+
+    def test_one_core_call_per_group(self, params, monkeypatch):
+        # CZ's 20-blocks (4 support rows and 4 kept coordinates each) and its
+        # 4-blocks (1 and 1) run as two groups: four calls for six blocks.
+        # The run forms its schedule once, and a density run, which keeps
+        # every coordinate in order, reads its stacks uncut.
+        calls = {"core": [], "schedule": 0}
+        core, schedule = dynamics._stroboscopic_core, dynamics._schedule
+
+        def counted_core(*args):
+            calls["core"].append((args[0].shape[-3:], args[5]))
+            return core(*args)
+
+        def counted_schedule(*args):
+            calls["schedule"] += 1
+            return schedule(*args)
+
+        monkeypatch.setattr(dynamics, "_stroboscopic_core", counted_core)
+        monkeypatch.setattr(dynamics, "_schedule", counted_schedule)
+        grid = TimeGrid.build(params, 2e-7, dt_divisor=50)
+        propagate_process(params, grid)
+        groups = {GateKind.CZ: [(1, 25), (2, 20), (1, 8), (2, 4)],
+                  GateKind.CNOT: [(1, 45), (1, 36)]}[params.gate]
+        assert [shape[:2] for shape, _ in calls["core"]] == groups
+        assert calls["schedule"] == 1
+        calls["core"].clear()
+        propagate_density(params, _qubit_rho(), grid)
+        assert calls["core"] and all(columns is None for _, columns in calls["core"])
+
+    def test_blocks_are_cached_read_only(self, params, monkeypatch):
+        a0, a1, _ = dynamics._generator(params, density=True)
+        blocks = dynamics._blocks(a0, a1, _qubit_rows())
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0][0] = 1
+
+        def fail(*args):
+            raise AssertionError("the closure loops ran again")
+
+        # The same coupling pattern at other rates, and the same support.
+        monkeypatch.setattr(dynamics, "_closure", fail)
+        again = dynamics._blocks(*dynamics._generator(params.with_gamma(2.0 * params.gamma),
+                                                      density=True)[:2], 3.0 * _qubit_rows())
+        assert all(x is y for x, y in zip(again, blocks)) and len(again) == len(blocks)
 
     @staticmethod
     def _nan_in_smallest_block(monkeypatch, rows0, **generator_kwargs):

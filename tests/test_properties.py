@@ -25,7 +25,7 @@ from rabsim import cli, dynamics  # noqa: E402
 from rabsim.dynamics import TimeGrid  # noqa: E402
 from rabsim.cli import SCENARIOS, ScenarioConfig, ValidationError, parse_config  # noqa: E402
 from rabsim.models import DriveParams, GateKind, PerturbativeRegimeWarning  # noqa: E402
-from conftest import reference_blocks, rk4_run  # noqa: E402
+from conftest import reference_blocks, rk4_run, unsplit_core  # noqa: E402
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 # Mostly usable values, so that one bad field among good ones is drawn often.
@@ -133,7 +133,7 @@ def test_block_split_matches_the_unsplit_run(dim, batch, n_rows, fill, steps, re
     assert len(set(covered.tolist())) == len(covered)
 
     times, out = dynamics._stroboscopic_run(a0, a1, parity, rows0, grid)
-    whole = dynamics._stroboscopic_core(a0, a1, parity, rows0, grid, np.arange(dim))
+    whole = unsplit_core(a0, a1, parity, rows0, grid)
     assert (grid.n_steps, grid.delta) == (steps, 0.0)
     assert np.array_equal(times, grid.dt * grid.sample_steps)
     assert out.dtype == whole.dtype == (np.float64 if real else np.complex128)
