@@ -171,30 +171,19 @@ def _heatmap_lattices(w_axis: np.ndarray, v_max: float, dt_divisor: int
     ``w_axis`` (omega in units of Omega_m) of each group's columns, and its
     lattice in drive-phase time tau = omega t.
 
-    A column is sized by the drive, not by its stiffest V: its fastest
-    frequency with V capped at 2 omega is max(2 omega, Omega_m), and m is
-    the even ceiling of ``dt_divisor`` times that over omega, with none of
-    :meth:`TimeGrid.build`'s landing on the window's end, so m = 2
-    ``dt_divisor`` for omega >= Omega_m/2.  The ceiling of
-    :data:`dynamics.MIN_STEPS_PER_PERIOD` steps per period of the true
-    fastest frequency raises m where V up to ``v_max`` Omega_m needs it.
-    The columns of one m share a lattice of the unit drive to the latest of
-    their ends tau = pi omega^2/Omega_m^2, storing only its final sample.
-    A ``dt_divisor`` that is not finite or lies below that ceiling is
-    rejected.
+    Each column takes the m of :func:`dynamics.steps_per_period` at its
+    omega, Omega_m = 1 and V = ``v_max``, as :meth:`TimeGrid.build` would
+    give a run at that point: m = 2 ``dt_divisor`` for omega >= Omega_m/2
+    unless V up to ``v_max`` Omega_m needs more.  The columns of one m share
+    a lattice of the unit drive to the latest of their ends tau = pi
+    omega^2/Omega_m^2, storing only its final sample.
     """
-    if not dynamics.MIN_STEPS_PER_PERIOD <= dt_divisor < math.inf:
-        raise ValueError(f"dt_divisor must be finite and >= {dynamics.MIN_STEPS_PER_PERIOD}, "
-                         f"got {dt_divisor}")
-    per_period = np.maximum(dt_divisor * np.maximum(2.0 * w_axis, 1.0),
-                            dynamics.MIN_STEPS_PER_PERIOD * v_max) / w_axis
-    m = np.ceil(per_period * (1.0 - 1e-9)).astype(int)
-    m += m % 2
+    m = dynamics.steps_per_period(w_axis, 1.0, v_max, dt_divisor)
     groups = []
     for steps in dict.fromkeys(m.tolist()):
         columns = np.flatnonzero(m == steps)
         t_end = math.pi * float(np.max(w_axis[columns])) ** 2
-        groups.append((columns, TimeGrid(t_end, 1.0, steps, sample_stride=10**9)))
+        groups.append((columns, TimeGrid(t_end, 1.0, int(steps), sample_stride=10**9)))
     return groups
 
 
@@ -263,7 +252,7 @@ def fidelity_vs_gamma(
 
     The pulse ends at :func:`models.pulse_end_time`, the first drive-envelope
     node at or after the gate time.  All rates share one grid (the decay
-    rate sets neither the window nor the fastest frequency) and one
+    rate sets neither the window nor the lattice) and one
     process-map propagation, batched over the rates
     (:func:`dynamics.propagate_process` with ``gamma=``): each invariant
     block of the process map takes m/2 RK4 step maps (400 at the default

@@ -151,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the RRI strength, units of Omega_m "
                              "(default: matched condition for the gate)")
     parser.add_argument("--dt-divisor", type=int,
-                        help="integration steps per fastest period "
+                        help="integration steps per period of max(2 omega, Omega_m), "
+                             f"at least {dynamics.MIN_STEPS_PER_PERIOD} per 2 pi/V "
                              f"(default {dynamics.DEFAULT_DT_DIVISOR})")
     parser.add_argument("--out", type=str, help="output CSV path")
     parser.add_argument("--config", type=str,

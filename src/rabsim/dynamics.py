@@ -121,15 +121,16 @@ from . import hilbert, models
 from .hilbert import DIM, QUBIT_INDICES
 from .models import DriveParams
 
-#: Hard ceiling on the integration step: at least this many steps per period
-#: of the fastest angular frequency in the model.
+#: The least step divisor, and the floor that the interaction puts on the
+#: step: at least this many steps per period 2 pi/V.
 MIN_STEPS_PER_PERIOD = 50
 
-#: Steps per fastest period unless a caller asks otherwise, in the library
-#: and on the command line alike.  It is finer than the ceiling because over
-#: a full CZ gate window (about 112.5 periods of 2*omega) the ceiling leaves
-#: ~1e-4 norm damping on the fastest eigencomponent, while 400 keeps norm
-#: drift and eigenvalue negativity below 1e-8.
+#: Steps per period of max(2 omega, Omega_m) unless a caller asks otherwise,
+#: in the library and on the command line alike.  It is finer than the least
+#: divisor because over a full CZ gate window (about 112.5 periods of
+#: 2*omega) 50 steps leave ~1e-4 norm damping on the fastest
+#: eigencomponent, while 400 keep norm drift and eigenvalue negativity below
+#: 1e-8.
 DEFAULT_DT_DIVISOR = 400
 
 #: Default cap on stored samples per trajectory.
@@ -140,9 +141,28 @@ class IntegratorHealthError(RuntimeError):
     """Propagation drifted outside its health bounds; use a smaller dt."""
 
 
-def fastest_angular_frequency(params: DriveParams) -> float:
-    """Fastest angular scale of the model: max(V, 2*omega, Omega_m)."""
-    return max(params.v, 2.0 * params.omega, params.omega_m)
+@np.errstate(over="ignore")
+def steps_per_period(omega, omega_m, v, dt_divisor: int) -> np.ndarray:
+    """The even number m of RK4 steps per drive period 2 pi/``omega``, for
+    every run: the even ceiling of max(``dt_divisor`` x max(2 omega,
+    Omega_m), :data:`MIN_STEPS_PER_PERIOD` x V)/omega, elementwise over
+    arrays.
+
+    The drive sets the step, since |11> <-> |rr> is resonant near V = 2
+    omega: m = 2 ``dt_divisor`` at the matched point, and V only puts a
+    floor of :data:`MIN_STEPS_PER_PERIOD` steps per 2 pi/V under it.  m
+    comes as floats, whole and even, that may exceed every numpy integer; a
+    count that overflows comes as the largest float, for :class:`TimeGrid`
+    to reject as a lattice it cannot index.  A ``dt_divisor`` that is not
+    finite or lies below :data:`MIN_STEPS_PER_PERIOD` is rejected.
+    """
+    if not MIN_STEPS_PER_PERIOD <= dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be finite and >= {MIN_STEPS_PER_PERIOD}, "
+                         f"got {dt_divisor}")
+    per_period = np.maximum(dt_divisor * np.maximum(2.0 * omega, omega_m),
+                            MIN_STEPS_PER_PERIOD * v) / omega
+    m = np.ceil(np.minimum(per_period * (1.0 - 1e-9), np.finfo(float).max))
+    return m + m % 2
 
 
 @dataclass(frozen=True)
@@ -156,10 +176,9 @@ class TimeGrid:
     the lattice, one step of the remainder ``delta`` < h to ``t_end``
     (``delta`` is 0 otherwise).  ``n_steps`` counts both, and
     ``sample_steps`` indexes them.  Construct through :meth:`build`, which
-    sizes m from the model's fastest frequency and enforces the step
-    ceiling.  Direct construction skips the ceiling check (used by tests
-    that deliberately under-resolve).  ``m`` must be an even integer >= 2
-    and ``sample_stride`` an integer >= 1 (a bool is neither).
+    sizes m by :func:`steps_per_period`.  Direct construction takes any m
+    (used by tests that deliberately under-resolve).  ``m`` must be an even
+    integer >= 2 and ``sample_stride`` an integer >= 1 (a bool is neither).
     """
 
     t_end: float
@@ -195,29 +214,17 @@ class TimeGrid:
         dt_divisor: int = DEFAULT_DT_DIVISOR,
         sample_stride: int | None = None,
     ) -> "TimeGrid":
-        """Lattice from 0 to ``t_end`` under the drive of ``params``, with a
-        step no longer than (fastest period)/dt_divisor.
+        """Lattice from 0 to ``t_end`` under the drive of ``params``, with
+        m = :func:`steps_per_period` of the run's own omega, Omega_m and V.
 
-        That step is first shortened to the longest one that lands on
-        ``t_end`` in whole steps, and m is the even number at or above the
-        drive period over it: h = P/m never exceeds the requested step, and
-        equals the shortened one when that divides P/2.  Without
-        ``sample_stride``, every ceil(n_steps/:data:`MAX_SAMPLES_DEFAULT`)-th
-        step of the lattice is stored.  A non-finite or non-positive
-        ``t_end``, and a ``dt_divisor`` that is not finite or lies below the
-        ceiling of :data:`MIN_STEPS_PER_PERIOD` steps per fastest period, are
-        rejected.
+        Without ``sample_stride``, every
+        ceil(n_steps/:data:`MAX_SAMPLES_DEFAULT`)-th step of the lattice is
+        stored.  A non-finite or non-positive ``t_end``, a ``dt_divisor``
+        that is not finite or lies below :data:`MIN_STEPS_PER_PERIOD`, and a
+        lattice that numpy cannot index are rejected.
         """
-        if not 0.0 < t_end < math.inf:
-            raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-        if not MIN_STEPS_PER_PERIOD <= dt_divisor < math.inf:
-            raise ValueError(
-                f"dt_divisor must be finite and >= {MIN_STEPS_PER_PERIOD}, got {dt_divisor}"
-            )
-        dt = 2.0 * math.pi / fastest_angular_frequency(params) / dt_divisor
-        dt = t_end / max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
-        m = max(1, math.ceil(2.0 * math.pi / params.omega / dt * (1.0 - 1e-9)))
-        grid = cls(t_end, params.omega, m + m % 2)
+        m = steps_per_period(params.omega, params.omega_m, params.v, dt_divisor)
+        grid = cls(t_end, params.omega, int(m))
         if sample_stride is None:
             sample_stride = max(1, math.ceil(grid.n_steps / MAX_SAMPLES_DEFAULT))
         return replace(grid, sample_stride=sample_stride)

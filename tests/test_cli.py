@@ -240,14 +240,20 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        *([scenario, "--v-over-om", "1e300"] for scenario in cli.SCENARIOS),
-        ["rab-populations", "--omega-ratio", "1e12"],
-        ["gate-fidelity", "--omega-ratio", "1e12"],
+    @pytest.mark.parametrize("argv, config", [
+        *(([scenario, "--v-over-om", "1e300"], None) for scenario in cli.SCENARIOS),
+        (["rab-populations", "--omega-ratio", "1e12"], None),
+        (["gate-fidelity", "--omega-ratio", "1e12"], None),
+        # The heatmap's columns, sized by V_max alone.
+        (["heatmap"], "v_max = 1e300\n"),
     ])
-    def test_lattice_beyond_the_index_range_is_validation_error(self, argv, tmp_path, capsys):
+    def test_lattice_beyond_the_index_range_is_validation_error(self, argv, config, tmp_path,
+                                                                capsys):
         # Finite inputs whose step lattice outgrows numpy's index integers:
         # TimeGrid rejects the lattice before anything is allocated.
+        if config is not None:
+            (tmp_path / "x.conf").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "x.conf")]
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("rabsim: the lattice of m = ") and err.count("\n") == 1

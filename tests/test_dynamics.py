@@ -12,7 +12,6 @@ from rabsim.dynamics import (
     IntegratorHealthError,
     TimeGrid,
     convergence_check,
-    fastest_angular_frequency,
     propagate_density,
     propagate_process,
     propagate_state,
@@ -28,20 +27,30 @@ from conftest import (
 
 
 class TestTimeGrid:
-    def test_build_respects_step_ceiling(self, cz_params):
-        grid = TimeGrid.build(cz_params, 1e-6, dt_divisor=50)
-        cap = 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
-        assert grid.dt <= cap * (1.0 + 1e-12)
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("dt_divisor", [50, 400])
+    def test_build_takes_two_steps_per_divisor_at_the_matched_point(self, gate, dt_divisor):
+        # The drive sets m: dt_divisor steps per period of 2 omega, on a
+        # window that does not end on the lattice.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        grid = TimeGrid.build(params, 1.000001e-6, dt_divisor=dt_divisor)
+        assert grid.m == 2 * dt_divisor and grid.delta > 0.0
 
     def test_build_hits_t_end_exactly(self, cz_params):
         grid = TimeGrid.build(cz_params, 3.75e-6, dt_divisor=400)
         assert grid.delta == 0.0
         np.testing.assert_allclose(grid.n_steps * grid.dt, 3.75e-6, rtol=1e-15)
 
-    def test_build_adjusts_dt_downward(self, cz_params):
-        requested = 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
-        grid = TimeGrid.build(cz_params, 1.000001e-6, dt_divisor=50)
-        assert grid.dt <= requested * (1.0 + 1e-12)
+    # (omega, V) in units of Omega_m: the matched point, the V floor at
+    # either end of the default heatmap extent, and Omega_m > 2 omega.
+    @pytest.mark.parametrize("w, v", [(7.5, 15.0), (7.5, 18.1), (5.0, 20.0), (10.0, 20.0),
+                                      (0.3, 0.6)])
+    @pytest.mark.parametrize("dt_divisor", [50, 400])
+    @pytest.mark.filterwarnings("ignore::rabsim.models.PerturbativeRegimeWarning")
+    def test_build_and_the_heatmap_take_the_same_m(self, w, v, dt_divisor):
+        params = DriveParams(omega_m=OMEGA_M, omega=w * OMEGA_M, v=v * OMEGA_M)
+        [(_, lattice)] = analysis._heatmap_lattices(np.array([w]), v, dt_divisor)
+        assert TimeGrid.build(params, 1e-6, dt_divisor=dt_divisor).m == lattice.m
 
     def test_build_rejects_coarse_divisor(self, cz_params):
         with pytest.raises(ValueError, match="dt_divisor"):
@@ -117,14 +126,14 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.lattice_steps * grid.dt + grid.delta, t_end, rtol=1e-15)
 
     def test_halved_halves_the_step_off_the_lattice(self):
-        # The heatmap's probe at divisor 50: 2812.5 steps of P/100 do not
-        # fill its window, so build takes m = 102, and the halved lattice
-        # is m = 204, at exactly half the step.
+        # The heatmap's probe at divisor 50: its window ends half a step
+        # past the lattice of m = 100, and the halved lattice is m = 200, at
+        # exactly half the step.
         params = cli.parse_config(["heatmap"]).drive_params()
         grid = TimeGrid.build(params, np.pi * params.omega / params.omega_m**2, dt_divisor=50)
         halved = grid.halved()
         assert grid.delta > 0.0
-        assert (grid.m, halved.m) == (102, 204)
+        assert (grid.m, halved.m) == (100, 200)
         assert halved.dt == grid.dt / 2
         assert (halved.t_end, halved.omega) == (grid.t_end, grid.omega)
 
@@ -403,8 +412,7 @@ class TestPropagateDensity:
     def test_unstable_step_raises_health_error(self, cz_params):
         # 4 steps per drive period: 25x the step ceiling's P/100, over 60 periods.
         period = 2.0 * np.pi / cz_params.omega
-        assert 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0 == pytest.approx(
-            period / 100)
+        assert TimeGrid.build(cz_params, period, dt_divisor=50).m == 100
         grid = TimeGrid(60.0 * period, cz_params.omega, 4, 50)
         with pytest.raises(IntegratorHealthError):
             propagate_density(cz_params, hilbert.projector(G1, G1), grid)
@@ -470,7 +478,7 @@ class TestRk4Kernels:
 
     def test_lindblad_generator(self, cz_decay_params):
         a0, a1, _ = dynamics._generator(cz_decay_params, density=True)
-        h = 2.0 * np.pi / fastest_angular_frequency(cz_decay_params) / 50
+        h = 2.0 * np.pi / (2.0 * cz_decay_params.omega) / 50
         assert self._max_relative_deviation(a0.T, a1.T, cz_decay_params.omega, 3.7e-7, h,
                                             5) <= 1e-13
 
@@ -580,7 +588,7 @@ class TestShortStep:
 
     def test_lindblad_generator(self, cz_decay_params, rng):
         a0, a1, _ = dynamics._generator(cz_decay_params, density=True)
-        h = 0.43 * 2.0 * np.pi / fastest_angular_frequency(cz_decay_params) / 50
+        h = 0.43 * 2.0 * np.pi / (2.0 * cz_decay_params.omega) / 50
         rows = coordinates_of(random_density(rng))[np.newaxis]
         assert self._relative_deviation(rows, a0.T, a1.T, cz_decay_params.omega, 3.7e-7,
                                         h) <= 1e-13
@@ -775,11 +783,11 @@ def test_density_terms_match_the_basis_images(gate):
 
 class TestStroboscopicLattice:
     def test_times_of_an_unaligned_window(self, cz_params):
-        # The requested step does not divide the window: the step shrinks to
-        # P/m and the window ends with one step shorter than that.
+        # The window is no whole number of steps of P/m, so it ends with one
+        # step shorter than that.
         t_end = 3.37123 * 2.0 * np.pi / cz_params.omega
         grid = TimeGrid.build(cz_params, t_end, dt_divisor=50, sample_stride=3)
-        assert grid.dt < 2.0 * np.pi / fastest_angular_frequency(cz_params) / 50.0
+        assert grid.dt == 2.0 * np.pi / cz_params.omega / 100
         assert 0.0 < grid.delta < grid.dt
         traj = propagate_state(cz_params, hilbert.ket(G0, G1), grid)
         assert traj.times[0] == 0.0
@@ -793,14 +801,12 @@ class TestStroboscopicLattice:
             assert abs(state[hilbert.index_of(G0, RYD)] - u[1, 0]) <= 1e-6
 
     def test_odd_raw_step_count_takes_the_finer_even_step(self):
-        # V sets the step: 50 steps per 2 pi/V give P/dt = 120.9 on this
-        # window, which rounds up to an odd 121 steps per drive period.
+        # V sets the step: 50 steps per 2 pi/V give 120.7 steps per drive
+        # period, which rounds up to an odd 121.
         params = DriveParams(omega_m=OMEGA_M, omega=7.5 * OMEGA_M, v=18.1 * OMEGA_M,
                              gamma=GAMMA_15KHZ, gate=GateKind.CZ)
         period = 2.0 * np.pi / params.omega
-        requested = 2.0 * np.pi / fastest_angular_frequency(params) / 50
-        raw = 3.5 * period / math.ceil(3.5 * period / requested)
-        assert math.ceil(period / raw) == 121
+        assert math.ceil(dynamics.MIN_STEPS_PER_PERIOD * params.v / params.omega) == 121
         grid = TimeGrid.build(params, 3.5 * period, dt_divisor=50, sample_stride=7)
         assert grid.m == 122
         assert (grid.n_steps, grid.delta) == (3 * 122 + 61, 0.0)
@@ -1013,13 +1019,14 @@ class TestHalfPeriodWork:
             == grid.m // 2 + 1
 
     def test_halved_run_of_an_off_lattice_probe(self, rk4_calls):
-        # The heatmap's convergence probe at divisor 50 ends off its lattice
-        # of m = 102.  The check's run takes m steps of exactly dt/2 per
-        # block, half the period of 2m, and one short step.
+        # The heatmap's convergence probe window on a lattice of m = 102,
+        # off which it ends, as it does off the halved one.  The check's run
+        # takes m steps of exactly dt/2 per block, half the period of 2m,
+        # and one short step.
         params = cli.parse_config(["heatmap", "--dt-divisor", "50"]).drive_params()
-        grid = TimeGrid.build(params, np.pi * params.omega / params.omega_m**2, dt_divisor=50,
-                              sample_stride=10**9)
-        assert grid.m == 102 and grid.delta > 0.0
+        grid = TimeGrid(np.pi * params.omega / params.omega_m**2, params.omega, 102,
+                        sample_stride=10**9)
+        assert grid.delta > 0.0 and grid.halved().delta > 0.0
         rho0 = hilbert.projector(G1, G1)
         traj = propagate_density(params, rho0, grid)
         rk4_calls.clear()
@@ -1300,9 +1307,8 @@ class TestInvariantBlocks:
         # both halves of its periods.  Each block runs alone when the rows
         # of the others are zero.  At m = 102 the half-period pass takes 51
         # steps, and a group of two takes chunks of half the length.
-        grid = TimeGrid.build(params, 3.37123 * 2.0 * np.pi / params.omega, dt_divisor=50,
-                              sample_stride=7)
-        assert grid.m == 102 and grid.delta > 0
+        grid = TimeGrid(3.37123 * 2.0 * np.pi / params.omega, params.omega, 102, 7)
+        assert grid.delta > 0
         a0, a1, parity = dynamics._generator(
             params, density=True, gamma=None if rates is None else rates * GAMMA_15KHZ)
         rows0 = _qubit_rows()

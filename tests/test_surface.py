@@ -30,6 +30,8 @@ def test_public_surface():
     # TimeGrid is the lattice that is integrated; no second grid is derived.
     assert [f.name for f in dataclasses.fields(dynamics.TimeGrid)] == [
         "t_end", "omega", "m", "sample_stride"]
+    # One rule sizes every lattice: steps_per_period, from the drive.
+    assert not hasattr(dynamics, "fastest_angular_frequency")
     for name in ("stroboscopic_grid", "_period_lattice", "_sample_lattice", "_SampleLattice"):
         assert not hasattr(dynamics, name), name
         assert not hasattr(rabsim, name), name
