@@ -23,10 +23,10 @@ from .dynamics import (
     ProcessMap,
     TimeGrid,
     Trajectory,
-    convergence_check,
     propagate_density,
     propagate_process,
     propagate_state,
+    richardson_error,
 )
 from .models import (
     DegenerateFrequencyError,
@@ -69,7 +69,6 @@ __all__ = [
     "analytic_state",
     "average_gate_fidelity",
     "collapse_operators",
-    "convergence_check",
     "derive_effective_hamiltonian",
     "drive_envelope",
     "effective_hamiltonian",
@@ -82,6 +81,7 @@ __all__ = [
     "propagate_process",
     "propagate_state",
     "pulse_end_time",
+    "richardson_error",
     "rotating_frame_harmonics",
     "rri_condition",
     "single_atom_oracle",

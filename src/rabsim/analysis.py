@@ -50,7 +50,9 @@ class HeatmapGrid:
     gate on norm gain lets through (0 when no cell lost norm).
     ``lattices`` holds (m, columns) for each group of columns that ran as
     one batch on m steps per drive period, in the order of their first
-    column.
+    column.  ``p_rr_error`` is the integration error of the map, estimated
+    (:func:`dynamics.richardson_error`) on the column of the largest omega
+    by its run at ``coarse_m`` steps per period.
     """
 
     v_axis: np.ndarray
@@ -58,6 +60,8 @@ class HeatmapGrid:
     p_rr: np.ndarray
     max_norm_loss: float
     lattices: tuple[tuple[int, int], ...]
+    p_rr_error: float
+    coarse_m: int
 
 
 #: A heatmap cell fails when its final <psi|psi> exceeds 1 by more than this.
@@ -182,7 +186,10 @@ def _heatmap_lattices(w_axis: np.ndarray, v_max: float, dt_divisor: int
     groups = []
     for steps in dict.fromkeys(m.tolist()):
         columns = np.flatnonzero(m == steps)
-        t_end = math.pi * float(np.max(w_axis[columns])) ** 2
+        # Squared by a product: the power of a huge float raises
+        # OverflowError, where the product's inf is TimeGrid's to reject.
+        w = float(np.max(w_axis[columns]))
+        t_end = math.pi * (w * w)
         groups.append((columns, TimeGrid(t_end, 1.0, int(steps), sample_stride=10**9)))
     return groups
 
@@ -210,7 +217,9 @@ def sweep_heatmap(
     one short step.  A cell whose final <psi|psi> exceeds 1 by more than
     :data:`NORM_GAIN_TOL`, or is not finite, comes back as NaN.  RK4
     truncation only loses norm, so the gate does not see it; the largest
-    loss over the healthy cells is returned as ``max_norm_loss``.
+    loss over the healthy cells is returned as ``max_norm_loss``.  The
+    column of the largest omega runs once more on a coarser lattice, for
+    the map's error estimate (``p_rr_error``).
     """
     if params.gamma != 0.0:
         raise ValueError("the antiblockade heatmap is defined for gamma = 0")
@@ -222,14 +231,20 @@ def sweep_heatmap(
     w_axis = np.linspace(w_range[0], w_range[1], resolution)
     groups = _heatmap_lattices(w_axis, float(np.max(v_axis)), dt_divisor)
     rows0 = hilbert.ket(hilbert.G1, hilbert.G1)[np.newaxis]
-    p_rr = np.empty((resolution, resolution))
-    max_norm_loss = 0.0
-    for columns, grid in groups:
+
+    def final_states(grid, columns):
+        """The final states (columns, V, 9) of the columns ``columns`` on
+        ``grid``, each at its own end."""
         w = w_axis[columns, np.newaxis]
         _, states = dynamics._propagate(params, rows0, grid, density=False,
                                         v=v_axis * params.omega_m, omega=w * params.omega_m,
                                         ends=math.pi * w**2)
-        final = states[-1, ..., 0, :]
+        return states[-1, ..., 0, :]
+
+    p_rr = np.empty((resolution, resolution))
+    max_norm_loss = 0.0
+    for columns, grid in groups:
+        final = final_states(grid, columns)
         # Per-cell health.  Below its stability bound RK4 only loses norm,
         # by truncation (1.1e-4 of <psi|psi> on the default extent at
         # divisor 50), so a cell fails only on a norm gain or a non-finite
@@ -238,8 +253,17 @@ def sweep_heatmap(
         bad = ~(norm_change <= NORM_GAIN_TOL)
         p_rr[:, columns] = np.where(bad, np.nan, np.abs(final[..., 8]) ** 2).T
         max_norm_loss = max(max_norm_loss, float(np.max(-norm_change[~bad], initial=0.0)))
+    # The column of the largest omega has the fewest steps per period, as
+    # m = max(2 divisor, 50 V_max/omega) falls while omega grows, and the
+    # longest window, as tau_end = pi omega^2 grows: its error stands for
+    # the map's.  It ends its group's window, on its group's lattice.
+    last = int(np.argmax(w_axis))
+    grid = next(grid for columns, grid in groups if last in columns)
+    p_rr_error, coarse = dynamics.richardson_error(
+        lambda g: np.abs(final_states(g, [last])[..., 8]) ** 2, grid, p_rr[:, last])
     return HeatmapGrid(v_axis=v_axis, w_axis=w_axis, p_rr=p_rr, max_norm_loss=max_norm_loss,
-                       lattices=tuple((grid.m, len(columns)) for columns, grid in groups))
+                       lattices=tuple((grid.m, len(columns)) for columns, grid in groups),
+                       p_rr_error=p_rr_error, coarse_m=coarse.m)
 
 
 def fidelity_vs_gamma(

@@ -9,10 +9,12 @@ fidelity-vs-gamma  final average fidelity across a range of decay rates
 
 Every run writes one CSV (documented per-scenario column contract) plus a
 JSON sidecar with the fully resolved parameters in angular units, the
-integration step, convergence deltas, wall time and the versions that made
-the run; a failed run writes neither.  Rates cross the CLI boundary in cyclic units (MHz / kHz) to match
-how they are usually quoted; all internal math is angular, and the
-conversion happens in exactly one place (:func:`cyclic_to_angular`).
+integration step, the estimated integration error of the P_rr it writes
+(``rab-populations`` and ``heatmap``), wall time and the versions that made
+the run; a failed run writes neither.  Rates cross the CLI boundary in
+cyclic units (MHz / kHz) to match how they are usually quoted; all internal
+math is angular, and the conversion happens in exactly one place
+(:func:`cyclic_to_angular`).
 
 Exit codes: 0 success, 2 validation/usage error (including non-finite
 input and a config file's content), 3 integrator health error or another
@@ -29,7 +31,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -290,11 +292,12 @@ def _base_payload(config: ScenarioConfig, params: DriveParams, grid: TimeGrid) -
     }
 
 
-def _p_rr_convergence(params: DriveParams, trajectory, grid: TimeGrid) -> dict:
-    """The dt-halving record of P_rr = rho[8, 8] at the end of ``trajectory``."""
-    check = dynamics.convergence_check(params, trajectory, grid,
-                                       lambda rho: float(np.real(rho[8, 8])))
-    return {"dt_halving_delta_p_rr": check.delta, "passed": check.passed}
+def _convergence(p_rr_error: float, coarse_m: int) -> dict:
+    """The sidecar record of the estimated error of the written P_rr
+    (:func:`dynamics.richardson_error`) and of the coarse lattice it took;
+    NaN does not pass."""
+    return {"p_rr_error": p_rr_error, "coarse_m": coarse_m, "tol": 1e-6,
+            "passed": p_rr_error <= 1e-6}
 
 
 def _scenario_grid(config: ScenarioConfig, params: DriveParams) -> TimeGrid:
@@ -302,10 +305,10 @@ def _scenario_grid(config: ScenarioConfig, params: DriveParams) -> TimeGrid:
     under ``params``, and that its sidecar records: the window ends at the
     gate time (``rab-populations``), at the pulse end (the fidelity
     scenarios; the decay sweep stores only its final sample), or at the
-    heatmap's instant pi omega/Omega_m^2 (``heatmap``: the convergence
-    probe at the operating point, while the sweep runs its columns in
-    groups that share a lattice in drive-phase time, which the sidecar's
-    ``sweep_lattice`` block records)."""
+    heatmap's instant pi omega/Omega_m^2 (``heatmap``: the lattice of the
+    configured operating point, which nothing propagates, while the sweep
+    runs its columns in groups that share a lattice in drive-phase time,
+    which the sidecar's ``sweep_lattice`` block records)."""
     if config.scenario == "heatmap":
         t_end = math.pi * params.omega / (params.omega_m * params.omega_m)
     elif config.scenario == "rab-populations":
@@ -322,18 +325,22 @@ def _run_rab_populations(config: ScenarioConfig):
     rho0 = hilbert.projector(hilbert.G1, hilbert.G1)
     traj = dynamics.propagate_density(params, rho0, grid)
     p11 = traj.basis_populations(hilbert.index_of(hilbert.G1, hilbert.G1))
-    prr = traj.basis_populations(hilbert.index_of(hilbert.RYD, hilbert.RYD))
+    rr = hilbert.index_of(hilbert.RYD, hilbert.RYD)
+    prr = traj.basis_populations(rr)
+    p_rr_error, coarse = dynamics.richardson_error(
+        lambda g: dynamics._propagate_rho(params, rho0, g)[1][-1, rr, rr].real,
+        grid, prr[-1])
     return params, grid, {"t_us": traj.times * 1e6, "p_11": p11, "p_rr": prr}, {
-        "convergence": _p_rr_convergence(params, traj, grid),
+        "convergence": _convergence(p_rr_error, coarse.m),
         "peak_p_rr": float(np.max(prr)),
     }
 
 
 def _run_heatmap(config: ScenarioConfig):
     params = config.drive_params()
-    # Convergence probe at the configured operating point, on a grid built
-    # before the sweep so that a lattice too long to index fails first; the
-    # sidecar's grid block records it.
+    # The lattice of the configured operating point, which the sidecar's
+    # grid block records, built before the sweep so that one too long to
+    # index fails first.
     ridge_grid = _scenario_grid(config, params)
     grid_result = analysis.sweep_heatmap(
         params,
@@ -343,13 +350,9 @@ def _run_heatmap(config: ScenarioConfig):
         dt_divisor=config.dt_divisor,
     )
     v, w = np.meshgrid(grid_result.v_axis, grid_result.w_axis, indexing="ij")
-    probe = dynamics.propagate_density(
-        params, hilbert.projector(hilbert.G1, hilbert.G1),
-        replace(ridge_grid, sample_stride=10**9),
-    )
     columns = {"v_over_om": v.ravel(), "w_over_om": w.ravel(), "p_rr": grid_result.p_rr.ravel()}
     return params, ridge_grid, columns, {
-        "convergence": _p_rr_convergence(params, probe, ridge_grid),
+        "convergence": _convergence(grid_result.p_rr_error, grid_result.coarse_m),
         "failed_cells": int(np.count_nonzero(~np.isfinite(grid_result.p_rr))),
         "sweep_lattice": [{"m": m, "columns": n} for m, n in grid_result.lattices],
         "health": {"max_norm_loss": grid_result.max_norm_loss,

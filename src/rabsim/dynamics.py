@@ -77,11 +77,12 @@ diagonal.
 A run pays what does not depend on the block once.  Its sample schedule
 (the offset, period and half of every sample, and the remainder of an
 off-lattice end) is formed once, and every block reads its part of it;
-the blocks are cached by the coupling pattern, so a run at dt/2 finds
-them.  Blocks of one shape (size, support rows and kept coordinates) run
-as one group, with a group axis before the matrix axes: a CZ process map
-under decay runs its six blocks in four groups, and CNOT its two in two.
-A grouped run reproduces its blocks' own runs bit for bit.
+the blocks are cached by the coupling pattern, so the coarse run of an
+error estimate finds them.  Blocks of one shape (size, support rows and
+kept coordinates) run as one group, with a group axis before the matrix
+axes: a CZ process map under decay runs its six blocks in four groups, and
+CNOT its two in two.  A grouped run reproduces its blocks' own runs bit
+for bit.
 
 A0 is linear in the static rates V and gamma, and a run may carry a batch
 of them on leading axes of A0: the decay sweep runs its rates that way, in
@@ -101,7 +102,8 @@ twelve kernels of a slice stay within 2**16 elements: two rates a slice on
 the CNOT block of 45, and five omega columns of 60 V values each (two for
 CNOT) in a default heatmap.
 
-Runs are deterministic, so step-halving convergence checks stay meaningful.
+Runs are deterministic, so the coarse-side error estimate
+(:func:`richardson_error`) stays meaningful.
 Density matrices are Hermitian by construction but never renormalized, so
 trace drift stays visible as a health metric (the Lindblad generator is
 exactly traceless, so drift only reflects rounding).  Every health gate is
@@ -248,8 +250,8 @@ class TimeGrid:
         return self.lattice_steps + (self.delta > 0)
 
     def halved(self) -> "TimeGrid":
-        """Same window on the lattice of half the step, m -> 2m (for
-        convergence checks)."""
+        """Same window on the lattice of half the step, m -> 2m (for checks
+        of the RK4 order)."""
         return replace(self, m=2 * self.m, sample_stride=2 * self.sample_stride)
 
     @property
@@ -266,13 +268,11 @@ class Trajectory:
     """Sampled states along one propagation.
 
     ``states`` has shape (n_samples, 9) for state vectors or
-    (n_samples, 9, 9) for density matrices, aligned with ``times``; ``dt``
-    is the lattice step of the grid it ran on (:attr:`TimeGrid.dt`).
+    (n_samples, 9, 9) for density matrices, aligned with ``times``.
     """
 
     times: np.ndarray
     states: np.ndarray
-    dt: float
 
     @property
     def final_state(self) -> np.ndarray:
@@ -283,16 +283,6 @@ class Trajectory:
         if self.states.ndim == 2:
             return np.abs(self.states[:, index]) ** 2
         return np.real(self.states[:, index, index])
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Step-halving comparison of one scalar observable."""
-
-    value: float
-    value_halved: float
-    delta: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -550,8 +540,9 @@ def _blocks(a0: np.ndarray, a1: np.ndarray, rows0: np.ndarray) -> tuple[np.ndarr
     as in a heatmap, reaches one block of 4 amplitudes for CZ and 6 for CNOT.
 
     The blocks depend only on the coupling pattern and the support of
-    ``rows0``, and are cached by them, read-only: a run at dt/2 and the
-    other runs of the same problem find them without the closure loops.
+    ``rows0``, and are cached by them, read-only: the coarse run of an error
+    estimate and the other runs of the same problem find them without the
+    closure loops.
     """
     links = (a0 != 0) | (a1 != 0)
     links = np.any(links, axis=tuple(range(links.ndim - 2)))
@@ -641,8 +632,8 @@ def _schedule(grid: TimeGrid, ends=None) -> _Schedule:
                      delta, ends - delta)
 
 
-# A diverging run overflows to inf and NaN quietly: the health gates of the
-# propagators judge its output.
+# A diverging run overflows to inf and NaN quietly, and so do the reads of its
+# output, up to the health gates of the propagators, which judge it.
 @np.errstate(over="ignore", invalid="ignore")
 def _stroboscopic_run(a0, a1, parity, rows0: np.ndarray, grid: TimeGrid, columns=None,
                       ends=None):
@@ -938,7 +929,7 @@ def propagate_state(params: DriveParams, psi0: np.ndarray, grid: TimeGrid) -> Tr
             f"state norm drifted by {drift:.3e} (> 1e-6); reduce dt "
             f"(current dt = {grid.dt:.3e} s)"
         )
-    return Trajectory(times=times, states=states, dt=grid.dt)
+    return Trajectory(times=times, states=states)
 
 
 def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid):
@@ -949,6 +940,7 @@ def _propagate_rho(params: DriveParams, rho0: np.ndarray, grid: TimeGrid):
     return times, hilbert.hermitian_matrices(rows[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Lindblad propagation of a density matrix.
 
@@ -991,9 +983,10 @@ def propagate_density(params: DriveParams, rho0: np.ndarray, grid: TimeGrid) -> 
             raise IntegratorHealthError(
                 f"density matrix developed eigenvalue {min_eig:.3e} (< -1e-6); reduce dt"
             ) from None
-    return Trajectory(times=times, states=states, dt=grid.dt)
+    return Trajectory(times=times, states=states)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> ProcessMap:
     """Propagate the 16 Hermitian basis matrices of the qubit subspace in one run.
 
@@ -1055,34 +1048,23 @@ def propagate_process(params: DriveParams, grid: TimeGrid, *, gamma=None) -> Pro
     return ProcessMap(times=times, images=images if gamma is not None else images[:, 0])
 
 
-def convergence_check(
-    params: DriveParams,
-    trajectory: Trajectory,
-    grid: TimeGrid,
-    observable,
-) -> ConvergenceReport:
-    """Compare ``observable`` of the final state at dt and at dt/2.
+def richardson_error(run, grid: TimeGrid, value) -> tuple[float, TimeGrid]:
+    """Richardson's estimate of the integration error of ``value``, the
+    observable (a number or an array) that ``run``, a function of a
+    :class:`TimeGrid`, returns on ``grid``.
 
-    ``trajectory`` is the density-matrix run on ``grid`` that the caller
-    already holds (:func:`propagate_density`); only the run at dt/2, on
-    ``grid.halved()`` (2m steps per period) from its first state, is
-    propagated here.  ``observable`` maps a 9x9 density matrix to a float.
-    The check passes when the two values agree within 1e-6.  Health gates
-    are skipped on the dt/2 run: the point of the check is to measure the
-    error of whatever grid it is handed, including deliberately coarse ones.
-    A trajectory that does not end at ``grid.t_end`` with step ``grid.dt``
+    ``run`` is called once more, on the same window at m', the even number at
+    or above m/2, storing only its final sample.  RK4's error is C h^4, so
+    X(m') - X(m) = C h^4 ((m/m')^4 - 1), and the estimate is
+    max |X(m') - X(m)|/((m/m')^4 - 1), which is the difference over 15 when
+    m' = m/2.  Returns the estimate, which is not finite when either run is
+    not, and the coarse grid.  No health gate judges the coarse run: the
+    point is to measure the error of whatever grid it is handed, including
+    deliberately coarse ones.  A grid of m = 2 has no coarser lattice and
     raises ``ValueError``.
     """
-    if not (trajectory.times[-1] == grid.t_end and trajectory.dt == grid.dt):
-        raise ValueError("the trajectory was not propagated on the grid it is checked on")
-    halved = replace(grid.halved(), sample_stride=10**9)
-    final_halved = _propagate_rho(params, trajectory.states[0], halved)[1][-1]
-    value, value_halved = (float(observable(rho))
-                           for rho in (trajectory.final_state, final_halved))
-    delta = abs(value - value_halved)
-    return ConvergenceReport(
-        value=value,
-        value_halved=value_halved,
-        delta=delta,
-        passed=delta <= 1e-6,
-    )
+    coarse = replace(grid, m=grid.m // 2 + grid.m // 2 % 2, sample_stride=10**9)
+    if coarse.m == grid.m:
+        raise ValueError(f"the lattice of m = {grid.m} steps per period has no coarser one")
+    gap = np.max(np.abs(np.asarray(run(coarse)) - value))
+    return float(gap) / ((grid.m / coarse.m) ** 4 - 1), coarse

@@ -380,6 +380,23 @@ class TestSweepHeatmap:
         assert [run.lattices for run in runs] == [((800, 12),), ((1600, 12),)]
         assert np.max(np.abs(runs[0].p_rr - runs[1].p_rr)) <= bound
 
+    @pytest.mark.parametrize("gate", list(GateKind))
+    def test_error_estimate_tracks_the_worst_cell(self, gate):
+        # The benchmark's extent, 10x10 at divisor 100, against the same
+        # sweep at 4x the steps per period, whose own error is 256x smaller.
+        # The worst cell lies in the last column, the one the estimate
+        # reruns.  The estimate reads 1.86e-5 (CZ) and 6.73e-6 (CNOT)
+        # against worst errors of 2.15e-5 and 7.02e-6, factors of 0.87 and
+        # 0.96: within the factor 2 allowed either way, with margins of 1.7x
+        # and 1.9x.
+        params = DriveParams.from_ratio(OMEGA_M, 7.5, gate=gate)
+        sweep, fine = (sweep_heatmap(params, v_range=(10.0, 20.0), w_range=(5.0, 10.0),
+                                     resolution=10, dt_divisor=divisor) for divisor in (100, 400))
+        assert (sweep.lattices, sweep.coarse_m) == (((200, 10),), 100)
+        error = np.abs(sweep.p_rr - fine.p_rr)
+        assert np.unravel_index(np.argmax(error), error.shape)[1] == 9
+        assert error.max() / 2 <= sweep.p_rr_error <= 2 * error.max()
+
     def test_v_ceiling_splits_the_columns_into_groups(self):
         # At divisor 50, V up to 20 Omega_m sets m = even ceil(1000/omega)
         # per column below omega = 10 Omega_m: the default 60 columns fall

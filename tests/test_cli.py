@@ -259,6 +259,15 @@ class TestExitCodes:
         assert err.startswith("rabsim: the lattice of m = ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    def test_heatmap_window_beyond_the_float_range_is_validation_error(self, tmp_path, capsys):
+        # The last column's window pi omega^2 overflows to inf, which TimeGrid
+        # rejects, rather than raising OverflowError.
+        (tmp_path / "x.conf").write_text("w_max = 1e200\nresolution = 2\n")
+        argv = ["heatmap", "--config", str(tmp_path / "x.conf"), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "rabsim: t_end must be finite and > 0, got inf\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
         def too_large(config):
             raise MemoryError("Unable to allocate 194. TiB for an array")
@@ -285,6 +294,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gate-fidelity", "--gamma-khz", "1e30"],
         ["fidelity-vs-gamma", "--gamma-khz", "1e300"],
+        # Overflows late in the run: the trace sum of the process map, and
+        # the density matrices formed from their coordinates, meet inf.
+        ["gate-fidelity", "--gamma-khz", "2.7e6"],
+        ["rab-populations", "--gamma-khz", "3e6"],
     ])
     def test_diverging_run_exits_3_with_one_line(self, argv, tmp_path, capsys):
         # The maps overflow to inf and NaN; the health gate names the drift,
@@ -334,16 +347,16 @@ class TestExitCodes:
         assert err.startswith("rabsim: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == before
 
-    def test_failed_convergence_check_writes_neither_file(self, tmp_path, monkeypatch, capsys):
+    def test_failed_error_estimate_writes_neither_file(self, tmp_path, monkeypatch, capsys):
         from rabsim.dynamics import IntegratorHealthError
 
         def broken(*args, **kwargs):
-            raise IntegratorHealthError("norm drifted on the dt/2 run")
+            raise IntegratorHealthError("norm drifted on the coarse run")
 
-        monkeypatch.setattr("rabsim.cli.dynamics.convergence_check", broken)
+        monkeypatch.setattr("rabsim.cli.dynamics.richardson_error", broken)
         out = tmp_path / "x.csv"
         assert main(["rab-populations", *FAST, "--out", str(out)]) == cli.EXIT_INTEGRATOR
-        assert "dt/2 run" in capsys.readouterr().err
+        assert "coarse run" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_sidecar_takes_the_csv_with_it(self, tmp_path, capsys):
@@ -366,21 +379,50 @@ class TestScenarios:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["scenario"] == "rab-populations"
         assert "v_rad_per_s" in sidecar["resolved_angular"]
-        assert "dt_halving_delta_p_rr" in sidecar["convergence"]
+        assert sidecar["convergence"].keys() == {"p_rr_error", "coarse_m", "tol", "passed"}
         assert sidecar["wall_time_s"] > 0
         assert sidecar["run"] == RUN_RECORD
 
-    def test_rab_populations_convergence_is_the_delta_of_two_runs(self, tmp_path):
+    def test_rab_populations_error_is_the_richardson_estimate(self, tmp_path):
+        # |X(m/2) - X(m)|/15 of the final P_rr of two density runs.
         out = tmp_path / "pop.csv"
         assert main(["rab-populations", "--out", str(out)]) == EXIT_OK
-        sidecar = json.loads(out.with_suffix(".json").read_text())
+        convergence = json.loads(out.with_suffix(".json").read_text())["convergence"]
         params = parse_config(["rab-populations"]).drive_params()
         grid = dynamics.TimeGrid.build(params, models.gate_time(params))
+        coarse = dataclasses.replace(grid, m=grid.m // 2)
         rho0 = hilbert.projector(hilbert.G1, hilbert.G1)
-        p_rr, p_rr_halved = (dynamics.propagate_density(params, rho0, g).final_state[8, 8].real
-                             for g in (grid, grid.halved()))
-        delta = sidecar["convergence"]["dt_halving_delta_p_rr"]
-        assert abs(delta - abs(p_rr - p_rr_halved)) <= 1e-12
+        p_rr, p_rr_coarse = (dynamics.propagate_density(params, rho0, g).final_state[8, 8].real
+                             for g in (grid, coarse))
+        assert (grid.m, convergence["coarse_m"]) == (800, 400)
+        assert abs(convergence["p_rr_error"] - abs(p_rr - p_rr_coarse) / 15) <= 1e-13
+        assert convergence["tol"] == 1e-6 and convergence["passed"] is True
+
+    def test_rab_populations_error_tracks_the_true_error(self, tmp_path):
+        # The default run's estimate against the error of its final P_rr
+        # from a run at 4x the steps per period, whose own error is 256x
+        # smaller.  The estimate reads 2.78e-9 against a true 1.45e-9, a
+        # factor of 1.9: within the factor 3 allowed, with a margin of 1.6x.
+        out = tmp_path / "pop.csv"
+        assert main(["rab-populations", "--out", str(out)]) == EXIT_OK
+        estimate = json.loads(out.with_suffix(".json").read_text())["convergence"]["p_rr_error"]
+        p_rr = read_csv(out)[1][-1, 2]
+        params = parse_config(["rab-populations"]).drive_params()
+        fine = dynamics.TimeGrid.build(params, models.gate_time(params), dt_divisor=1600,
+                                       sample_stride=10**9)
+        rho0 = hilbert.projector(hilbert.G1, hilbert.G1)
+        true = abs(p_rr - dynamics.propagate_density(params, rho0, fine).final_state[8, 8].real)
+        assert true / 3 <= estimate <= 3 * true
+
+    def test_a_diverging_coarse_run_fails_the_estimate_not_the_run(self, tmp_path):
+        # At 1.5e6 kHz the run on m = 800 is stable and passes its gates,
+        # while its coarse run on m = 400, at twice the step, lies past
+        # RK4's stability edge: the estimate is NaN, which does not pass.
+        out = tmp_path / "pop.csv"
+        assert main(["rab-populations", "--gamma-khz", "1.5e6", "--out", str(out)]) == EXIT_OK
+        convergence = json.loads(out.with_suffix(".json").read_text())["convergence"]
+        assert convergence["coarse_m"] == 400 and np.isnan(convergence["p_rr_error"])
+        assert convergence["passed"] is False
 
     def test_rab_populations_deterministic_output(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -433,8 +475,14 @@ class TestScenarios:
         # The sweep's lattice: the V ceiling gives the column of omega = 5
         # Omega_m 106 steps per period, and the two others 100.
         assert sidecar["sweep_lattice"] == [{"m": 106, "columns": 1}, {"m": 100, "columns": 2}]
-        # The grid block is the convergence probe's: the ridge time at the
-        # configured operating point.
+        # The error estimate reruns the last column, on the lattice of
+        # m = 100, at m = 50; at divisor 50 the map is off by more than the
+        # tolerance, and the record says so.
+        convergence = sidecar["convergence"]
+        assert (convergence["coarse_m"], convergence["tol"]) == (50, 1e-6)
+        assert convergence["p_rr_error"] > 1e-6 and convergence["passed"] is False
+        # The grid block is the lattice at the configured operating point,
+        # to the ridge time there.
         angular = sidecar["resolved_angular"]
         assert sidecar["grid"]["t_end_s"] == pytest.approx(
             np.pi * angular["omega_rad_per_s"] / angular["omega_m_rad_per_s"] ** 2, rel=1e-12

@@ -11,10 +11,10 @@ from rabsim import analysis, cli, dynamics, hilbert, models
 from rabsim.dynamics import (
     IntegratorHealthError,
     TimeGrid,
-    convergence_check,
     propagate_density,
     propagate_process,
     propagate_state,
+    richardson_error,
 )
 from rabsim.hilbert import G0, G1, RYD
 from rabsim.models import DriveParams, GateKind
@@ -193,9 +193,9 @@ def test_scenario_lattice(argv, column, m, n_steps, delta_over_h):
 ], ids=lambda argv: argv[0])
 def test_runners_integrate_on_the_scenario_grid(argv, tmp_path, monkeypatch):
     # Every grid a small run propagates on, in order: the scenario's grid
-    # first (the heatmap's groups of columns come before its probe, one
-    # grid each), and then the convergence check's halved grid where there
-    # is one.
+    # (the heatmap's groups of columns instead, one grid each), and then the
+    # coarse grid of the error estimate where there is one: the same window
+    # at half the steps per period, storing only its final sample.
     conf = tmp_path / "small.conf"
     conf.write_text("dt_divisor = 50\ngamma_points = 2\nresolution = 2\n")
     argv = argv + ["--config", str(conf), "--out", str(tmp_path / "out.csv")]
@@ -211,18 +211,16 @@ def test_runners_integrate_on_the_scenario_grid(argv, tmp_path, monkeypatch):
     params = config.drive_params()
     grid = cli._scenario_grid(config, params)
     if config.scenario == "heatmap":
-        # At divisor 50 the V ceiling puts the two columns on m = 200 and 100.
+        # At divisor 50 the V ceiling puts the two columns on m = 200 and
+        # 100; the estimate reruns the last, on the lattice of m = 100.
         groups = analysis._heatmap_lattices(np.array([config.w_min, config.w_max]),
                                             config.v_max, config.dt_divisor)
         assert [grid.m for _, grid in groups] == [200, 100]
-        assert grids[:2] == [grid for _, grid in groups]
-        grids = grids[2:]
-    # The heatmap's probe stores only its final sample.
-    assert replace(grids[0], sample_stride=grid.sample_stride) == grid
-    if config.scenario in ("rab-populations", "heatmap"):
-        assert grids[1:] == [replace(grid.halved(), sample_stride=10**9)]
+        assert grids == [grid for _, grid in groups] + [replace(groups[-1][1], m=50)]
+    elif config.scenario == "rab-populations":
+        assert grids == [grid, replace(grid, m=grid.m // 2, sample_stride=10**9)]
     else:
-        assert len(grids) == 1
+        assert grids == [grid]
     sidecar = json.loads((tmp_path / "out.json").read_text())["grid"]
     assert (sidecar["t_end_s"], sidecar["n_steps"]) == (grid.t_end, grid.n_steps)
 
@@ -284,13 +282,15 @@ class TestPropagateState:
 
     def test_a_grid_of_another_drive_is_rejected(self, cz_params):
         grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
-        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
         other = DriveParams.from_ratio(OMEGA_M, 5.0)
         runs = [
             lambda: propagate_state(other, hilbert.ket(G1, G1), grid),
             lambda: propagate_density(other, hilbert.projector(G1, G1), grid),
             lambda: propagate_process(other, grid),
-            lambda: convergence_check(other, traj, grid, lambda rho: 0.0),
+            # The coarse grid of an error estimate keeps the drive.
+            lambda: richardson_error(
+                lambda g: dynamics._propagate_rho(other, hilbert.projector(G1, G1), g)[1],
+                grid, 0.0),
         ]
         for run in runs:
             with pytest.raises(ValueError, match="not params.omega"):
@@ -717,36 +717,65 @@ class TestRateBatch:
                 propagate_process(run, grid, gamma=gamma)
 
 
-class TestConvergenceCheck:
-    def test_passes_at_scenario_resolution(self, cz_params):
-        t_end = 1.875e-6
-        grid = TimeGrid.build(cz_params, t_end, dt_divisor=400, sample_stride=10**9)
-        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
-        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
-        assert report.passed
-        assert report.delta <= 1e-6
-        assert report.value == float(np.real(traj.final_state[8, 8]))
+def _final_p(params, rho0, level):
+    """The observable of an error estimate: the final population of
+    ``level`` in the density run of ``rho0`` on a grid, without gates."""
+    return lambda grid: dynamics._propagate_rho(params, rho0, grid)[1][-1, level, level].real
 
-    def test_stationary_observable_has_zero_delta(self, cz_params):
+
+class TestRichardsonError:
+    @pytest.mark.parametrize("m, coarse_m", [(4, 2), (6, 4), (102, 52), (800, 400)])
+    def test_an_exact_fourth_order_error_is_recovered(self, m, coarse_m):
+        # X(m) = C/m^4: the estimate is C/m^4 exactly, whether m' is
+        # m/2 (the divisor 15) or the even number above it.
+        grid = TimeGrid(1.0, 1.0, m, sample_stride=3)
+        seen = []
+
+        def run(g):
+            seen.append(g)
+            return 7.0 / g.m**4
+
+        error, coarse = richardson_error(run, grid, run(grid))
+        assert seen[1] == coarse == replace(grid, m=coarse_m, sample_stride=10**9)
+        assert error == pytest.approx(7.0 / m**4, rel=1e-12)
+
+    def test_takes_the_worst_entry_of_an_array(self):
+        grid = TimeGrid(1.0, 1.0, 8)
+        error, _ = richardson_error(lambda g: np.array([1.0, 3.0, 2.0]), grid, np.zeros(3))
+        assert error == 3.0 / 15
+
+    def test_nan_makes_the_estimate_nan(self):
+        grid = TimeGrid(1.0, 1.0, 8)
+        error, _ = richardson_error(lambda g: np.array([0.0, np.nan]), grid, np.zeros(2))
+        assert math.isnan(error)
+
+    def test_the_least_lattice_has_no_coarser_one(self):
+        with pytest.raises(ValueError, match="no coarser"):
+            richardson_error(lambda g: 0.0, TimeGrid(1.0, 1.0, 2), 0.0)
+
+    def test_passes_at_scenario_resolution(self, cz_params):
+        grid = TimeGrid.build(cz_params, 1.875e-6, dt_divisor=400, sample_stride=10**9)
+        rho0 = hilbert.projector(G1, G1)
+        value = float(np.real(propagate_density(cz_params, rho0, grid).final_state[8, 8]))
+        error, coarse = richardson_error(_final_p(cz_params, rho0, 8), grid, value)
+        assert 0.0 < error <= 1e-6
+        assert coarse.m == grid.m // 2
+
+    def test_stationary_observable_has_zero_error(self, cz_params):
         grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
-        traj = propagate_density(cz_params, hilbert.projector(G0, G0), grid)
-        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[0, 0])))
-        assert report.delta == 0.0
+        rho0 = hilbert.projector(G0, G0)
+        value = float(np.real(propagate_density(cz_params, rho0, grid).final_state[0, 0]))
+        assert richardson_error(_final_p(cz_params, rho0, 0), grid, value)[0] == 0.0
 
     def test_reports_failure_on_deliberately_coarse_grid(self, cz_params):
-        # 12 steps per drive period, 8.3x the step ceiling's P/100: must
-        # report a failing delta, not raise.
+        # 12 steps per drive period, 8.3x the step of the least divisor,
+        # and a coarse run at 6: must report a large error, not raise.
         grid = TimeGrid(1.875e-6, cz_params.omega, 12, 10**9)
-        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
-        report = convergence_check(cz_params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
-        assert not report.passed
-        assert report.delta > 1e-6
-
-    def test_rejects_a_trajectory_from_another_grid(self, cz_params):
-        grid = TimeGrid.build(cz_params, 1e-7, dt_divisor=50)
-        traj = propagate_density(cz_params, hilbert.projector(G1, G1), grid)
-        with pytest.raises(ValueError, match="not propagated on the grid"):
-            convergence_check(cz_params, traj, grid.halved(), lambda rho: 0.0)
+        rho0 = hilbert.projector(G1, G1)
+        value = float(np.real(propagate_density(cz_params, rho0, grid).final_state[8, 8]))
+        error, coarse = richardson_error(_final_p(cz_params, rho0, 8), grid, value)
+        assert coarse.m == 6
+        assert error > 1e-6
 
 
 def test_amplitude_never_reaches_rr_from_00(cz_params):
@@ -793,7 +822,6 @@ class TestStroboscopicLattice:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == grid.t_end
         assert np.all(np.diff(traj.times) > 0)
-        assert traj.dt == grid.dt
         # The single-driven-atom block is known in closed form at every sample.
         for t, state in zip(traj.times, traj.states):
             u = analysis.single_atom_oracle(cz_params, t)
@@ -812,7 +840,6 @@ class TestStroboscopicLattice:
         assert (grid.n_steps, grid.delta) == (3 * 122 + 61, 0.0)
         rho0 = _qubit_rho()
         traj = propagate_density(params, rho0, grid)
-        assert traj.dt == grid.dt
         times, reference = rk4_run(stepwise_lindblad(params), rho0, grid, hermitize=True)
         np.testing.assert_allclose(traj.times, times, rtol=1e-12)
         assert np.max(np.abs(traj.states - reference)) <= 1e-10
@@ -1001,14 +1028,15 @@ class TestHalfPeriodWork:
         params = cli.parse_config(["rab-populations"]).drive_params()
         grid = TimeGrid.build(params, models.gate_time(params))
         rows0 = coordinates_of(hilbert.projector(G1, G1))[np.newaxis]
-        # The trajectory on the grid, and the convergence check's run at
-        # dt/2; both windows end on the lattice.
+        # The trajectory on the grid, and the error estimate's run at m/2;
+        # both windows end on the lattice.
         h = grid.dt
+        coarse = replace(grid, m=grid.m // 2)
         whole = self._steps(params, grid, rows0,
                             [c for c in rk4_calls if c[0] == h], density=True)
-        halved = self._steps(params, grid.halved(), rows0,
-                             [c for c in rk4_calls if c[0] != h], density=True)
-        assert (whole, halved) == (400, 800)
+        coarse_steps = self._steps(params, coarse, rows0,
+                                   [c for c in rk4_calls if c[0] != h], density=True)
+        assert (whole, coarse_steps) == (400, 200)
 
     def test_off_lattice_window(self, cz_params, rk4_calls):
         grid = TimeGrid.build(cz_params, 3.37123 * 2.0 * np.pi / cz_params.omega,
@@ -1018,22 +1046,21 @@ class TestHalfPeriodWork:
         assert self._steps(cz_params, grid, psi[np.newaxis], rk4_calls, density=False) \
             == grid.m // 2 + 1
 
-    def test_halved_run_of_an_off_lattice_probe(self, rk4_calls):
-        # The heatmap's convergence probe window on a lattice of m = 102,
-        # off which it ends, as it does off the halved one.  The check's run
-        # takes m steps of exactly dt/2 per block, half the period of 2m,
-        # and one short step.
+    def test_coarse_run_of_an_off_lattice_window(self, rk4_calls):
+        # The ridge window at the heatmap's operating point on a lattice of
+        # m = 102, off which it ends, as it does off the coarse one of
+        # m' = 52, the even number above m/2.  The estimate's run takes m'/2
+        # steps of P/m' per block, half its period, and one short step.
         params = cli.parse_config(["heatmap", "--dt-divisor", "50"]).drive_params()
         grid = TimeGrid(np.pi * params.omega / params.omega_m**2, params.omega, 102,
                         sample_stride=10**9)
-        assert grid.delta > 0.0 and grid.halved().delta > 0.0
         rho0 = hilbert.projector(G1, G1)
-        traj = propagate_density(params, rho0, grid)
+        value = float(np.real(propagate_density(params, rho0, grid).final_state[8, 8]))
         rk4_calls.clear()
-        convergence_check(params, traj, grid, lambda rho: float(np.real(rho[8, 8])))
-        assert grid.halved().dt == grid.dt / 2
-        assert self._steps(params, grid.halved(), coordinates_of(rho0)[np.newaxis], rk4_calls,
-                           density=True) == grid.m + 1
+        _, coarse = richardson_error(_final_p(params, rho0, 8), grid, value)
+        assert coarse.m == 52 and grid.delta > 0.0 and coarse.delta > 0.0
+        assert self._steps(params, coarse, coordinates_of(rho0)[np.newaxis], rk4_calls,
+                           density=True) == coarse.m // 2 + 1
 
 
 class TestFinalStateRuns:

@@ -35,6 +35,25 @@ def test_public_surface():
     for name in ("stroboscopic_grid", "_period_lattice", "_sample_lattice", "_SampleLattice"):
         assert not hasattr(dynamics, name), name
         assert not hasattr(rabsim, name), name
+    # One estimator tells the integration error of what a run writes, from
+    # a coarser run: the dt/2 checker and its report are gone, and a
+    # trajectory does not carry its step.
+    for module in (rabsim, dynamics):
+        for name in ("convergence_check", "ConvergenceReport"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "dt" not in [f.name for f in dataclasses.fields(dynamics.Trajectory)]
+    assert not hasattr(cli, "_p_rr_convergence")
+    assert rabsim.richardson_error is dynamics.richardson_error
+    public = ["IntegratorHealthError", "steps_per_period", "TimeGrid", "Trajectory",
+              "ProcessMap", "propagate_state", "propagate_density", "propagate_process",
+              "richardson_error"]
+    assert [name for name, obj in vars(dynamics).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == dynamics.__name__] == public
+    # The package exports every one of them but the lattice rule.
+    assert {name for name in rabsim.__all__
+            if getattr(getattr(rabsim, name), "__module__", None) == dynamics.__name__
+            } == set(public) - {"steps_per_period"}
     # One default step divisor, in the library and on the command line.
     defaults = [
         build["dt_divisor"].default,
